@@ -6,6 +6,8 @@ curvature, parallel-torsion, Weyl, and conformal-invariance identities
 relating them.
 """
 
+__version__ = "0.1.0"
+
 from .conformal import ConformalDeformation, deformed_geometry
 from .example import ExampleParams, build_example, golden_tables
 from .levicivita import ConnectionCoeffs, LeeForm, levi_civita_coeffs
@@ -14,8 +16,6 @@ from .natural import NaturalConnection, STensor, TorsionParams, connection_D
 from .pipeline import InstanceAnalysis, analyze_instance
 from .structure import ProductStructure, RpmInstance
 from .tensors import DenseTensor, MetricTensor, invert_metric, tensor_close, trace_contract
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ConformalDeformation",

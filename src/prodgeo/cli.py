@@ -337,8 +337,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose comma-list value may start with "-", which argparse would
+# otherwise read as an option of its own.
+_LIST_OPTIONS = ("--lambda", "--alpha")
+
+
+def _join_list_options(argv: list[str]) -> list[str]:
+    """Rewrite "--lambda -1,2,3,4" as "--lambda=-1,2,3,4"."""
+    out: list[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in _LIST_OPTIONS else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_list_options(argv))
     try:
         if args.command == "verify-paper":
             return cmd_verify_paper(args)

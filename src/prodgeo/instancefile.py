@@ -9,6 +9,7 @@ by name and parameters.  Exactly one of the two forms must be present.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -42,16 +43,18 @@ class InvalidInstance(ValueError):
 
 
 def parse_rational(value) -> float:
-    if isinstance(value, bool):
-        raise ParseError(f"expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational {value!r}") from exc
-    raise ParseError(f"expected a number or rational string, got {value!r}")
+    """A finite float from a JSON number or a rational string such as "3/4"."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ParseError(f"expected a number or rational string, got {value!r}")
+    try:
+        result = float(Fraction(value)) if isinstance(value, str) else float(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational {value!r}") from exc
+    except OverflowError as exc:
+        raise ParseError(f"{value!r} is too large for a float") from exc
+    if not math.isfinite(result):
+        raise ParseError(f"expected a finite number, got {value!r}")
+    return result
 
 
 def parse_rational_vector(values, length: int | None = None) -> np.ndarray:

@@ -208,7 +208,7 @@ def sectional_curvature(r: DenseTensor, metric: MetricTensor, u, v, eps: float =
     area_sq = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
     if abs(area_sq) <= eps:
         raise DegeneratePlane("the two directions span a degenerate 2-plane")
-    numer = float(np.einsum("ijkl,i,j,k,l->", r.components, u, v, v, u))
+    numer = float(((r.components @ u) @ v) @ v @ u)
     return numer / float(area_sq)
 
 

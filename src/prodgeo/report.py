@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-VERSION = "0.1.0"
+from . import __version__
 
 INDICATOR_TOL = 0.5
 
@@ -62,7 +62,7 @@ class Report:
 
     def to_dict(self) -> dict:
         return {
-            "version": VERSION,
+            "version": __version__,
             "instance": self.instance,
             "epsilon": self.epsilon,
             "checks": [
@@ -76,7 +76,8 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, default=_jsonable)
+        # No indent: an indent makes json fall back to its pure-Python encoder.
+        return json.dumps(self.to_dict(), default=_jsonable)
 
     def render_text(self) -> str:
         lines = []

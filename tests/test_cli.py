@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import prodgeo
 from prodgeo.cli import main
-from prodgeo.report import report_from_dict
+from prodgeo.conformal import closed_form_basis
+from prodgeo.report import Report, _jsonable, report_from_dict
+from tests.conftest import frame_changed_dim8
 
 ORTHO = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 SWAP_P = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
@@ -35,6 +38,22 @@ def explicit_example_file(tmp_path, lam):
         "P": SWAP_P,
     }
     return write_json(tmp_path / "explicit.json", payload)
+
+
+def dense_dim8_file(tmp_path):
+    """The frame-changed dim-8 instance as a file, with a closed 1-form for it."""
+    inst = frame_changed_dim8()
+    c = inst.alg.c
+    payload = {
+        "dim": 8,
+        "brackets": [
+            {"i": i + 1, "j": j + 1, "coeffs": c[i, j].tolist()} for i in range(8) for j in range(i + 1, 8)
+        ],
+        "metric": inst.metric.matrix.tolist(),
+        "P": inst.structure.components.tolist(),
+    }
+    alpha = ",".join(repr(x) for x in closed_form_basis(inst.alg)[0].tolist())
+    return write_json(tmp_path / "dense8.json", payload), alpha
 
 
 def run_json(capsys, argv):
@@ -265,3 +284,79 @@ class TestConformal:
             tmp_path / "short.json", {"builtin": {"name": "w1-example", "lambda": [1, 0]}}
         )
         assert main(["analyze", "--file", path]) == 2
+
+
+class TestJsonEncoding:
+    def test_compact_report_parses_like_the_indented_one(self, capsys, monkeypatch, tmp_path):
+        reports = []
+        to_json = Report.to_json
+
+        def capture(rep):
+            reports.append(rep)
+            return to_json(rep)
+
+        monkeypatch.setattr(Report, "to_json", capture)
+        dense, dense_alpha = dense_dim8_file(tmp_path)
+        runs = [
+            ["verify-paper", f"--lambda={lam}", "--json"]
+            for lam in ("1,2,3,4", "0,0,0,0", "1,1,1,1", "-1/2,3,0.25,-7", "1000,2000,3000,4000")
+        ]
+        runs += [
+            ["analyze", "--file", dense, "--json"],
+            ["analyze", "--file", builtin_file(tmp_path, [2, -1, 0.5, 3]), "--json"],
+            ["conformal", "--file", dense, f"--alpha={dense_alpha}", "--json"],
+            ["conformal", "--file", builtin_file(tmp_path, [1, 0, 0, 0]), "--alpha=0,-1,0,0", "--json"],
+        ]
+        for argv in runs:
+            code = main(argv)
+            out = capsys.readouterr().out
+            rep = reports.pop()
+            assert out == to_json(rep) + "\n" and out.count("\n") == 1, argv
+            indented = json.dumps(rep.to_dict(), indent=2, default=_jsonable)
+            data = json.loads(out)
+            assert data == json.loads(indented), argv
+            assert data["exit_status"] == code, argv
+        assert not reports
+
+    def test_version_has_one_source(self):
+        assert Report(instance={}, epsilon=1e-9).to_dict()["version"] == prodgeo.__version__
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_bracket_coefficient_exits_2(self, capsys, tmp_path, token):
+        payload = {"dim": 4, "brackets": [{"i": 1, "j": 2, "coeffs": [0, 0, 0, 0]}], "metric": ORTHO, "P": SWAP_P}
+        text = json.dumps(payload).replace('"coeffs": [0,', f'"coeffs": [{token},', 1)
+        path = tmp_path / "non_finite.json"
+        path.write_text(text)
+        for argv in (["analyze", "--file", str(path), "--json"], ["conformal", "--file", str(path), "--alpha=0,0,0,0"]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("lam", ["1e400,1,1,1", "1,-1e999,1,1", "10" * 200 + ",1,1,1"])
+    def test_overflowing_lambda_exits_2(self, capsys, lam):
+        code = main(["verify-paper", f"--lambda={lam}", "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
+class TestNegativeListValues:
+    def test_lambda_separated_and_equals_forms_agree(self, capsys):
+        code_sep, data_sep = run_json(capsys, ["verify-paper", "--lambda", "-1,2,3,4", "--json"])
+        code_eq, data_eq = run_json(capsys, ["verify-paper", "--lambda=-1,2,3,4", "--json"])
+        assert code_sep == code_eq == 0
+        assert data_sep == data_eq
+        assert data_sep["instance"]["lambda"] == [-1.0, 2.0, 3.0, 4.0]
+
+    def test_alpha_separated_and_equals_forms_agree(self, capsys, tmp_path):
+        path = builtin_file(tmp_path, [1, 0, 0, 0])
+        code_sep, data_sep = run_json(capsys, ["conformal", "--file", path, "--alpha", "-0,-1,0,0", "--json"])
+        code_eq, data_eq = run_json(capsys, ["conformal", "--file", path, "--alpha=-0,-1,0,0", "--json"])
+        assert code_sep == code_eq == 0
+        assert data_sep == data_eq
+        assert data_sep["tables"]["alpha"] == [0.0, -1.0, 0.0, 0.0]

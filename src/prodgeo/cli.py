@@ -12,6 +12,7 @@ Exit codes: 0 all checks pass, 1 check failure, 2 parse/argument error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -36,6 +37,17 @@ EXIT_CHECK_FAILURE = 1
 EXIT_PARSE_ERROR = 2
 EXIT_STRUCTURE_FAILURE = 3
 EXIT_NOT_CLOSED = 4
+
+
+def _tolerance(text: str) -> float:
+    """A finite ``--epsilon``: every tolerance in a report must be valid JSON."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number, got {text!r}")
+    return value
 
 
 def _parse_tuple(text: str, length: int, what: str) -> tuple[float, ...]:
@@ -269,7 +281,7 @@ def cmd_conformal(args) -> int:
         return EXIT_STRUCTURE_FAILURE
 
     defect = conformal_mod.closedness_defect(inst.alg, alpha)
-    if defect > eps:
+    if defect > conformal_mod.closedness_tolerance(inst.alg, alpha, eps):
         basis = conformal_mod.closed_form_basis(inst.alg)
         print(
             f"error: the 1-form is not closed (bracket defect {defect:.3e}); "
@@ -316,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--epsilon", type=float, default=DEFAULT_EPS, help="check tolerance")
+        p.add_argument("--epsilon", type=_tolerance, default=DEFAULT_EPS, help="check tolerance")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
 
     p_verify = sub.add_parser("verify-paper", help="golden-table and theorem battery for the builtin family")

@@ -40,10 +40,15 @@ def closedness_defect(alg: LieFrameAlgebra, alpha) -> float:
     return max_abs(alg.c @ np.asarray(alpha, dtype=float))
 
 
+def closedness_tolerance(alg: LieFrameAlgebra, alpha, eps: float = DEFAULT_EPS) -> float:
+    """``eps`` scaled by the size of the terms of the defect; ``eps`` at unit scale."""
+    return eps * max(1.0, max_abs(alg.c) * max_abs(alpha))
+
+
 def require_closed(alg: LieFrameAlgebra, alpha, eps: float = DEFAULT_EPS) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
     defect = closedness_defect(alg, alpha)
-    if defect > eps:
+    if defect > closedness_tolerance(alg, alpha, eps):
         raise NotClosed(
             f"form does not annihilate the derived subalgebra (defect {defect:.3e})"
         )
@@ -174,10 +179,7 @@ def deformed_geometry(inst: RpmInstance, alpha, eps: float = DEFAULT_EPS) -> Def
 
     d = natural.connection_D_from(inst, nabla, theta)
 
-    r = DenseTensor(
-        inst.dim, (CO, CO, CO, CO),
-        np.einsum("ijkm,ml->ijkl", curvature_components(nabla.gamma, inst.c), g),
-    )
+    r = DenseTensor(inst.dim, (CO, CO, CO, CO), curvature_components(nabla.gamma, inst.c) @ g)
     ricci = levicivita.ricci_and_scalar(r, metric)
     r_prime = natural.curvature_Rprime(d, inst.alg, metric)
     ricci_prime = levicivita.ricci_and_scalar(r_prime, metric)
@@ -231,6 +233,4 @@ def conformal_weyl_residual(inst: RpmInstance, alpha, eps: float = DEFAULT_EPS) 
     ricci = levicivita.ricci_and_scalar(r, inst.metric)
     w = levicivita.weyl_tensor(r, ricci.rho, ricci.tau, inst.metric)
 
-    w_up = np.einsum("ijkm,ml->ijkl", w.components, inst.g_inv)
-    w_bar_up = np.einsum("ijkm,ml->ijkl", geo.W.components, inst.g_inv)
-    return max_abs(w_bar_up - w_up)
+    return max_abs(geo.W.components @ inst.g_inv - w.components @ inst.g_inv)

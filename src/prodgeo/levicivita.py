@@ -31,6 +31,7 @@ from .tensors import (
     MAX_RANK,
     DenseTensor,
     MetricTensor,
+    compose,
     freeze,
     max_abs,
 )
@@ -86,20 +87,26 @@ def levi_civita_coeffs(inst: RpmInstance) -> ConnectionCoeffs:
     return ConnectionCoeffs(np.einsum("ijk,kl->ijl", low, inst.g_inv), torsion_free=True)
 
 
-_LETTERS = "abcd"
-
-
 def cov_deriv_components(gamma: np.ndarray, components: np.ndarray, variance) -> np.ndarray:
-    """Covariant derivative of frame-constant components; direction slot first."""
-    rank = len(variance)
-    letters = _LETTERS[:rank]
+    """Covariant derivative of frame-constant components; direction slot first.
+
+    ``gamma`` may be a slab of directions, shape ``(k, dim, dim)``; the
+    result then has ``k`` entries in the direction slot.  Each slot is one
+    batched matrix product over the leading slots.
+    """
+    dim = gamma.shape[1]
     out = np.zeros((gamma.shape[0],) + components.shape)
     for slot, tag in enumerate(variance):
-        inner = letters[:slot] + "m" + letters[slot + 1 :]
-        if tag == CO:
-            out -= np.einsum(f"x{letters[slot]}m,{inner}->x{letters}", gamma, components)
+        g = gamma if tag == CO else gamma.transpose(0, 2, 1)
+        if slot == len(variance) - 1:  # one product per direction, not dim**slot small ones
+            term = components.reshape(-1, dim) @ g.transpose(0, 2, 1)
         else:
-            out += np.einsum(f"xm{letters[slot]},{inner}->x{letters}", gamma, components)
+            term = g[:, None] @ components.reshape(dim**slot, dim, -1)
+        term = term.reshape(out.shape)
+        if tag == CO:
+            out -= term
+        else:
+            out += term
     return out
 
 
@@ -172,20 +179,21 @@ def class_flags(inst: RpmInstance, eps: float = DEFAULT_EPS) -> ClassFlags:
 
 
 def curvature_components(gamma: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Frame curvature of constant connection coefficients, value slot last."""
-    return (
-        np.einsum("jkm,iml->ijkl", gamma, gamma)
-        - np.einsum("ikm,jml->ijkl", gamma, gamma)
-        - np.einsum("ijm,mkl->ijkl", c, gamma)
-    )
+    """Frame curvature of constant connection coefficients, value slot last.
+
+    Both quadratic terms come from one batched matrix product,
+    t[i, j, k, l] = gamma[j, k, m] gamma[i, m, l]: the second term is t with
+    its first two slots swapped.
+    """
+    d = gamma.shape[0]
+    t = (gamma.reshape(d * d, d) @ gamma).reshape((d,) * 4)
+    return t - t.swapaxes(0, 1) - compose(c, gamma)
 
 
 def curvature_tensor(conn: ConnectionCoeffs, alg: LieFrameAlgebra, metric: MetricTensor) -> DenseTensor:
     """Lowered curvature tensor of a frame-constant connection."""
     r13 = curvature_components(conn.gamma, alg.c)
-    return DenseTensor(
-        alg.dim, (CO, CO, CO, CO), np.einsum("ijkm,ml->ijkl", r13, metric.matrix)
-    )
+    return DenseTensor(alg.dim, (CO, CO, CO, CO), r13 @ metric.matrix)
 
 
 @dataclass(frozen=True)
@@ -215,7 +223,7 @@ def sectional_curvature(r: DenseTensor, metric: MetricTensor, u, v, eps: float =
 def pi1_tensor(metric: MetricTensor) -> DenseTensor:
     """The curvature-type tensor of a unit-curvature space form for this metric."""
     g = metric.matrix
-    out = np.einsum("jk,il->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)
+    out = g[None, :, :, None] * g[:, None, None, :] - g[:, None, :, None] * g[None, :, None, :]
     return DenseTensor(metric.dim, (CO, CO, CO, CO), out)
 
 
@@ -230,10 +238,10 @@ def psi1_operator(metric: MetricTensor, s, eps: float = DEFAULT_EPS) -> DenseTen
         warnings.warn("extending a non-symmetric 2-tensor", NonSymmetricInputWarning)
     g = metric.matrix
     out = (
-        np.einsum("jk,il->ijkl", g, s)
-        - np.einsum("ik,jl->ijkl", g, s)
-        + np.einsum("jk,il->ijkl", s, g)
-        - np.einsum("ik,jl->ijkl", s, g)
+        g[None, :, :, None] * s[:, None, None, :]
+        - g[:, None, :, None] * s[None, :, None, :]
+        + s[None, :, :, None] * g[:, None, None, :]
+        - s[:, None, :, None] * g[None, :, None, :]
     )
     return DenseTensor(metric.dim, (CO, CO, CO, CO), out)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimension, DimensionMismatch, GeometryError, ShapeMismatch
-from .tensors import freeze, max_abs
+from .tensors import compose, freeze, max_abs
 
 DERIVED_PIVOT_TOL = 1e-9
 
@@ -62,7 +62,7 @@ def bracket(alg: LieFrameAlgebra, u, v) -> np.ndarray:
 
 def jacobi_defect(alg: LieFrameAlgebra) -> float:
     """Largest component of the cyclic bracket sum over all basis triples."""
-    nested = np.einsum("ijm,mkl->ijkl", alg.c, alg.c)
+    nested = compose(alg.c, alg.c)
     cyc = nested + np.einsum("jkil->ijkl", nested) + np.einsum("kijl->ijkl", nested)
     return max_abs(cyc)
 

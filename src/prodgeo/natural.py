@@ -26,8 +26,8 @@ from .levicivita import (
     psi1_operator,
     weyl_tensor,
 )
-from .structure import RpmInstance
-from .tensors import CO, CONTRA, DEFAULT_EPS, DenseTensor, MetricTensor, max_abs
+from .structure import RpmInstance, structure_pullback
+from .tensors import CO, CONTRA, DEFAULT_EPS, DenseTensor, MetricTensor, compose, max_abs
 
 
 @dataclass(frozen=True)
@@ -174,9 +174,7 @@ def naturality_defects(d: NaturalConnection, inst: RpmInstance) -> tuple[float, 
 def curvature_Rprime(d: NaturalConnection, alg, metric: MetricTensor) -> DenseTensor:
     """Lowered curvature tensor of the natural connection."""
     r13 = curvature_components(d.coeffs.gamma, alg.c)
-    return DenseTensor(
-        alg.dim, (CO, CO, CO, CO), np.einsum("ijkm,ml->ijkl", r13, metric.matrix)
-    )
+    return DenseTensor(alg.dim, (CO, CO, CO, CO), r13 @ metric.matrix)
 
 
 def dtheta_components(d: NaturalConnection, theta) -> np.ndarray:
@@ -406,8 +404,11 @@ def flat_D_report(
             ricci.rho.components + (2.0 * n - 1.0) / (4.0 * n * n) * theta_omega * metric.matrix
         )
         scalar_res = abs(tau + (2.0 * n - 1.0) / (2.0 * n) * theta_omega)
-        dr = cov_deriv_components(d.coeffs.gamma, r.components, (CO, CO, CO, CO))
-        dr_defect = max_abs(dr)
+        # one direction at a time: the full derivative would hold dim^5 numbers
+        dr_defect = max(
+            max_abs(cov_deriv_components(slab, r.components, (CO, CO, CO, CO)))
+            for slab in np.split(d.coeffs.gamma, inst.dim)
+        )
         tau_negative = tau < 0.0 if theta_omega > eps else None
 
     parallel_relation = None
@@ -467,13 +468,13 @@ def torsion_identity_defects(
     p = inst.p
 
     cyclic = max_abs(t3 + np.einsum("jki->ijk", t3) + np.einsum("kij->ijk", t3))
-    t_pp = np.einsum("ai,bj,abk->ijk", p, p, t3)
+    t_pp = structure_pullback(p, t3)
     structure_cyclic = max_abs(
         t_pp + np.einsum("jki->ijk", t_pp) + np.einsum("kij->ijk", t_pp)
     )
 
     t_up = np.einsum("ijl,lk->ijk", t3, inst.g_inv)
-    nested = np.einsum("ijm,mkl->ijkl", t_up, t_up)
+    nested = compose(t_up, t_up)
     nested_cyclic = max_abs(
         nested + np.einsum("jkil->ijkl", nested) + np.einsum("kijl->ijkl", nested)
     )

@@ -4,11 +4,17 @@ A check passes exactly when its defect is at most its tolerance, so a
 report parsed back from JSON reproduces every verdict (and hence the exit
 status) from the numbers alone.  Indicator checks encode a boolean
 agreement as a 0/1 defect against tolerance 0.5.
+
+JSON has no NaN or infinity, so a non-finite defect or table number is
+written as null, and the report then carries a failing ``non_finite``
+check whose defect counts them.  That check is derived, not stored: a
+parsed report reads each null back as NaN and derives it again.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +22,7 @@ import numpy as np
 from . import __version__
 
 INDICATOR_TOL = 0.5
+NON_FINITE = "non_finite"
 
 
 @dataclass(frozen=True)
@@ -53,8 +60,14 @@ class Report:
         return check
 
     @property
+    def all_checks(self) -> list[Check]:
+        """The checks, then a failing ``non_finite`` check if any number is NaN or infinite."""
+        count = sum(not math.isfinite(c.defect) for c in self.checks) + _nulled(self.tables)[1]
+        return self.checks + ([Check(NON_FINITE, float(count), 0.0)] if count else [])
+
+    @property
     def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c.passed for c in self.all_checks)
 
     @property
     def exit_status(self) -> int:
@@ -66,18 +79,18 @@ class Report:
             "instance": self.instance,
             "epsilon": self.epsilon,
             "checks": [
-                {"name": c.name, "defect": c.defect, "tolerance": c.tolerance, "pass": c.passed}
-                for c in self.checks
+                {"name": c.name, "defect": _nulled(c.defect)[0], "tolerance": c.tolerance, "pass": c.passed}
+                for c in self.all_checks
             ],
             "flags": self.flags,
-            "tables": self.tables,
+            "tables": _nulled(self.tables)[0],
             "notes": self.notes,
             "exit_status": self.exit_status,
         }
 
     def to_json(self) -> str:
         # No indent: an indent makes json fall back to its pure-Python encoder.
-        return json.dumps(self.to_dict(), default=_jsonable)
+        return json.dumps(self.to_dict(), default=_jsonable, allow_nan=False)
 
     def render_text(self) -> str:
         lines = []
@@ -87,8 +100,9 @@ class Report:
         for note in self.notes:
             lines.append(f"note: {note}")
         lines.append("checks:")
-        width = max((len(c.name) for c in self.checks), default=0)
-        for c in self.checks:
+        checks = self.all_checks
+        width = max((len(c.name) for c in checks), default=0)
+        for c in checks:
             verdict = "PASS" if c.passed else "FAIL"
             lines.append(
                 f"  {verdict}  {c.name:<{width}}  defect={c.defect:.3e}  tol={c.tolerance:.3e}"
@@ -115,6 +129,29 @@ def _jsonable(value):
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
+def _nulled(value):
+    """``value`` with each NaN or infinity replaced by None, and how many there were."""
+    if isinstance(value, np.ndarray):
+        bad = ~np.isfinite(value)
+        count = int(bad.sum())
+        return (np.where(bad, None, value) if count else value), count
+    if isinstance(value, dict):
+        pairs = {key: _nulled(item) for key, item in value.items()}
+        return {key: v for key, (v, _) in pairs.items()}, sum(n for _, n in pairs.values())
+    if isinstance(value, float) and not math.isfinite(value):
+        return None, 1
+    return value, 0
+
+
+def _restored(value):
+    """A parsed table value as the report held it: lists become float arrays, null becomes NaN."""
+    if isinstance(value, dict):
+        return {key: _restored(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return np.asarray(value, dtype=float)
+    return math.nan if value is None else value
+
+
 def _format_table(value) -> str:
     if isinstance(value, np.ndarray):
         return np.array2string(value, precision=6, suppress_small=True, separator=", ")
@@ -131,9 +168,11 @@ def report_from_dict(data: dict) -> Report:
         instance=data["instance"],
         epsilon=data["epsilon"],
         flags=data.get("flags", {}),
-        tables=data.get("tables", {}),
+        tables=_restored(data.get("tables", {})),
         notes=data.get("notes", []),
     )
     for c in data["checks"]:
-        rep.checks.append(Check(name=c["name"], defect=c["defect"], tolerance=c["tolerance"]))
+        if c["name"] != NON_FINITE:  # derived again from the numbers
+            defect = math.nan if c["defect"] is None else c["defect"]
+            rep.checks.append(Check(name=c["name"], defect=defect, tolerance=c["tolerance"]))
     return rep

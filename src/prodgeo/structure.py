@@ -131,18 +131,23 @@ def associated_signature(inst: RpmInstance, tol: float = DEFAULT_EPS) -> tuple[i
     return int(np.sum(eigenvalues > tol)), int(np.sum(eigenvalues < -tol))
 
 
+def structure_pullback(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """t(P x_i, P x_j) of a rank-3 array, as two two-operand contractions."""
+    return np.einsum("bj,ibk->ijk", p, np.einsum("ai,abk->ibk", p, t))
+
+
 def nijenhuis_tensor(inst: RpmInstance) -> DenseTensor:
     """Integrability obstruction of the structure; zero on product manifolds."""
     c, p = inst.c, inst.p
-    n12 = np.einsum("ai,bj,abk->ijk", p, p, c)
-    n3 = np.einsum("km,ai,ajm->ijk", p, p, c)
-    n4 = np.einsum("km,bj,ibm->ijk", p, p, c)
+    n12 = structure_pullback(p, c)
+    n3 = np.einsum("km,ijm->ijk", p, np.einsum("ai,ajm->ijm", p, c))
+    n4 = np.einsum("km,ijm->ijk", p, np.einsum("bj,ibm->ijm", p, c))
     return DenseTensor(inst.dim, (CO, CO, CONTRA), n12 + c - n3 - n4)
 
 
 def abelian_structure_defect(inst: RpmInstance) -> float:
     """Largest component of [P·, P·] + [·, ·] over all frame pairs."""
-    return max_abs(np.einsum("ai,bj,abk->ijk", inst.p, inst.p, inst.c) + inst.c)
+    return max_abs(structure_pullback(inst.p, inst.c) + inst.c)
 
 
 def is_abelian_structure(inst: RpmInstance, eps: float = DEFAULT_EPS) -> bool:

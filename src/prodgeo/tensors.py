@@ -36,6 +36,12 @@ def freeze(components) -> np.ndarray:
     return arr
 
 
+def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i, j, m] b[m, k, l] for two (dim, dim, dim) arrays, as one matrix product."""
+    d = a.shape[0]
+    return (a.reshape(d * d, d) @ b.reshape(d, d * d)).reshape((d,) * 4)
+
+
 def max_abs(arr) -> float:
     a = np.asarray(arr, dtype=float)
     return 0.0 if a.size == 0 else float(np.max(np.abs(a)))

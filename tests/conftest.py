@@ -27,12 +27,27 @@ def random_lambdas(seed: int, count: int, low: float = -3.0, high: float = 3.0):
     return [tuple(rng.uniform(low, high, 4)) for _ in range(count)]
 
 
+def moved_frame(c, p, seed: int) -> RpmInstance:
+    """An instance orthonormal in the frame X_a, written in the frame X'_i = A^a_i X_a.
+
+    A = I + 0.3 N is random: c' = A A c A^-1, g' = A^T A, P' = A^-1 P A.
+    """
+    dim = p.shape[0]
+    a = np.eye(dim) + 0.3 * np.random.default_rng(seed).normal(size=(dim, dim))
+    a_inv = np.linalg.inv(a)
+    return RpmInstance(
+        alg=LieFrameAlgebra(dim, np.einsum("ai,bj,abk,mk->ijm", a, a, c, a_inv)),
+        metric=MetricTensor.from_matrix(a.T @ a),
+        structure=ProductStructure(a_inv @ p @ a),
+    )
+
+
 def frame_changed_dim8(seed: int = 0) -> RpmInstance:
     """A dim-8 instance with dense brackets and a non-identity metric.
 
     The builtin family at lambda = (1, 2, 3, 4) summed with the 4-dim
-    hyperbolic algebra [X_4, X_i] = X_i, both orthonormal, moved to the frame
-    X'_i = A^a_i X_a by a random A: c' = A A c A^-1, g' = A^T A, P' = A^-1 P A.
+    hyperbolic algebra [X_4, X_i] = X_i, both orthonormal, moved by a random
+    frame change (see :func:`moved_frame`).
     """
     family = build_example(ExampleParams((1.0, 2.0, 3.0, 4.0)))
     c = np.zeros((8, 8, 8))
@@ -42,10 +57,23 @@ def frame_changed_dim8(seed: int = 0) -> RpmInstance:
     p = np.zeros((8, 8))
     p[:4, :4] = family.structure.components
     p[4:, 4:] = np.diag([1.0, 1.0, -1.0, -1.0])
-    a = np.eye(8) + 0.3 * np.random.default_rng(seed).normal(size=(8, 8))
-    a_inv = np.linalg.inv(a)
-    return RpmInstance(
-        alg=LieFrameAlgebra(8, np.einsum("ai,bj,abk,mk->ijm", a, a, c, a_inv)),
-        metric=MetricTensor.from_matrix(a.T @ a),
-        structure=ProductStructure(a_inv @ p @ a),
-    )
+    return moved_frame(c, p, seed)
+
+
+@pytest.fixture
+def hyperbolic_dim8():
+    """Real hyperbolic space of curvature -a^2 as an instance, with its a.
+
+    [e_0, e_i] = a e_i for i >= 1 and P = Q diag(I_4, -I_4) Q^T with Q a random
+    orthogonal matrix, moved by a random frame change.  The Levi-Civita
+    connection is nabla_x y = a (g(x, y) e_0 - eta(y) x) with eta = e^0, so
+    the instance is in the conformally flat product class, its natural
+    connection is flat with parallel torsion, and tau = -d (d - 1) a^2.
+    """
+    a, dim = 1.3, 8
+    c = np.zeros((dim, dim, dim))
+    for i in range(1, dim):
+        c[0, i, i], c[i, 0, i] = a, -a
+    q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(dim, dim)))
+    p = q @ np.diag([1.0] * 4 + [-1.0] * 4) @ q.T
+    return moved_frame(c, p, seed=8), a

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -54,6 +55,15 @@ def dense_dim8_file(tmp_path):
     }
     alpha = ",".join(repr(x) for x in closed_form_basis(inst.alg)[0].tolist())
     return write_json(tmp_path / "dense8.json", payload), alpha
+
+
+def strict_loads(text):
+    """Parse RFC 8259 JSON: NaN and Infinity tokens are an error."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def run_json(capsys, argv):
@@ -264,6 +274,22 @@ class TestConformal:
         assert code == 4
         assert "derived subalgebra" in err
 
+    @pytest.mark.parametrize("first, closed", [("2e-9", False), ("5e-10", True)])
+    def test_unit_scale_closedness_keeps_the_absolute_tolerance(self, capsys, tmp_path, first, closed):
+        # [X1, X2] = X1 here, so the bracket defect of the form is exactly its first entry
+        path = builtin_file(tmp_path, [1, 0, 0, 0])
+        code = main(["conformal", "--file", path, f"--alpha={first},1,0,0", "--json"])
+        assert (code != 4) == closed
+
+    def test_self_sampled_forms_at_large_scale_are_closed(self, capsys):
+        # verify-paper samples its own closed forms; with brackets of size 1e100
+        # their rounding-level bracket defect is far above the absolute epsilon
+        code = main(["verify-paper", "--lambda=1e100,2,3,4", "--json"])
+        data = strict_loads(capsys.readouterr().out)
+        assert code != 4
+        assert data["exit_status"] == code
+        assert "conformal_weyl_invariance" in {c["name"] for c in data["checks"]}
+
     def test_wrong_length_alpha(self, capsys, tmp_path):
         path = builtin_file(tmp_path, [1, 0, 0, 0])
         assert main(["conformal", "--file", path, "--alpha", "0,1"]) == 2
@@ -343,6 +369,50 @@ class TestNonFiniteInput:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+
+class TestNonFiniteReport:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_geometry_writes_strict_json(self, capsys):
+        code = main(["verify-paper", "--lambda=1e308,1e308,1e308,1e308", "--json"])
+        out = capsys.readouterr().out
+        data = strict_loads(out)
+        last = data["checks"][-1]
+        assert last["name"] == "non_finite" and not last["pass"]
+        assert last["defect"] == out.count("null") > 0
+        assert code == data["exit_status"] == 1
+        rebuilt = report_from_dict(data)
+        assert rebuilt.exit_status == code
+        assert [c.passed for c in rebuilt.all_checks] == [c["pass"] for c in data["checks"]]
+        assert rebuilt.to_json() + "\n" == out
+
+    def test_counts_each_non_finite_number(self):
+        rep = Report(instance={}, epsilon=1e-9)
+        rep.add("finite", 0.0)
+        rep.add("overflow", math.inf)
+        rep.tables.update(
+            {"array": np.array([1.0, np.nan, -np.inf]), "dict": {"k": math.nan, "ok": 2.0}, "scalar": 3.0}
+        )
+        data = strict_loads(rep.to_json())
+        assert [c["name"] for c in data["checks"]] == ["finite", "overflow", "non_finite"]
+        assert [c["defect"] for c in data["checks"]] == [0.0, None, 4.0]
+        assert data["tables"]["array"] == [1.0, None, None]
+        assert data["tables"]["dict"] == {"k": None, "ok": 2.0}
+        assert data["exit_status"] == rep.exit_status == 1
+        assert report_from_dict(data).to_json() == rep.to_json()
+        assert "FAIL  non_finite" in rep.render_text()
+
+    def test_finite_report_has_no_non_finite_check(self, capsys):
+        code, data = run_json(capsys, ["verify-paper", "--lambda=1,2,3,4", "--json"])
+        assert code == 0
+        assert "non_finite" not in {c["name"] for c in data["checks"]}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
+    def test_non_finite_epsilon_exits_2(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-paper", "--lambda=1,2,3,4", f"--epsilon={value}", "--json"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestNegativeListValues:

@@ -1,0 +1,175 @@
+"""The matrix-product contraction kernels against the einsum kernels they replaced.
+
+Each reference below is the plain multi-index ``np.einsum`` form of a kernel.
+A sum of n products computed in two different orders differs by at most
+2 * gamma_n times the sum of the absolute values of its terms, with
+gamma_n ~ n * u and u = eps / 2 the unit roundoff of float64, so each
+comparison allows ``n * eps`` times that absolute sum.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from prodgeo.levicivita import (
+    cov_deriv_components,
+    curvature_components,
+    levi_civita_coeffs,
+    pi1_tensor,
+    psi1_operator,
+)
+from prodgeo.liealg import LieFrameAlgebra
+from prodgeo.structure import ProductStructure, RpmInstance, nijenhuis_tensor
+from prodgeo.tensors import CO, CONTRA, MetricTensor
+from tests.conftest import frame_changed_dim8
+
+EPS = np.finfo(float).eps
+VARIANCES = [v for rank in range(5) for v in itertools.product((CO, CONTRA), repeat=rank)]
+
+
+def assert_within_roundoff(new, terms, abs_terms, n):
+    """``new`` matches the sum of ``terms`` up to n products' roundoff per entry."""
+    ref = sum(terms)
+    bound = n * EPS * sum(np.abs(t) for t in abs_terms)
+    assert np.all(np.abs(new - ref) <= bound)
+
+
+def cov_deriv_terms(gamma, components, variance):
+    """The einsum kernel, one signed term per slot."""
+    letters = "abcd"[: len(variance)]
+    terms = [np.zeros((gamma.shape[0],) + components.shape)]
+    for slot, tag in enumerate(variance):
+        inner = letters[:slot] + "m" + letters[slot + 1 :]
+        if tag == CO:
+            terms.append(-np.einsum(f"x{letters[slot]}m,{inner}->x{letters}", gamma, components))
+        else:
+            terms.append(np.einsum(f"xm{letters[slot]},{inner}->x{letters}", gamma, components))
+    return terms
+
+
+def curvature_terms(gamma, c):
+    return [
+        np.einsum("jkm,iml->ijkl", gamma, gamma),
+        -np.einsum("ikm,jml->ijkl", gamma, gamma),
+        -np.einsum("ijm,mkl->ijkl", c, gamma),
+    ]
+
+
+def psi1_terms(g, s):
+    return [
+        np.einsum("jk,il->ijkl", g, s),
+        -np.einsum("ik,jl->ijkl", g, s),
+        np.einsum("jk,il->ijkl", s, g),
+        -np.einsum("ik,jl->ijkl", s, g),
+    ]
+
+
+def nijenhuis_terms(c, p):
+    return [
+        np.einsum("ai,bj,abk->ijk", p, p, c),
+        c,
+        -np.einsum("km,ai,ajm->ijk", p, p, c),
+        -np.einsum("km,bj,ibm->ijk", p, p, c),
+    ]
+
+
+def random_instance(seed: int, dim: int = 8) -> RpmInstance:
+    """Random antisymmetric brackets and a random P: the kernels need no axioms."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(dim, dim, dim))
+    return RpmInstance(
+        alg=LieFrameAlgebra(dim, c - c.swapaxes(0, 1)),
+        metric=MetricTensor.from_matrix(np.eye(dim)),
+        structure=ProductStructure(rng.normal(size=(dim, dim))),
+    )
+
+
+def connections():
+    """(c, gamma) pairs: a real connection in a non-orthonormal frame, and noise."""
+    inst = frame_changed_dim8()
+    rng = np.random.default_rng(5)
+    return {
+        "frame_changed_dim8": (inst.c, levi_civita_coeffs(inst).gamma),
+        "random": (rng.normal(size=(8, 8, 8)), rng.normal(size=(8, 8, 8))),
+    }
+
+
+CONNECTIONS = connections()
+
+
+@pytest.mark.parametrize("source", list(CONNECTIONS))
+class TestAgainstEinsum:
+    @pytest.mark.parametrize("variance", VARIANCES, ids=lambda v: "-".join(v) or "scalar")
+    def test_cov_deriv_components(self, source, variance):
+        _, gamma = CONNECTIONS[source]
+        rank, dim = len(variance), gamma.shape[0]
+        comp = np.random.default_rng(rank).normal(size=(dim,) * rank)
+        new = cov_deriv_components(gamma, comp, variance)
+        assert new.shape == (dim,) * (rank + 1)
+        assert_within_roundoff(
+            new,
+            cov_deriv_terms(gamma, comp, variance),
+            cov_deriv_terms(np.abs(gamma), np.abs(comp), variance),
+            rank * (dim + 1),
+        )
+
+    @pytest.mark.parametrize("variance", VARIANCES[-16:], ids=lambda v: "-".join(v))
+    def test_one_direction_slab_is_a_row_of_the_full_derivative(self, source, variance):
+        _, gamma = CONNECTIONS[source]
+        comp = np.random.default_rng(9).normal(size=(8,) * 4)
+        full = cov_deriv_components(gamma, comp, variance)
+        for x, slab in enumerate(np.split(gamma, 8)):
+            assert np.array_equal(cov_deriv_components(slab, comp, variance), full[x : x + 1])
+
+    def test_curvature_components(self, source):
+        c, gamma = CONNECTIONS[source]
+        assert_within_roundoff(
+            curvature_components(gamma, c),
+            curvature_terms(gamma, c),
+            curvature_terms(np.abs(gamma), np.abs(c)),
+            3 * (gamma.shape[0] + 1),
+        )
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pi1_and_psi1(seed):
+    g = frame_changed_dim8(seed).metric
+    s = np.random.default_rng(seed).normal(size=(8, 8))
+    s = s + s.T
+    ab = np.abs(g.matrix), np.abs(s)
+    assert_within_roundoff(
+        psi1_operator(g, s).components, psi1_terms(g.matrix, s), psi1_terms(*ab), 4
+    )
+    half = psi1_terms(g.matrix, g.matrix)[:2]
+    assert_within_roundoff(pi1_tensor(g).components, half, psi1_terms(ab[0], ab[0])[:2], 2)
+
+
+@pytest.mark.parametrize(
+    "inst", [frame_changed_dim8(), random_instance(3)], ids=["frame_changed_dim8", "random"]
+)
+def test_nijenhuis_tensor(inst):
+    dim = inst.dim
+    assert_within_roundoff(
+        nijenhuis_tensor(inst).components,
+        nijenhuis_terms(inst.c, inst.p),
+        nijenhuis_terms(np.abs(inst.c), np.abs(inst.p)),
+        3 * dim * dim + 3,
+    )
+
+
+def test_curvature_components_runs_on_sympy_arrays():
+    # exact symbolic input: the builtin family's brackets in symbols lambda_i,
+    # its orthonormal Koszul coefficients, against the einsum kernel
+    sp = pytest.importorskip("sympy")
+    l1, l2, l3, l4 = sp.symbols("lambda1:5", real=True)
+    v12, v13 = [l1, l2, l3, l4], [l4, -l3, l2, -l1]
+    c = np.full((4, 4, 4), sp.Integer(0), dtype=object)
+    for (i, j), vec in {(0, 1): v12, (2, 3): [-v for v in v12], (0, 2): v13, (1, 3): v13}.items():
+        c[i, j], c[j, i] = vec, [-v for v in vec]
+    gamma = (c - c.transpose(2, 0, 1) + c.transpose(1, 2, 0)) * sp.Rational(1, 2)
+    new = curvature_components(gamma, c)
+    assert new.dtype == object and new.shape == (4,) * 4
+    ref = sum(curvature_terms(gamma, c))
+    assert all(sp.expand(e) == 0 for e in (new - ref).flat)
+    assert sp.expand(new[0, 1, 2, 0]) == -l1 * l4  # as in test_c09_space_form_oracle_symbolic

@@ -447,6 +447,25 @@ class TestFlatReport:
         assert report.parallel_curvature_defect <= 1e-9
         assert report.tau_negative is True
 
+    def test_hyperbolic_instance_reaches_the_flat_parallel_branch(self, hyperbolic_dim8):
+        # a real instance, not a fabricated curvature, in a non-orthonormal frame
+        inst, a_coeff = hyperbolic_dim8
+        a = analyze_instance(inst)
+        report = a.flat
+        assert a.flags.is_w1
+        assert report.is_flat and report.torsion_parallel
+        dim = inst.dim
+        assert report.tau == pytest.approx(-dim * (dim - 1) * a_coeff**2, rel=1e-12)
+        assert report.tau_negative is True
+        assert report.space_form_residual <= 1e-9
+        assert report.ricci_residual <= 1e-9
+        assert report.scalar_residual <= 1e-9
+        assert report.parallel_curvature_defect <= 1e-9
+        assert report.parallel_relation_residual <= 1e-9
+        # the per-direction maximum is the maximum of the whole derivative
+        full = cov_deriv_components(a.D.coeffs.gamma, a.R.components, (CO,) * 4)
+        assert report.parallel_curvature_defect == max_abs(full)
+
 
 class TestWeylInvariance:
     def test_generic_point(self, inst_1234):

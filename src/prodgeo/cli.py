@@ -12,13 +12,14 @@ Exit codes: 0 all checks pass, 1 check failure, 2 parse/argument error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
 import numpy as np
 
 from . import conformal as conformal_mod
-from . import example, levicivita
+from . import example
 from .errors import GeometryError, NotClosed
 from .instancefile import (
     InvalidInstance,
@@ -29,7 +30,7 @@ from .instancefile import (
 )
 from .pipeline import InstanceAnalysis, analyze_instance
 from .report import Report
-from .structure import RpmInstance, structure_defects, validate_structure
+from .structure import structure_defects
 from .tensors import DEFAULT_EPS, max_abs
 
 EXIT_PASS = 0
@@ -96,17 +97,6 @@ def _flags_dict(a: InstanceAnalysis) -> dict:
     }
 
 
-def _sectional_table(a: InstanceAnalysis) -> dict:
-    basis = np.eye(a.inst.dim)
-    table = {}
-    for i in range(a.inst.dim):
-        for j in range(i + 1, a.inst.dim):
-            table[f"k_{i + 1}{j + 1}"] = levicivita.sectional_curvature(
-                a.R, a.inst.metric, basis[i], basis[j]
-            )
-    return table
-
-
 def _tables_dict(a: InstanceAnalysis) -> dict:
     return {
         "lee_form": a.lee.theta_components,
@@ -114,7 +104,7 @@ def _tables_dict(a: InstanceAnalysis) -> dict:
         "curvature": a.R.components,
         "ricci": a.ricci.rho.components,
         "scalar_curvature": a.ricci.tau,
-        "sectional": _sectional_table(a),
+        "sectional": {f"k_{i + 1}{j + 1}": k for (i, j), k in a.sectional.items()},
         "natural_gamma": a.D.coeffs.gamma,
         "torsion": a.D.T.components,
         "natural_curvature": a.Rprime.components,
@@ -125,29 +115,16 @@ def _tables_dict(a: InstanceAnalysis) -> dict:
     }
 
 
-def _conformal_sweep(rep: Report, inst: RpmInstance, a: InstanceAnalysis, seed: int, samples: int = 5) -> None:
+def _conformal_sweep(rep: Report, a: InstanceAnalysis, seed: int, samples: int = 5) -> None:
     rng = np.random.default_rng(seed)
-    curvature_res = weyl_res = lee_res = conn_res = class_res = 0.0
+    worst: dict[str, float] = {}
     for _ in range(samples):
-        alpha = conformal_mod.random_closed_form(inst.alg, rng)
-        geo = conformal_mod.deformed_geometry(inst, alpha, rep.epsilon)
-        curvature_res = max(
-            curvature_res,
-            conformal_mod.conformal_curvature_residual(a.D, alpha, inst.alg, inst.metric),
-        )
-        weyl_res = max(weyl_res, conformal_mod.conformal_weyl_residual(inst, alpha, rep.epsilon))
-        transformed = conformal_mod.transform_lee(
-            a.lee.theta_components, a.lee.omega_components, alpha, inst.structure, inst.metric
-        )
-        lee_res = max(lee_res, max_abs(transformed.theta_bar.components - geo.theta))
-        rule = conformal_mod.transform_D(a.D, alpha)
-        conn_res = max(conn_res, max_abs(rule.gamma - geo.D.coeffs.gamma))
-        class_res = max(class_res, geo.conformal_class_residual)
-    rep.add("conformal_curvature_invariance", curvature_res)
-    rep.add("conformal_weyl_invariance", weyl_res)
-    rep.add("conformal_lee_reconstruction", lee_res)
-    rep.add("conformal_connection_reconstruction", conn_res)
-    rep.add("conformal_class_closure", class_res)
+        alpha = conformal_mod.random_closed_form(a.inst.alg, rng)
+        geo = conformal_mod.deformed_geometry(a.inst, alpha, rep.epsilon)
+        for name, defect in conformal_mod.conformal_checks(a, geo, alpha).items():
+            worst[name] = max(worst.get(name, 0.0), defect)
+    for name, defect in worst.items():
+        rep.add(name, defect)
 
 
 def cmd_verify_paper(args) -> int:
@@ -165,12 +142,12 @@ def cmd_verify_paper(args) -> int:
         epsilon=eps,
     )
 
-    _add_structure_checks(rep, validate_structure(inst, eps))
     a = analyze_instance(inst, eps)
+    _add_structure_checks(rep, a.structure)
     rep.add("conformal_class_membership", a.flags.conformal_class_residual)
     rep.add("integrability", a.flags.nijenhuis_defect)
 
-    table_report = example.verify_against_tables(params, eps)
+    table_report = example.verify_against_tables(params, a)
     for name, deviation in table_report.deviations.as_dict().items():
         rep.add(f"table_{name}", deviation)
 
@@ -185,9 +162,9 @@ def cmd_verify_paper(args) -> int:
     rep.add("natural_curvature_zero", table_report.rprime_max)
 
     _add_analysis_checks(rep, a)
-    _conformal_sweep(rep, inst, a, args.seed)
+    _conformal_sweep(rep, a, args.seed)
 
-    flags = example.constant_curvature_flags(params, eps)
+    flags = example.constant_curvature_flags(params, a)
     rep.add_indicator("constant_invariant_agreement", flags.invariant_agrees)
     rep.add_indicator("constant_anti_invariant_agreement", flags.anti_invariant_agrees)
     rep.add_indicator("constant_sectional_agreement", flags.sectional_agrees)
@@ -238,10 +215,8 @@ def cmd_analyze(args) -> int:
     inst = loaded.instance
     eps = args.epsilon
     rep = Report(instance=loaded.descriptor, epsilon=eps)
-    structure = validate_structure(inst, eps)
-    _add_structure_checks(rep, structure)
-
     a = analyze_instance(inst, eps)
+    _add_structure_checks(rep, a.structure)
     _add_analysis_checks(rep, a)
     rep.flags.update(_flags_dict(a))
     rep.tables.update(_tables_dict(a))
@@ -252,7 +227,7 @@ def cmd_analyze(args) -> int:
         )
 
     print(rep.to_json() if args.json else rep.render_text())
-    if not structure.ok:
+    if not a.structure.ok:
         return EXIT_STRUCTURE_FAILURE
     return rep.exit_status
 
@@ -273,10 +248,10 @@ def cmd_conformal(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
 
-    structure = validate_structure(inst, eps)
-    if not structure.ok:
+    a = analyze_instance(inst, eps)
+    if not a.structure.ok:
         rep = Report(instance=loaded.descriptor, epsilon=eps)
-        _add_structure_checks(rep, structure)
+        _add_structure_checks(rep, a.structure)
         print(rep.to_json() if args.json else rep.render_text())
         return EXIT_STRUCTURE_FAILURE
 
@@ -293,33 +268,18 @@ def cmd_conformal(args) -> int:
 
     rep = Report(instance=loaded.descriptor, epsilon=eps)
     rep.tables["alpha"] = alpha
-    a = analyze_instance(inst, eps)
     geo = conformal_mod.deformed_geometry(inst, alpha, eps)
-
-    rep.add(
-        "conformal_curvature_invariance",
-        conformal_mod.conformal_curvature_residual(a.D, alpha, inst.alg, inst.metric),
-    )
-    rep.add("conformal_weyl_invariance", conformal_mod.conformal_weyl_residual(inst, alpha, eps))
-    rep.add("conformal_class_closure", geo.conformal_class_residual)
-    transformed = conformal_mod.transform_lee(
-        a.lee.theta_components, a.lee.omega_components, alpha, inst.structure, inst.metric
-    )
-    rep.add(
-        "conformal_lee_reconstruction",
-        max_abs(transformed.theta_bar.components - geo.theta),
-    )
-    rep.add(
-        "conformal_connection_reconstruction",
-        max_abs(conformal_mod.transform_D(a.D, alpha).gamma - geo.D.coeffs.gamma),
-    )
-    rep.tables["lee_form_transformed"] = geo.theta
+    for name, defect in conformal_mod.conformal_checks(a, geo, alpha).items():
+        rep.add(name, defect)
+    rep.tables["lee_form_transformed"] = geo.lee.theta_components
 
     print(rep.to_json() if args.json else rep.render_text())
     return rep.exit_status
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="prodgeo",
         description="Verify curvature and conformal identities of the natural "

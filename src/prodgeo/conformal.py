@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import levicivita, natural
 from .errors import NotClosed
 from .levicivita import ConnectionCoeffs, curvature_components
 from .liealg import LieFrameAlgebra, derived_annihilator
 from .natural import NaturalConnection
+from .pipeline import InstanceAnalysis, analyze_instance
 from .structure import ProductStructure, RpmInstance
 from .tensors import CO, CONTRA, DEFAULT_EPS, DenseTensor, MetricTensor, max_abs
 
@@ -131,84 +131,14 @@ def transform_D(
     return ConnectionCoeffs(gamma, torsion_free=False)
 
 
-@dataclass(frozen=True)
-class DeformedGeometry:
-    """From-scratch geometry of the rescaled instance at the base point.
+def deformed_geometry(inst: RpmInstance, alpha, eps: float = DEFAULT_EPS) -> InstanceAnalysis:
+    """From-scratch analysis of the instance rescaled by the closed form ``alpha``.
 
-    Built through the generalized Koszul assembly with the metric-derivative
-    terms 2 du(x) g(y, z), never through the closed-form transformation
-    rules, so it can serve as the independent oracle for them.
+    Built through the Koszul assembly with the metric-derivative terms
+    2 du(x) g(y, z), never through the closed-form transformation rules, so
+    it can serve as the independent oracle for them.
     """
-
-    inst: RpmInstance
-    alpha: np.ndarray
-    nabla: ConnectionCoeffs
-    F: DenseTensor
-    theta: np.ndarray
-    omega: np.ndarray
-    D: NaturalConnection
-    R: DenseTensor
-    rho: DenseTensor
-    tau: float
-    Rprime: DenseTensor
-    rho_prime: DenseTensor
-    tau_prime: float
-    S: natural.STensor
-    W: DenseTensor
-    Wprime: DenseTensor
-    conformal_class_residual: float
-
-
-def deformed_geometry(inst: RpmInstance, alpha, eps: float = DEFAULT_EPS) -> DeformedGeometry:
-    alpha = require_closed(inst.alg, alpha, eps)
-    g, g_inv = inst.g, inst.g_inv
-    metric = inst.metric
-
-    # Koszul with non-vanishing metric derivatives: d[i,j,k] = X_i(gbar(X_j, X_k))
-    dg = 2.0 * np.einsum("i,jk->ijk", alpha, g)
-    b = np.einsum("ijm,mk->ijk", inst.c, g)
-    low = 0.5 * (
-        dg + np.einsum("jik->ijk", dg) - np.einsum("kij->ijk", dg)
-        + b + np.einsum("kij->ijk", b) + np.einsum("kji->ijk", b)
-    )
-    nabla = ConnectionCoeffs(np.einsum("ijk,kl->ijl", low, g_inv), torsion_free=True)
-
-    f = levicivita.structure_tensor_F(inst, nabla)
-    lee = levicivita.lee_form(inst, f)
-    theta, omega = lee.theta_components, lee.omega_components
-
-    d = natural.connection_D_from(inst, nabla, theta)
-
-    r = DenseTensor(inst.dim, (CO, CO, CO, CO), curvature_components(nabla.gamma, inst.c) @ g)
-    ricci = levicivita.ricci_and_scalar(r, metric)
-    r_prime = natural.curvature_Rprime(d, inst.alg, metric)
-    ricci_prime = levicivita.ricci_and_scalar(r_prime, metric)
-    s = natural.s_tensor(inst, d, theta)
-
-    w = levicivita.weyl_tensor(r, ricci.rho, ricci.tau, metric)
-    w_prime = levicivita.weyl_tensor(r_prime, ricci_prime.rho, ricci_prime.tau, metric)
-
-    class_residual = max_abs(f.components - levicivita.conformal_class_rhs(inst, theta))
-
-    return DeformedGeometry(
-        inst=inst,
-        alpha=alpha,
-        nabla=nabla,
-        F=f,
-        theta=theta,
-        omega=omega,
-        D=d,
-        R=r,
-        rho=ricci.rho,
-        tau=ricci.tau,
-        Rprime=r_prime,
-        rho_prime=ricci_prime.rho,
-        tau_prime=ricci_prime.tau,
-        S=s,
-        W=w,
-        Wprime=w_prime,
-        conformal_class_residual=class_residual,
-    )
+    return analyze_instance(inst, eps, require_closed(inst.alg, alpha, eps))
 
 
 def conformal_curvature_residual(
@@ -223,14 +153,27 @@ def conformal_curvature_residual(
     return max_abs(r_bar - r)
 
 
-def conformal_weyl_residual(inst: RpmInstance, alpha, eps: float = DEFAULT_EPS) -> float:
+def conformal_weyl_residual(base: InstanceAnalysis, rescaled: InstanceAnalysis) -> float:
     """Invariance defect of the Weyl tensor, compared in (1,3) variance."""
-    alpha = require_closed(inst.alg, alpha, eps)
-    geo = deformed_geometry(inst, alpha, eps)
+    return max_abs((rescaled.W.components - base.W.components) @ base.inst.g_inv)
 
-    nabla = levicivita.levi_civita_coeffs(inst)
-    r = levicivita.curvature_tensor(nabla, inst.alg, inst.metric)
-    ricci = levicivita.ricci_and_scalar(r, inst.metric)
-    w = levicivita.weyl_tensor(r, ricci.rho, ricci.tau, inst.metric)
 
-    return max_abs(geo.W.components @ inst.g_inv - w.components @ inst.g_inv)
+def conformal_checks(base: InstanceAnalysis, rescaled: InstanceAnalysis, alpha) -> dict[str, float]:
+    """The five conformal defects of ``rescaled``, the rescaling of ``base`` by ``alpha``."""
+    inst = base.inst
+    lee = transform_lee(
+        base.lee.theta_components, base.lee.omega_components, alpha, inst.structure, inst.metric
+    )
+    return {
+        "conformal_curvature_invariance": conformal_curvature_residual(
+            base.D, alpha, inst.alg, inst.metric
+        ),
+        "conformal_weyl_invariance": conformal_weyl_residual(base, rescaled),
+        "conformal_lee_reconstruction": max_abs(
+            lee.theta_bar.components - rescaled.lee.theta_components
+        ),
+        "conformal_connection_reconstruction": max_abs(
+            transform_D(base.D, alpha).gamma - rescaled.D.coeffs.gamma
+        ),
+        "conformal_class_closure": rescaled.flags.conformal_class_residual,
+    }

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import levicivita
 from .liealg import LieFrameAlgebra
-from .pipeline import analyze_instance
+from .pipeline import InstanceAnalysis
 from .structure import ProductStructure, RpmInstance
-from .tensors import DEFAULT_EPS, MetricTensor, max_abs
+from .tensors import MetricTensor, max_abs
 
 DIM = 4
 
@@ -258,28 +258,12 @@ class ExampleReport:
         )
 
 
-def verify_against_tables(params: ExampleParams, eps: float = DEFAULT_EPS) -> ExampleReport:
-    """Run the full pipeline on the builtin instance and compare with the tables."""
-    inst = build_example(params)
+def verify_against_tables(params: ExampleParams, a: InstanceAnalysis) -> ExampleReport:
+    """Compare the analysis ``a`` of the builtin instance for ``params`` with the tables."""
     tables = golden_tables(params)
-    a = analyze_instance(inst, eps)
-
-    basis = np.eye(DIM)
-    k_inv_dev = max(
-        abs(
-            levicivita.sectional_curvature(a.R, inst.metric, basis[i - 1], basis[j - 1])
-            - expected
-        )
-        for (i, j), expected in tables.k_inv.items()
-    )
-    k_anti_dev = max(
-        abs(
-            levicivita.sectional_curvature(a.R, inst.metric, basis[i - 1], basis[j - 1])
-            - expected
-        )
-        for (i, j), expected in tables.k_anti.items()
-    )
-    t_up = np.einsum("ijl,lk->ijk", a.D.T.components, inst.g_inv)
+    k_inv_dev = max(abs(a.sectional[i - 1, j - 1] - v) for (i, j), v in tables.k_inv.items())
+    k_anti_dev = max(abs(a.sectional[i - 1, j - 1] - v) for (i, j), v in tables.k_anti.items())
+    t_up = np.einsum("ijl,lk->ijk", a.D.T.components, a.inst.g_inv)
 
     deviations = TableDeviations(
         nabla=max_abs(a.nabla.gamma - tables.nabla),
@@ -336,7 +320,9 @@ class ConstantCurvatureFlags:
     space_form_residual: float | None
 
 
-def constant_curvature_flags(params: ExampleParams, eps: float = DEFAULT_EPS) -> ConstantCurvatureFlags:
+def constant_curvature_flags(params: ExampleParams, a: InstanceAnalysis) -> ConstantCurvatureFlags:
+    """Flags for ``params``, checked against the analysis ``a`` of its instance."""
+    eps = a.eps
     l1, l2, l3, l4 = params.lam
     sq = [l1 * l1, l2 * l2, l3 * l3, l4 * l4]
 
@@ -344,16 +330,9 @@ def constant_curvature_flags(params: ExampleParams, eps: float = DEFAULT_EPS) ->
     alg_anti = abs(sq[0] - sq[2]) <= eps and abs(sq[1] - sq[3]) <= eps
     alg_const = max(sq) - min(sq) <= eps
 
-    inst = build_example(params)
-    nabla = levicivita.levi_civita_coeffs(inst)
-    r = levicivita.curvature_tensor(nabla, inst.alg, inst.metric)
-    basis = np.eye(DIM)
-
-    def k(i, j):
-        return levicivita.sectional_curvature(r, inst.metric, basis[i - 1], basis[j - 1])
-
-    inv_values = [k(1, 3), k(2, 4)]
-    anti_values = [k(1, 2), k(1, 4), k(2, 3), k(3, 4)]
+    k = a.sectional
+    inv_values = [k[0, 2], k[1, 3]]
+    anti_values = [k[0, 1], k[0, 3], k[1, 2], k[2, 3]]
     computed_inv = abs(inv_values[0] - inv_values[1]) <= eps
     computed_anti = max(anti_values) - min(anti_values) <= eps
     all_values = inv_values + anti_values
@@ -361,9 +340,8 @@ def constant_curvature_flags(params: ExampleParams, eps: float = DEFAULT_EPS) ->
 
     space_form = None
     if computed_const:
-        ricci = levicivita.ricci_and_scalar(r, inst.metric)
-        pi1 = levicivita.pi1_tensor(inst.metric).components
-        space_form = max_abs(r.components - (ricci.tau / 12.0) * pi1)
+        pi1 = levicivita.pi1_tensor(a.inst.metric).components
+        space_form = max_abs(a.R.components - (a.ricci.tau / 12.0) * pi1)
 
     return ConstantCurvatureFlags(
         const_invariant=alg_inv,

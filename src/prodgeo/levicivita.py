@@ -78,12 +78,19 @@ def compatibility_defect(conn: ConnectionCoeffs, metric: MetricTensor) -> float:
     return max_abs(low + np.swapaxes(low, 1, 2))
 
 
-def levi_civita_coeffs(inst: RpmInstance) -> ConnectionCoeffs:
-    """Koszul assembly for a frame-constant metric."""
+def levi_civita_coeffs(inst: RpmInstance, dg: np.ndarray | None = None) -> ConnectionCoeffs:
+    """Koszul assembly at a point where the metric equals ``inst.g``.
+
+    ``dg[i, j, k] = X_i(g(X_j, X_k))`` are the frame derivatives of the
+    metric there; None (zero) for a frame-constant metric.
+    """
     if not np.all(np.isfinite(inst.g_inv)):
         raise SingularMetric("metric inverse has non-finite entries")
     b = np.einsum("ijm,mk->ijk", inst.c, inst.g)
-    low = 0.5 * (b + np.einsum("kij->ijk", b) + np.einsum("kji->ijk", b))
+    terms = [b, np.einsum("kij->ijk", b), np.einsum("kji->ijk", b)]
+    if dg is not None:
+        terms = [dg, np.einsum("jik->ijk", dg), -np.einsum("kij->ijk", dg)] + terms
+    low = 0.5 * sum(terms)
     return ConnectionCoeffs(np.einsum("ijk,kl->ijl", low, inst.g_inv), torsion_free=True)
 
 
@@ -161,10 +168,8 @@ class ClassFlags:
     nijenhuis_defect: float
 
 
-def class_flags(inst: RpmInstance, eps: float = DEFAULT_EPS) -> ClassFlags:
-    conn = levi_civita_coeffs(inst)
-    f = structure_tensor_F(inst, conn)
-    theta = lee_form(inst, f).theta_components
+def class_flags(inst: RpmInstance, f: DenseTensor, theta, eps: float = DEFAULT_EPS) -> ClassFlags:
+    """Class membership from the structure tensor ``f`` and its Lee form ``theta``."""
     w0_defect = max_abs(f.components)
     w1_residual = max_abs(f.components - conformal_class_rhs(inst, theta))
     n_defect = max_abs(nijenhuis_tensor(inst).components)

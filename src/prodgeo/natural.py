@@ -24,7 +24,6 @@ from .levicivita import (
     curvature_components,
     pi1_tensor,
     psi1_operator,
-    weyl_tensor,
 )
 from .structure import RpmInstance, structure_pullback
 from .tensors import CO, CONTRA, DEFAULT_EPS, DenseTensor, MetricTensor, compose, max_abs
@@ -60,21 +59,25 @@ class STensor:
     trace_S: float
 
 
-def _warn_if_outside_class(inst: RpmInstance, eps: float) -> None:
-    flags = levicivita.class_flags(inst, eps)
+def _checked_lee_form(inst: RpmInstance, nabla: ConnectionCoeffs, eps: float) -> np.ndarray:
+    """Lee form of ``nabla``; warns when the instance is outside the class."""
+    f = levicivita.structure_tensor_F(inst, nabla)
+    theta = levicivita.lee_form(inst, f).theta_components
+    flags = levicivita.class_flags(inst, f, theta, eps)
     if not flags.is_w1:
         warnings.warn(
             f"instance is outside the conformally flat product class "
             f"(residual {flags.conformal_class_residual:.3e})",
             NotW1Warning,
         )
+    return theta
 
 
 def torsion_family(
     inst: RpmInstance, theta, params: TorsionParams, eps: float = DEFAULT_EPS
 ) -> DenseTensor:
     """Lowered torsion of the natural-connection family member for ``params``."""
-    _warn_if_outside_class(inst, eps)
+    _checked_lee_form(inst, levicivita.levi_civita_coeffs(inst), eps)
     theta = np.asarray(theta, dtype=float)
     g, p, n = inst.g, inst.p, inst.n
     theta_p = theta @ p
@@ -151,11 +154,8 @@ def connection_D_from(inst: RpmInstance, nabla: ConnectionCoeffs, theta) -> Natu
 
 
 def connection_D(inst: RpmInstance, eps: float = DEFAULT_EPS) -> NaturalConnection:
-    _warn_if_outside_class(inst, eps)
     nabla = levicivita.levi_civita_coeffs(inst)
-    f = levicivita.structure_tensor_F(inst, nabla)
-    theta = levicivita.lee_form(inst, f).theta_components
-    return connection_D_from(inst, nabla, theta)
+    return connection_D_from(inst, nabla, _checked_lee_form(inst, nabla, eps))
 
 
 def recomputed_torsion(conn: ConnectionCoeffs, inst: RpmInstance) -> np.ndarray:
@@ -281,23 +281,19 @@ class PCurvatureCriterion:
 
 def p_curvature_criterion(
     inst: RpmInstance,
+    nabla: ConnectionCoeffs,
     d: NaturalConnection,
     theta,
+    r_prime: DenseTensor,
     eps: float = DEFAULT_EPS,
-    nabla: ConnectionCoeffs | None = None,
 ) -> PCurvatureCriterion:
-    """``nabla`` is the torsion-free connection matching ``d`` and ``theta``;
-    defaults to the instance's own (pass the rescaled one for a conformally
-    rescaled geometry)."""
+    """``nabla`` is the Levi-Civita connection that ``d``, ``theta`` and the
+    curvature ``r_prime`` of ``d`` were built from."""
     theta = np.asarray(theta, dtype=float)
     dtheta_p = dtheta_components(d, theta) @ inst.p
     sym_defect = max_abs(dtheta_p - dtheta_p.T)
-
-    r_prime = curvature_Rprime(d, inst.alg, inst.metric)
     bianchi = bianchi_defect(r_prime.components)
 
-    if nabla is None:
-        nabla = levicivita.levi_civita_coeffs(inst)
     grad_theta_p = cov_deriv_components(nabla.gamma, theta, (CO,)) @ inst.p
     closedness = max_abs(grad_theta_p - grad_theta_p.T)
 
@@ -322,18 +318,17 @@ class ParallelTorsionReport:
 
 def has_parallel_torsion(
     inst: RpmInstance,
+    nabla: ConnectionCoeffs,
     d: NaturalConnection,
     theta,
     eps: float = DEFAULT_EPS,
-    nabla: ConnectionCoeffs | None = None,
 ) -> ParallelTorsionReport:
+    """``nabla`` is the Levi-Civita connection that ``d`` and ``theta`` were built from."""
     theta = np.asarray(theta, dtype=float)
     t_up = np.einsum("ijl,lk->ijk", d.T.components, inst.g_inv)
     dt = cov_deriv_components(d.coeffs.gamma, t_up, (CO, CO, CONTRA))
     dtheta = dtheta_components(d, theta)
 
-    if nabla is None:
-        nabla = levicivita.levi_civita_coeffs(inst)
     grad_theta = cov_deriv_components(nabla.gamma, theta, (CO,))
     omega = inst.g_inv @ theta
     theta_p_omega = float(theta @ inst.p @ omega)
@@ -375,10 +370,15 @@ def flat_D_report(
     inst: RpmInstance,
     d: NaturalConnection,
     r: DenseTensor,
+    ricci: levicivita.RicciScalar,
     r_prime: DenseTensor,
+    w: DenseTensor,
     theta,
+    parallel: ParallelTorsionReport,
     eps: float = DEFAULT_EPS,
 ) -> FlatReport:
+    """``r``, ``ricci`` and the Weyl tensor ``w`` belong to the Levi-Civita
+    connection, ``r_prime`` and ``parallel`` to ``d``."""
     theta = np.asarray(theta, dtype=float)
     n = inst.n
     metric = inst.metric
@@ -387,14 +387,9 @@ def flat_D_report(
 
     rprime_max = max_abs(r_prime.components)
     is_flat = rprime_max <= eps
-    parallel = has_parallel_torsion(inst, d, theta, eps)
-
-    ricci = levicivita.ricci_and_scalar(r, metric)
     tau = ricci.tau
 
-    weyl_max = None
-    if is_flat:
-        weyl_max = max_abs(weyl_tensor(r, ricci.rho, tau, metric).components)
+    weyl_max = max_abs(w.components) if is_flat else None
 
     space_form = ricci_res = scalar_res = dr_defect = None
     tau_negative = None
@@ -430,22 +425,6 @@ def flat_D_report(
         tau_negative=tau_negative,
         parallel_relation_residual=parallel_relation,
     )
-
-
-def weyl_invariance_check(
-    r: DenseTensor,
-    rho: DenseTensor,
-    tau: float,
-    r_prime: DenseTensor,
-    rho_prime: DenseTensor,
-    tau_prime: float,
-    metric: MetricTensor,
-    n: int,
-) -> float:
-    """Largest component difference of the two Weyl tensors."""
-    w = weyl_tensor(r, rho, tau, metric)
-    w_prime = weyl_tensor(r_prime, rho_prime, tau_prime, metric)
-    return max_abs(w.components - w_prime.components)
 
 
 @dataclass(frozen=True)

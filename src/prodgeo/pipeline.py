@@ -1,8 +1,18 @@
-"""One-stop composition of the geometry pipeline for a single instance."""
+"""One lazy analysis per metric: every geometric object of an instance.
+
+Each object is a cached property that reads its inputs from the other
+properties, so it is built at most once, and only when a check or a table
+reads it.  With ``alpha`` the analysis is that of the conformally rescaled
+metric at the base point (see ``conformal``): only the Koszul assembly sees
+the rescaling, through the metric derivatives 2 du(x) g(y, z); everything
+else is built from the rescaled Levi-Civita connection as for the base.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from . import levicivita, natural
 from .levicivita import ClassFlags, ConnectionCoeffs, LeeForm, RicciScalar
@@ -19,88 +29,141 @@ from .structure import RpmInstance, StructureReport, validate_structure
 from .tensors import DEFAULT_EPS, DenseTensor, max_abs
 
 
-@dataclass(frozen=True)
 class InstanceAnalysis:
     """Every tensor and predicate the verification commands report."""
 
-    inst: RpmInstance
-    structure: StructureReport
-    flags: ClassFlags
-    nabla: ConnectionCoeffs
-    F: DenseTensor
-    lee: LeeForm
-    R: DenseTensor
-    ricci: RicciScalar
-    D: NaturalConnection
-    Rprime: DenseTensor
-    ricci_prime: RicciScalar
-    S: STensor
-    W: DenseTensor
-    Wprime: DenseTensor
-    naturality_metric_defect: float
-    naturality_structure_defect: float
-    torsion_reconstruction_defect: float
-    torsion_identities: TorsionIdentityDefects
-    curvature_relation_residual: float
-    ricci_relation: RicciRelation
-    weyl_invariance_residual: float
-    p_criterion: PCurvatureCriterion
-    parallel: ParallelTorsionReport
-    flat: FlatReport
+    def __init__(self, inst: RpmInstance, eps: float = DEFAULT_EPS, alpha=None):
+        self.inst = inst
+        self.eps = eps
+        self.alpha = None if alpha is None else np.asarray(alpha, dtype=float)
+
+    @cached_property
+    def structure(self) -> StructureReport:
+        return validate_structure(self.inst, self.eps)
+
+    @cached_property
+    def nabla(self) -> ConnectionCoeffs:
+        dg = None if self.alpha is None else 2.0 * self.alpha[:, None, None] * self.inst.g
+        return levicivita.levi_civita_coeffs(self.inst, dg)
+
+    @cached_property
+    def F(self) -> DenseTensor:
+        return levicivita.structure_tensor_F(self.inst, self.nabla)
+
+    @cached_property
+    def lee(self) -> LeeForm:
+        return levicivita.lee_form(self.inst, self.F)
+
+    @cached_property
+    def flags(self) -> ClassFlags:
+        return levicivita.class_flags(self.inst, self.F, self.lee.theta_components, self.eps)
+
+    @cached_property
+    def R(self) -> DenseTensor:
+        return levicivita.curvature_tensor(self.nabla, self.inst.alg, self.inst.metric)
+
+    @cached_property
+    def ricci(self) -> RicciScalar:
+        return levicivita.ricci_and_scalar(self.R, self.inst.metric)
+
+    @cached_property
+    def sectional(self) -> dict[tuple[int, int], float]:
+        """Sectional curvatures of the basis planes, keyed by 0-based (i, j), i < j."""
+        basis = np.eye(self.inst.dim)
+        return {
+            (i, j): levicivita.sectional_curvature(self.R, self.inst.metric, basis[i], basis[j])
+            for i in range(self.inst.dim)
+            for j in range(i + 1, self.inst.dim)
+        }
+
+    @cached_property
+    def D(self) -> NaturalConnection:
+        return natural.connection_D_from(self.inst, self.nabla, self.lee.theta_components)
+
+    @cached_property
+    def Rprime(self) -> DenseTensor:
+        return natural.curvature_Rprime(self.D, self.inst.alg, self.inst.metric)
+
+    @cached_property
+    def ricci_prime(self) -> RicciScalar:
+        return levicivita.ricci_and_scalar(self.Rprime, self.inst.metric)
+
+    @cached_property
+    def S(self) -> STensor:
+        return natural.s_tensor(self.inst, self.D, self.lee.theta_components)
+
+    @cached_property
+    def W(self) -> DenseTensor:
+        return levicivita.weyl_tensor(self.R, self.ricci.rho, self.ricci.tau, self.inst.metric)
+
+    @cached_property
+    def Wprime(self) -> DenseTensor:
+        return levicivita.weyl_tensor(
+            self.Rprime, self.ricci_prime.rho, self.ricci_prime.tau, self.inst.metric
+        )
+
+    @cached_property
+    def _naturality_defects(self) -> tuple[float, float]:
+        return natural.naturality_defects(self.D, self.inst)
+
+    @property
+    def naturality_metric_defect(self) -> float:
+        return self._naturality_defects[0]
+
+    @property
+    def naturality_structure_defect(self) -> float:
+        return self._naturality_defects[1]
+
+    @cached_property
+    def torsion_reconstruction_defect(self) -> float:
+        return max_abs(natural.recomputed_torsion(self.D.coeffs, self.inst) - self.D.T.components)
+
+    @cached_property
+    def torsion_identities(self) -> TorsionIdentityDefects:
+        return natural.torsion_identity_defects(self.inst, self.D, self.lee.theta_components)
+
+    @cached_property
+    def curvature_relation_residual(self) -> float:
+        return natural.verify_curvature_relation(
+            self.R, self.Rprime, self.S, self.inst.metric, self.inst.n
+        )
+
+    @cached_property
+    def ricci_relation(self) -> RicciRelation:
+        return natural.ricci_scalar_relation(
+            self.ricci.rho, self.ricci_prime.rho, self.ricci.tau, self.ricci_prime.tau,
+            self.S, self.inst.metric, self.inst.n,
+        )
+
+    @cached_property
+    def weyl_invariance_residual(self) -> float:
+        """Largest component difference of the Weyl tensors of the two connections."""
+        return max_abs(self.W.components - self.Wprime.components)
+
+    @cached_property
+    def p_criterion(self) -> PCurvatureCriterion:
+        return natural.p_curvature_criterion(
+            self.inst, self.nabla, self.D, self.lee.theta_components, self.Rprime, self.eps
+        )
+
+    @cached_property
+    def parallel(self) -> ParallelTorsionReport:
+        return natural.has_parallel_torsion(
+            self.inst, self.nabla, self.D, self.lee.theta_components, self.eps
+        )
+
+    @cached_property
+    def flat(self) -> FlatReport:
+        return natural.flat_D_report(
+            self.inst, self.D, self.R, self.ricci, self.Rprime, self.W,
+            self.lee.theta_components, self.parallel, self.eps,
+        )
 
 
-def analyze_instance(inst: RpmInstance, eps: float = DEFAULT_EPS) -> InstanceAnalysis:
-    structure = validate_structure(inst, eps)
-    flags = levicivita.class_flags(inst, eps)
+def analyze_instance(inst: RpmInstance, eps: float = DEFAULT_EPS, alpha=None) -> InstanceAnalysis:
+    """The lazy analysis of ``inst``, or of its rescaling by the closed form ``alpha``.
 
-    nabla = levicivita.levi_civita_coeffs(inst)
-    f = levicivita.structure_tensor_F(inst, nabla)
-    lee = levicivita.lee_form(inst, f)
-    theta = lee.theta_components
-    r = levicivita.curvature_tensor(nabla, inst.alg, inst.metric)
-    ricci = levicivita.ricci_and_scalar(r, inst.metric)
-
-    d = natural.connection_D_from(inst, nabla, theta)
-    r_prime = natural.curvature_Rprime(d, inst.alg, inst.metric)
-    ricci_prime = levicivita.ricci_and_scalar(r_prime, inst.metric)
-    s = natural.s_tensor(inst, d, theta)
-
-    w = levicivita.weyl_tensor(r, ricci.rho, ricci.tau, inst.metric)
-    w_prime = levicivita.weyl_tensor(r_prime, ricci_prime.rho, ricci_prime.tau, inst.metric)
-
-    dg_defect, dp_defect = natural.naturality_defects(d, inst)
-    reconstruction = max_abs(natural.recomputed_torsion(d.coeffs, inst) - d.T.components)
-
-    return InstanceAnalysis(
-        inst=inst,
-        structure=structure,
-        flags=flags,
-        nabla=nabla,
-        F=f,
-        lee=lee,
-        R=r,
-        ricci=ricci,
-        D=d,
-        Rprime=r_prime,
-        ricci_prime=ricci_prime,
-        S=s,
-        W=w,
-        Wprime=w_prime,
-        naturality_metric_defect=dg_defect,
-        naturality_structure_defect=dp_defect,
-        torsion_reconstruction_defect=reconstruction,
-        torsion_identities=natural.torsion_identity_defects(inst, d, theta),
-        curvature_relation_residual=natural.verify_curvature_relation(
-            r, r_prime, s, inst.metric, inst.n
-        ),
-        ricci_relation=natural.ricci_scalar_relation(
-            ricci.rho, ricci_prime.rho, ricci.tau, ricci_prime.tau, s, inst.metric, inst.n
-        ),
-        weyl_invariance_residual=natural.weyl_invariance_check(
-            r, ricci.rho, ricci.tau, r_prime, ricci_prime.rho, ricci_prime.tau,
-            inst.metric, inst.n,
-        ),
-        p_criterion=natural.p_curvature_criterion(inst, d, theta, eps, nabla=nabla),
-        parallel=natural.has_parallel_torsion(inst, d, theta, eps, nabla=nabla),
-        flat=natural.flat_D_report(inst, d, r, r_prime, theta, eps),
-    )
+    ``alpha`` is not checked for closedness here; ``conformal.deformed_geometry``
+    checks it.
+    """
+    return InstanceAnalysis(inst, eps, alpha)

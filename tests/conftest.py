@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from prodgeo.example import ExampleParams, build_example
+from prodgeo.example import ExampleParams, build_example, constant_curvature_flags, verify_against_tables
+from prodgeo.pipeline import analyze_instance
 from prodgeo.liealg import LieFrameAlgebra
 from prodgeo.structure import ProductStructure, RpmInstance
 from prodgeo.tensors import MetricTensor
@@ -20,6 +21,31 @@ def inst_1000():
 @pytest.fixture
 def inst_zero():
     return build_example(ExampleParams((0.0, 0.0, 0.0, 0.0)))
+
+
+def table_report(params: ExampleParams, eps: float = 1e-9):
+    """``verify_against_tables`` on a fresh analysis of the builtin instance."""
+    return verify_against_tables(params, analyze_instance(build_example(params), eps))
+
+
+def curvature_flags(params: ExampleParams, eps: float = 1e-9):
+    """``constant_curvature_flags`` on a fresh analysis of the builtin instance."""
+    return constant_curvature_flags(params, analyze_instance(build_example(params), eps))
+
+
+def instance_payload(inst: RpmInstance) -> dict:
+    """``inst`` as the explicit-components document of an instance file."""
+    c, dim = inst.alg.c, inst.dim
+    return {
+        "dim": dim,
+        "brackets": [
+            {"i": i + 1, "j": j + 1, "coeffs": c[i, j].tolist()}
+            for i in range(dim)
+            for j in range(i + 1, dim)
+        ],
+        "metric": inst.metric.matrix.tolist(),
+        "P": inst.structure.components.tolist(),
+    }
 
 
 def random_lambdas(seed: int, count: int, low: float = -3.0, high: float = 3.0):

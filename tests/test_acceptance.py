@@ -30,15 +30,13 @@ from prodgeo.conformal import (
 from prodgeo.example import (
     ExampleParams,
     build_example,
-    constant_curvature_flags,
     golden_tables,
-    verify_against_tables,
 )
 from prodgeo.liealg import jacobi_defect
 from prodgeo.pipeline import analyze_instance
 from prodgeo.structure import abelian_structure_defect, nijenhuis_tensor
 from prodgeo.tensors import max_abs
-from tests.conftest import random_lambdas
+from tests.conftest import curvature_flags, random_lambdas, table_report
 
 EPS = 1e-9
 SPOT = ExampleParams((1.0, 2.0, 3.0, 4.0))
@@ -59,7 +57,7 @@ def generated_instances(seed: int, count: int):
 
 
 def test_c01_golden_table_reproduction():
-    report = verify_against_tables(SPOT, EPS)
+    report = table_report(SPOT, EPS)
     ok = report.deviations.max <= EPS
     a = analyze_instance(build_example(SPOT), EPS)
     ok &= a.ricci.tau == pytest.approx(-180.0, abs=EPS)
@@ -67,7 +65,7 @@ def test_c01_golden_table_reproduction():
     ok &= a.ricci.rho.components[0, 0] == pytest.approx(-42.0, abs=EPS)
     ok &= a.ricci.rho.components[0, 1] == pytest.approx(24.0, abs=EPS)
     for lam in random_lambdas(300, 200):
-        ok &= verify_against_tables(ExampleParams(lam), EPS).deviations.max <= EPS
+        ok &= table_report(ExampleParams(lam), EPS).deviations.max <= EPS
     conclude("1 golden-table reproduction (spot values and 200 random points)", ok)
 
 
@@ -96,7 +94,8 @@ def test_c04_curvature_relation():
         ok &= analysis.ricci_relation.scalar_residual <= EPS
         ok &= natural.verify_curvature_relation(geo.R, geo.Rprime, geo.S, inst.metric, inst.n) <= EPS
         rel = natural.ricci_scalar_relation(
-            geo.rho, geo.rho_prime, geo.tau, geo.tau_prime, geo.S, inst.metric, inst.n
+            geo.ricci.rho, geo.ricci_prime.rho, geo.ricci.tau, geo.ricci_prime.tau, geo.S,
+            inst.metric, inst.n,
         )
         ok &= rel.ricci_residual <= EPS and rel.scalar_residual <= EPS
     conclude("4 curvature relation and its contractions (family and rescaled)", ok)
@@ -106,10 +105,7 @@ def test_c05_weyl_invariance():
     ok = True
     for inst, analysis, geo in generated_instances(340, 100):
         ok &= analysis.weyl_invariance_residual <= EPS
-        ok &= natural.weyl_invariance_check(
-            geo.R, geo.rho, geo.tau, geo.Rprime, geo.rho_prime, geo.tau_prime,
-            inst.metric, inst.n,
-        ) <= EPS
+        ok &= geo.weyl_invariance_residual <= EPS
     conclude("5 Weyl tensors of the two connections coincide", ok)
 
 
@@ -132,7 +128,7 @@ def test_c07_curvature_type_biconditional():
         ok &= analysis.p_criterion.equivalence_holds
         ok &= analysis.p_criterion.closedness_agrees
         deformed_crit = natural.p_curvature_criterion(
-            inst, geo.D, geo.theta, EPS, nabla=geo.nabla
+            inst, geo.nabla, geo.D, geo.lee.theta_components, geo.Rprime, EPS
         )
         ok &= deformed_crit.equivalence_holds and deformed_crit.closedness_agrees
     conclude("7 curvature-type criterion biconditional and closedness form", ok)
@@ -158,13 +154,13 @@ def test_c09_constant_curvature_flag_agreement():
     ok = True
     targeted = [(1.0, 2.0, 2.0, 1.0), (1.0, 2.0, 1.0, 2.0), (1.0, -1.0, 1.0, 1.0)]
     for lam in targeted + random_lambdas(380, 200):
-        flags = constant_curvature_flags(ExampleParams(lam), EPS)
+        flags = curvature_flags(ExampleParams(lam), EPS)
         ok &= flags.invariant_agrees and flags.anti_invariant_agrees and flags.sectional_agrees
-    flags = constant_curvature_flags(ExampleParams(targeted[0]), EPS)
+    flags = curvature_flags(ExampleParams(targeted[0]), EPS)
     ok &= flags.const_invariant and not flags.const_sectional
-    flags = constant_curvature_flags(ExampleParams(targeted[1]), EPS)
+    flags = curvature_flags(ExampleParams(targeted[1]), EPS)
     ok &= flags.const_anti_invariant and not flags.const_invariant
-    flags = constant_curvature_flags(ExampleParams(targeted[2]), EPS)
+    flags = curvature_flags(ExampleParams(targeted[2]), EPS)
     ok &= flags.const_sectional
     conclude("9a constant-curvature flags agree both ways (200 random + targeted)", ok)
 
@@ -331,6 +327,6 @@ def test_c11_typo_resolution_oracles():
         rule = transform_lee(
             theta, lee.omega_components, alpha, inst.structure, inst.metric
         )
-        ok &= max_abs(rule.theta_bar.components - geo.theta) <= EPS
-        ok &= max_abs(rule.omega_bar.components - geo.omega) <= EPS
+        ok &= max_abs(rule.theta_bar.components - geo.lee.theta_components) <= EPS
+        ok &= max_abs(rule.omega_bar.components - geo.lee.omega_components) <= EPS
     conclude("11 torsion-potential and Lee-transform resolution oracles", ok)

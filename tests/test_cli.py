@@ -8,7 +8,7 @@ import prodgeo
 from prodgeo.cli import main
 from prodgeo.conformal import closed_form_basis
 from prodgeo.report import Report, _jsonable, report_from_dict
-from tests.conftest import frame_changed_dim8
+from tests.conftest import frame_changed_dim8, instance_payload
 
 ORTHO = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 SWAP_P = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
@@ -44,17 +44,8 @@ def explicit_example_file(tmp_path, lam):
 def dense_dim8_file(tmp_path):
     """The frame-changed dim-8 instance as a file, with a closed 1-form for it."""
     inst = frame_changed_dim8()
-    c = inst.alg.c
-    payload = {
-        "dim": 8,
-        "brackets": [
-            {"i": i + 1, "j": j + 1, "coeffs": c[i, j].tolist()} for i in range(8) for j in range(i + 1, 8)
-        ],
-        "metric": inst.metric.matrix.tolist(),
-        "P": inst.structure.components.tolist(),
-    }
     alpha = ",".join(repr(x) for x in closed_form_basis(inst.alg)[0].tolist())
-    return write_json(tmp_path / "dense8.json", payload), alpha
+    return write_json(tmp_path / "dense8.json", instance_payload(inst)), alpha
 
 
 def strict_loads(text):

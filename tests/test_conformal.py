@@ -25,6 +25,7 @@ from prodgeo.levicivita import (
     torsion_defect,
 )
 from prodgeo.natural import connection_D
+from prodgeo.pipeline import analyze_instance
 from prodgeo.tensors import CO, DenseTensor, max_abs
 from tests.conftest import random_lambdas
 
@@ -140,8 +141,8 @@ class TestTransformLee:
                 lee.theta_components, lee.omega_components, alpha,
                 inst.structure, inst.metric,
             )
-            assert max_abs(out.theta_bar.components - geo.theta) <= 1e-9
-            assert max_abs(out.omega_bar.components - geo.omega) <= 1e-9
+            assert max_abs(out.theta_bar.components - geo.lee.theta_components) <= 1e-9
+            assert max_abs(out.omega_bar.components - geo.lee.omega_components) <= 1e-9
 
 
 class TestTransformD:
@@ -195,17 +196,23 @@ class TestWeylConformalInvariance:
     def test_example_instance(self, inst_1234):
         rng = np.random.default_rng(211)
         alpha = random_closed_form(inst_1234.alg, rng)
-        assert conformal_weyl_residual(inst_1234, alpha) <= 1e-9
+        assert conformal_weyl_residual(
+            analyze_instance(inst_1234), deformed_geometry(inst_1234, alpha)
+        ) <= 1e-9
 
     def test_zero_form(self, inst_1234):
-        assert conformal_weyl_residual(inst_1234, np.zeros(4)) <= 1e-12
+        assert conformal_weyl_residual(
+            analyze_instance(inst_1234), deformed_geometry(inst_1234, np.zeros(4))
+        ) <= 1e-12
 
     def test_sweep(self):
         rng = np.random.default_rng(223)
         for lam in random_lambdas(227, 50):
             inst = build_example(ExampleParams(lam))
             alpha = random_closed_form(inst.alg, rng)
-            assert conformal_weyl_residual(inst, alpha) <= 1e-9
+            assert conformal_weyl_residual(
+                analyze_instance(inst), deformed_geometry(inst, alpha)
+            ) <= 1e-9
 
 
 class TestNontrivialCurvedDeformation:
@@ -230,8 +237,6 @@ class TestNontrivialCurvedDeformation:
         return inst
 
     def test_base_point_is_structure_parallel_with_curvature(self):
-        from prodgeo.pipeline import analyze_instance
-
         a = analyze_instance(self.heisenberg_product())
         assert a.flags.is_w0 and a.flags.is_w1 and a.flags.is_product
         assert max_abs(a.R.components) == pytest.approx(0.75)
@@ -256,12 +261,13 @@ class TestNontrivialCurvedDeformation:
                 geo.R, geo.Rprime, geo.S, inst.metric, inst.n
             ) <= 1e-9
             rel = ricci_scalar_relation(
-                geo.rho, geo.rho_prime, geo.tau, geo.tau_prime, geo.S, inst.metric, inst.n
+                geo.ricci.rho, geo.ricci_prime.rho, geo.ricci.tau, geo.ricci_prime.tau, geo.S,
+                inst.metric, inst.n,
             )
             assert rel.ricci_residual <= 1e-9 and rel.scalar_residual <= 1e-9
             assert max_abs(geo.W.components - geo.Wprime.components) <= 1e-9
-            assert geo.conformal_class_residual <= 1e-9
-            crit = p_curvature_criterion(inst, geo.D, geo.theta, nabla=geo.nabla)
+            assert geo.flags.conformal_class_residual <= 1e-9
+            crit = p_curvature_criterion(inst, geo.nabla, geo.D, geo.lee.theta_components, geo.Rprime)
             assert crit.equivalence_holds and crit.closedness_agrees
 
     def test_natural_curvature_invariant_but_levi_civita_curvature_not(self):
@@ -286,13 +292,13 @@ class TestClassClosure:
             inst = build_example(ExampleParams(lam))
             alpha = random_closed_form(inst.alg, rng)
             geo = deformed_geometry(inst, alpha)
-            assert geo.conformal_class_residual <= 1e-9
+            assert geo.flags.conformal_class_residual <= 1e-9
 
     def test_degenerate_instance_leaves_parallel_subclass(self, inst_zero):
         # rescaling the structure-parallel case produces a nonzero Lee form:
         # membership in the conformal class is kept, parallelism is not
         alpha = np.array([1.0, -0.5, 2.0, 0.25])  # everything is closed here
         geo = deformed_geometry(inst_zero, alpha)
-        assert geo.conformal_class_residual <= 1e-12
-        assert max_abs(geo.theta) > 1.0
+        assert geo.flags.conformal_class_residual <= 1e-12
+        assert max_abs(geo.lee.theta_components) > 1.0
         assert max_abs(geo.F.components) > 0.1

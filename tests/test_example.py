@@ -4,14 +4,12 @@ import pytest
 from prodgeo.example import (
     ExampleParams,
     build_example,
-    constant_curvature_flags,
     golden_tables,
-    verify_against_tables,
 )
-from prodgeo.levicivita import class_flags
+from prodgeo.pipeline import analyze_instance
 from prodgeo.liealg import bracket, jacobi_defect
 from prodgeo.structure import is_abelian_structure, validate_structure
-from tests.conftest import random_lambdas
+from tests.conftest import curvature_flags, random_lambdas, table_report
 
 E = np.eye(4)
 
@@ -20,11 +18,11 @@ class TestBuildExample:
     def test_generic_point_is_valid(self, inst_1234):
         assert validate_structure(inst_1234).ok
         assert is_abelian_structure(inst_1234)
-        flags = class_flags(inst_1234)
+        flags = analyze_instance(inst_1234).flags
         assert flags.is_w1 and flags.is_product and not flags.is_w0
 
     def test_degenerate_point_flags(self, inst_zero):
-        flags = class_flags(inst_zero)
+        flags = analyze_instance(inst_zero).flags
         assert flags.is_w0 and flags.is_w1 and flags.is_product
 
     def test_cross_bracket(self, inst_1000):
@@ -61,23 +59,23 @@ class TestGoldenTables:
 
 class TestVerifyAgainstTables:
     def test_generic_point_passes(self):
-        report = verify_against_tables(ExampleParams((1, 2, 3, 4)))
+        report = table_report(ExampleParams((1, 2, 3, 4)))
         assert report.passed(1e-9)
         assert report.deviations.max <= 1e-9
 
     def test_degenerate_point_passes_with_flag(self):
-        report = verify_against_tables(ExampleParams((0, 0, 0, 0)))
+        report = table_report(ExampleParams((0, 0, 0, 0)))
         assert report.passed(1e-9)
         assert report.degenerate
         assert report.tau == 0.0
 
     def test_random_sweep(self):
         for lam in random_lambdas(241, 200):
-            report = verify_against_tables(ExampleParams(lam))
+            report = table_report(ExampleParams(lam))
             assert report.passed(1e-9), (lam, report)
 
     def test_checklist_content(self):
-        report = verify_against_tables(ExampleParams((1, 2, 3, 4)))
+        report = table_report(ExampleParams((1, 2, 3, 4)))
         assert report.tau == pytest.approx(-180.0)
         assert report.rprime_max <= 1e-9
         assert report.weyl_max <= 1e-9
@@ -86,12 +84,12 @@ class TestVerifyAgainstTables:
 
 class TestConstantCurvatureFlags:
     def test_invariant_only_case(self):
-        flags = constant_curvature_flags(ExampleParams((1, 2, 2, 1)))
+        flags = curvature_flags(ExampleParams((1, 2, 2, 1)))
         assert flags.const_invariant and not flags.const_sectional
         assert flags.invariant_agrees and flags.sectional_agrees
 
     def test_anti_invariant_only_case(self):
-        flags = constant_curvature_flags(ExampleParams((1, 2, 1, 2)))
+        flags = curvature_flags(ExampleParams((1, 2, 1, 2)))
         assert flags.const_anti_invariant and not flags.const_invariant
         assert flags.anti_invariant_agrees and flags.invariant_agrees
 
@@ -103,7 +101,7 @@ class TestConstantCurvatureFlags:
         )
 
         params = ExampleParams((1, -1, 1, 1))
-        flags = constant_curvature_flags(params)
+        flags = curvature_flags(params)
         assert flags.const_sectional and flags.sectional_agrees
         inst = build_example(params)
         r = curvature_tensor(levi_civita_coeffs(inst), inst.alg, inst.metric)
@@ -113,7 +111,7 @@ class TestConstantCurvatureFlags:
 
     def test_agreement_over_random_parameters(self):
         for lam in random_lambdas(251, 200):
-            flags = constant_curvature_flags(ExampleParams(lam))
+            flags = curvature_flags(ExampleParams(lam))
             assert flags.invariant_agrees
             assert flags.anti_invariant_agrees
             assert flags.sectional_agrees
@@ -122,6 +120,6 @@ class TestConstantCurvatureFlags:
         # the equal-squares locus pins every basis-plane curvature, yet the
         # curvature tensor keeps its parameter cross terms: the space-form
         # comparison is reported, not asserted
-        flags = constant_curvature_flags(ExampleParams((1, 1, 1, 1)))
+        flags = curvature_flags(ExampleParams((1, 1, 1, 1)))
         assert flags.const_sectional
         assert flags.space_form_residual == pytest.approx(1.0)

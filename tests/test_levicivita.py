@@ -27,6 +27,11 @@ from tests.conftest import frame_changed_dim8, random_lambdas
 E = np.eye(4)
 
 
+def flags_of(inst):
+    f = structure_tensor_F(inst, levi_civita_coeffs(inst))
+    return class_flags(inst, f, lee_form(inst, f).theta_components)
+
+
 def abelian_orthonormal():
     return RpmInstance(
         alg=LieFrameAlgebra.abelian(4),
@@ -215,11 +220,11 @@ class TestLeeForm:
 
 class TestClassFlags:
     def test_generic_family_point(self, inst_1234):
-        flags = class_flags(inst_1234)
+        flags = flags_of(inst_1234)
         assert (flags.is_w0, flags.is_w1, flags.is_product) == (False, True, True)
 
     def test_degenerate_point(self, inst_zero):
-        flags = class_flags(inst_zero)
+        flags = flags_of(inst_zero)
         assert (flags.is_w0, flags.is_w1, flags.is_product) == (True, True, True)
 
     def test_overridden_bracket_leaves_class(self, inst_1000):
@@ -231,13 +236,13 @@ class TestClassFlags:
             metric=inst_1000.metric,
             structure=inst_1000.structure,
         )
-        flags = class_flags(inst)
+        flags = flags_of(inst)
         assert not flags.is_w1
         # frozen regression value for the characteristic-condition residual
         assert flags.conformal_class_residual == pytest.approx(1.0)
 
     def test_vanishing_structure_tensor_implies_class_membership(self, inst_zero):
-        flags = class_flags(inst_zero)
+        flags = flags_of(inst_zero)
         assert flags.is_w0 and flags.is_w1
 
 

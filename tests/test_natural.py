@@ -9,6 +9,7 @@ from prodgeo.levicivita import (
     levi_civita_coeffs,
     lee_form,
     pi1_tensor,
+    ricci_and_scalar,
     structure_tensor_F,
     weyl_tensor,
 )
@@ -34,7 +35,6 @@ from prodgeo.natural import (
     torsion_identity_defects,
     torsion_of_D,
     verify_curvature_relation,
-    weyl_invariance_check,
 )
 from prodgeo.structure import RpmInstance
 from prodgeo.tensors import CO, DenseTensor, max_abs
@@ -228,7 +228,8 @@ class TestCurvatureRelation:
             residual = verify_curvature_relation(geo.R, geo.Rprime, geo.S, inst.metric, inst.n)
             assert residual <= 1e-9
             rel = ricci_scalar_relation(
-                geo.rho, geo.rho_prime, geo.tau, geo.tau_prime, geo.S, inst.metric, inst.n
+                geo.ricci.rho, geo.ricci_prime.rho, geo.ricci.tau, geo.ricci_prime.tau, geo.S,
+                inst.metric, inst.n,
             )
             assert rel.ricci_residual <= 1e-9 and rel.scalar_residual <= 1e-9
 
@@ -324,17 +325,19 @@ class TestPTensorPredicate:
 
 class TestCriterionAndParallelTorsion:
     def test_flat_family_satisfies_criterion(self, inst_1234):
-        _, theta = full(inst_1234)
+        nabla, theta = full(inst_1234)
         d = connection_D(inst_1234)
-        crit = p_curvature_criterion(inst_1234, d, theta)
+        rp = curvature_Rprime(d, inst_1234.alg, inst_1234.metric)
+        crit = p_curvature_criterion(inst_1234, nabla, d, theta, rp)
         assert crit.dtheta_symmetry_defect <= 1e-9
         assert crit.bianchi_defect_rprime <= 1e-9
         assert crit.equivalence_holds and crit.closedness_agrees
 
     def test_degenerate_case(self, inst_zero):
-        _, theta = full(inst_zero)
+        nabla, theta = full(inst_zero)
         d = connection_D(inst_zero)
-        crit = p_curvature_criterion(inst_zero, d, theta)
+        rp = curvature_Rprime(d, inst_zero.alg, inst_zero.metric)
+        crit = p_curvature_criterion(inst_zero, nabla, d, theta, rp)
         assert crit.dtheta_symmetry_defect == 0.0
         assert crit.bianchi_defect_rprime == 0.0
         assert crit.equivalence_holds
@@ -345,20 +348,21 @@ class TestCriterionAndParallelTorsion:
             inst = build_example(ExampleParams(lam))
             alpha = random_closed_form(inst.alg, rng)
             geo = deformed_geometry(inst, alpha)
-            crit = p_curvature_criterion(inst, geo.D, geo.theta, nabla=geo.nabla)
+            crit = p_curvature_criterion(inst, geo.nabla, geo.D, geo.lee.theta_components, geo.Rprime)
             assert crit.equivalence_holds and crit.closedness_agrees
 
     def test_perturbed_connection_fails_both_sides(self, inst_1234):
         # breaking naturality must break the symmetry and the cyclic identity
         # together, which is exactly what the biconditional asserts
-        _, theta = full(inst_1234)
+        nabla, theta = full(inst_1234)
         d = connection_D(inst_1234)
         gamma = np.array(d.coeffs.gamma)
         gamma[0, 1, 2] += 0.35
         bent = NaturalConnection(
             coeffs=type(d.coeffs)(gamma, torsion_free=False), Q=d.Q, T=d.T
         )
-        crit = p_curvature_criterion(inst_1234, bent, theta)
+        rp = curvature_Rprime(bent, inst_1234.alg, inst_1234.metric)
+        crit = p_curvature_criterion(inst_1234, nabla, bent, theta, rp)
         assert crit.dtheta_symmetry_defect > 1e-3
         assert crit.bianchi_defect_rprime > 1e-3
         assert crit.equivalence_holds
@@ -366,9 +370,9 @@ class TestCriterionAndParallelTorsion:
     def test_parallel_torsion_only_in_degenerate_case(self):
         for lam in random_lambdas(131, 50):
             inst = build_example(ExampleParams(lam))
-            _, theta = full(inst)
+            nabla, theta = full(inst)
             d = connection_D(inst)
-            report = has_parallel_torsion(inst, d, theta)
+            report = has_parallel_torsion(inst, nabla, d, theta)
             assert report.verdict == all(abs(v) < 1e-12 for v in lam)
             verdicts = {
                 report.dt_defect <= 1e-9,
@@ -378,9 +382,9 @@ class TestCriterionAndParallelTorsion:
             assert len(verdicts) == 1  # triple equivalence
 
     def test_generic_point_all_defects_positive(self, inst_1234):
-        _, theta = full(inst_1234)
+        nabla, theta = full(inst_1234)
         d = connection_D(inst_1234)
-        report = has_parallel_torsion(inst_1234, d, theta)
+        report = has_parallel_torsion(inst_1234, nabla, d, theta)
         assert report.dt_defect > 1.0
         assert report.dtheta_defect > 1.0
         assert report.gradient_identity_defect > 1.0
@@ -425,7 +429,7 @@ class TestFlatReport:
         # fabricate the flat-with-parallel-torsion regime by feeding the
         # degenerate geometry a hand-built space-form curvature, so the
         # conditional branch is exercised with a nonzero Lee form
-        _, theta = full(inst_1234)
+        nabla, theta = full(inst_1234)
         d = connection_D(inst_1234)
         theta_omega = float(theta @ inst_1234.g_inv @ theta)
         n = inst_1234.n
@@ -439,7 +443,10 @@ class TestFlatReport:
             Q=DenseTensor(4, (CO,) * 3, np.zeros((4, 4, 4))),
             T=DenseTensor(4, (CO,) * 3, np.zeros((4, 4, 4))),
         )
-        report = flat_D_report(inst_1234, degenerate_d, r, zero, theta)
+        ricci = ricci_and_scalar(r, inst_1234.metric)
+        w = weyl_tensor(r, ricci.rho, ricci.tau, inst_1234.metric)
+        parallel = has_parallel_torsion(inst_1234, nabla, degenerate_d, theta)
+        report = flat_D_report(inst_1234, degenerate_d, r, ricci, zero, w, theta, parallel)
         assert report.is_flat and report.torsion_parallel
         assert report.space_form_residual <= 1e-9
         assert report.ricci_residual <= 1e-9
@@ -481,8 +488,4 @@ class TestWeylInvariance:
             inst = build_example(ExampleParams(lam))
             alpha = random_closed_form(inst.alg, rng)
             geo = deformed_geometry(inst, alpha)
-            residual = weyl_invariance_check(
-                geo.R, geo.rho, geo.tau, geo.Rprime, geo.rho_prime, geo.tau_prime,
-                inst.metric, inst.n,
-            )
-            assert residual <= 1e-9
+            assert geo.weyl_invariance_residual <= 1e-9

@@ -15,6 +15,7 @@ import argparse
 import functools
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -29,9 +30,9 @@ from .instancefile import (
     parse_rational,
 )
 from .pipeline import InstanceAnalysis, analyze_instance
-from .report import Report
+from .report import Report, table_summary
 from .structure import structure_defects
-from .tensors import DEFAULT_EPS, max_abs
+from .tensors import DEFAULT_EPS
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -98,19 +99,18 @@ def _flags_dict(a: InstanceAnalysis) -> dict:
 
 
 def _tables_dict(a: InstanceAnalysis) -> dict:
+    """Objects of rank <= 2 in full; each of rank 3 or 4 as its ``table_summary``."""
     return {
         "lee_form": a.lee.theta_components,
-        "levi_civita_gamma": a.nabla.gamma,
-        "curvature": a.R.components,
+        "levi_civita_gamma": table_summary(a.nabla.gamma, a.eps),
+        "curvature": table_summary(a.R.components, a.eps),
         "ricci": a.ricci.rho.components,
         "scalar_curvature": a.ricci.tau,
         "sectional": {f"k_{i + 1}{j + 1}": k for (i, j), k in a.sectional.items()},
-        "natural_gamma": a.D.coeffs.gamma,
-        "torsion": a.D.T.components,
-        "natural_curvature": a.Rprime.components,
-        "natural_curvature_max": max_abs(a.Rprime.components),
-        "weyl": a.W.components,
-        "weyl_max": max_abs(a.W.components),
+        "natural_gamma": table_summary(a.D.coeffs.gamma, a.eps),
+        "torsion": table_summary(a.D.T.components, a.eps),
+        "natural_curvature": table_summary(a.Rprime.components, a.eps),
+        "weyl": table_summary(a.W.components, a.eps),
         "trace_s": a.S.trace_S,
     }
 
@@ -127,12 +127,12 @@ def _conformal_sweep(rep: Report, a: InstanceAnalysis, seed: int, samples: int =
         rep.add(name, defect)
 
 
-def cmd_verify_paper(args) -> int:
+def cmd_verify_paper(args) -> tuple[Report | None, int]:
     try:
         lam = _parse_tuple(args.lam, 4, "--lambda")
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        return None, EXIT_PARSE_ERROR
 
     eps = args.epsilon
     params = example.ExampleParams(lam)
@@ -185,9 +185,7 @@ def cmd_verify_paper(args) -> int:
                 "constant basis sectional curvature holds; the curvature tensor still has "
                 "parameter cross terms, so it is not proportional to the space-form tensor"
             )
-
-    print(rep.to_json() if args.json else rep.render_text())
-    return rep.exit_status
+    return rep, rep.exit_status
 
 
 def _load(path: str, rep_kwargs: dict) -> tuple[LoadedInstance | None, Report | None, int]:
@@ -204,13 +202,10 @@ def _load(path: str, rep_kwargs: dict) -> tuple[LoadedInstance | None, Report | 
         return None, None, EXIT_PARSE_ERROR
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[Report | None, int]:
     loaded, failure_rep, code = _load(args.file, {"epsilon": args.epsilon})
-    if failure_rep is not None:
-        print(failure_rep.to_json() if args.json else failure_rep.render_text())
-        return code
     if loaded is None:
-        return code
+        return failure_rep, code
 
     inst = loaded.instance
     eps = args.epsilon
@@ -225,20 +220,13 @@ def cmd_analyze(args) -> int:
             "instance is outside the conformally flat product class; "
             "the natural-connection identities are not expected to hold"
         )
-
-    print(rep.to_json() if args.json else rep.render_text())
-    if not a.structure.ok:
-        return EXIT_STRUCTURE_FAILURE
-    return rep.exit_status
+    return rep, EXIT_STRUCTURE_FAILURE if not a.structure.ok else rep.exit_status
 
 
-def cmd_conformal(args) -> int:
+def cmd_conformal(args) -> tuple[Report | None, int]:
     loaded, failure_rep, code = _load(args.file, {"epsilon": args.epsilon})
-    if failure_rep is not None:
-        print(failure_rep.to_json() if args.json else failure_rep.render_text())
-        return code
     if loaded is None:
-        return code
+        return failure_rep, code
 
     inst = loaded.instance
     eps = args.epsilon
@@ -246,14 +234,13 @@ def cmd_conformal(args) -> int:
         alpha = np.array(_parse_tuple(args.alpha, inst.dim, "--alpha"))
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        return None, EXIT_PARSE_ERROR
 
     a = analyze_instance(inst, eps)
     if not a.structure.ok:
         rep = Report(instance=loaded.descriptor, epsilon=eps)
         _add_structure_checks(rep, a.structure)
-        print(rep.to_json() if args.json else rep.render_text())
-        return EXIT_STRUCTURE_FAILURE
+        return rep, EXIT_STRUCTURE_FAILURE
 
     defect = conformal_mod.closedness_defect(inst.alg, alpha)
     if defect > conformal_mod.closedness_tolerance(inst.alg, alpha, eps):
@@ -264,7 +251,7 @@ def cmd_conformal(args) -> int:
             f"closed-form basis rows:\n{np.array2string(basis, precision=6)}",
             file=sys.stderr,
         )
-        return EXIT_NOT_CLOSED
+        return None, EXIT_NOT_CLOSED
 
     rep = Report(instance=loaded.descriptor, epsilon=eps)
     rep.tables["alpha"] = alpha
@@ -272,9 +259,7 @@ def cmd_conformal(args) -> int:
     for name, defect in conformal_mod.conformal_checks(a, geo, alpha).items():
         rep.add(name, defect)
     rep.tables["lee_form_transformed"] = geo.lee.theta_components
-
-    print(rep.to_json() if args.json else rep.render_text())
-    return rep.exit_status
+    return rep, rep.exit_status
 
 
 @functools.cache
@@ -324,21 +309,35 @@ def _join_list_options(argv: list[str]) -> list[str]:
     return out
 
 
+_COMMANDS = {"verify-paper": cmd_verify_paper, "analyze": cmd_analyze, "conformal": cmd_conformal}
+
+
+def _warning_notes(caught) -> list[str]:
+    """One note per distinct category and message, in the order first raised."""
+    return list(dict.fromkeys(f"warning: {w.category.__name__}: {w.message}" for w in caught))
+
+
 def main(argv=None) -> int:
+    """Run a command; its report goes to stdout with the warnings it raised as notes.
+
+    stderr carries only ``error:`` lines, for runs that end without a report.
+    """
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_join_list_options(argv))
-    try:
-        if args.command == "verify-paper":
-            return cmd_verify_paper(args)
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        return cmd_conformal(args)
-    except NotClosed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CLOSED
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURE_FAILURE
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rep, code = _COMMANDS[args.command](args)
+        except NotClosed as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NOT_CLOSED
+        except GeometryError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_STRUCTURE_FAILURE
+    if rep is not None:
+        rep.notes.extend(_warning_notes(caught))
+        print(rep.to_json() if args.json else rep.render_text())
+    return code
 
 
 if __name__ == "__main__":

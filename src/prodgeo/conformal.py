@@ -141,16 +141,12 @@ def deformed_geometry(inst: RpmInstance, alpha, eps: float = DEFAULT_EPS) -> Ins
     return analyze_instance(inst, eps, require_closed(inst.alg, alpha, eps))
 
 
-def conformal_curvature_residual(
-    d: NaturalConnection, alpha, alg: LieFrameAlgebra, metric: MetricTensor,
-    eps: float = DEFAULT_EPS,
-) -> float:
-    """Invariance defect of the natural-connection curvature under rescaling."""
+def conformal_curvature_residual(base: InstanceAnalysis, alpha, eps: float = DEFAULT_EPS) -> float:
+    """Invariance defect of the natural-connection curvature of ``base`` under rescaling."""
+    alg = base.inst.alg
     alpha = require_closed(alg, alpha, eps)
-    transformed = transform_D(d, alpha)
-    r_bar = curvature_components(transformed.gamma, alg.c)
-    r = curvature_components(d.coeffs.gamma, alg.c)
-    return max_abs(r_bar - r)
+    r_bar = curvature_components(transform_D(base.D, alpha).gamma, alg.c)
+    return max_abs(r_bar - base.Rprime13)
 
 
 def conformal_weyl_residual(base: InstanceAnalysis, rescaled: InstanceAnalysis) -> float:
@@ -165,9 +161,7 @@ def conformal_checks(base: InstanceAnalysis, rescaled: InstanceAnalysis, alpha) 
         base.lee.theta_components, base.lee.omega_components, alpha, inst.structure, inst.metric
     )
     return {
-        "conformal_curvature_invariance": conformal_curvature_residual(
-            base.D, alpha, inst.alg, inst.metric
-        ),
+        "conformal_curvature_invariance": conformal_curvature_residual(base, alpha),
         "conformal_weyl_invariance": conformal_weyl_residual(base, rescaled),
         "conformal_lee_reconstruction": max_abs(
             lee.theta_bar.components - rescaled.lee.theta_components

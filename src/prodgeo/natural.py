@@ -171,9 +171,10 @@ def naturality_defects(d: NaturalConnection, inst: RpmInstance) -> tuple[float, 
     return max_abs(dg), max_abs(dp)
 
 
-def curvature_Rprime(d: NaturalConnection, alg, metric: MetricTensor) -> DenseTensor:
-    """Lowered curvature tensor of the natural connection."""
-    r13 = curvature_components(d.coeffs.gamma, alg.c)
+def curvature_Rprime(d: NaturalConnection, alg, metric: MetricTensor, r13=None) -> DenseTensor:
+    """Lowered curvature tensor of the natural connection, from its (1,3) form ``r13`` if given."""
+    if r13 is None:
+        r13 = curvature_components(d.coeffs.gamma, alg.c)
     return DenseTensor(alg.dim, (CO, CO, CO, CO), r13 @ metric.matrix)
 
 

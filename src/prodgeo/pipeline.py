@@ -81,8 +81,13 @@ class InstanceAnalysis:
         return natural.connection_D_from(self.inst, self.nabla, self.lee.theta_components)
 
     @cached_property
+    def Rprime13(self) -> np.ndarray:
+        """Curvature of D in (1,3) form, value slot last; the conformal checks compare it."""
+        return levicivita.curvature_components(self.D.coeffs.gamma, self.inst.alg.c)
+
+    @cached_property
     def Rprime(self) -> DenseTensor:
-        return natural.curvature_Rprime(self.D, self.inst.alg, self.inst.metric)
+        return natural.curvature_Rprime(self.D, self.inst.alg, self.inst.metric, self.Rprime13)
 
     @cached_property
     def ricci_prime(self) -> RicciScalar:

@@ -5,6 +5,10 @@ report parsed back from JSON reproduces every verdict (and hence the exit
 status) from the numbers alone.  Indicator checks encode a boolean
 agreement as a 0/1 defect against tolerance 0.5.
 
+A table of rank 3 or more is reported by ``table_summary``: its max, its
+norm and its count of entries above the tolerance, a fixed size whatever
+the dimension.
+
 JSON has no NaN or infinity, so a non-finite defect or table number is
 written as null, and the report then carries a failing ``non_finite``
 check whose defect counts them.  That check is derived, not stored: a
@@ -141,6 +145,24 @@ def _nulled(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None, 1
     return value, 0
+
+
+def table_summary(arr, eps: float) -> dict:
+    """max |x|, the Frobenius norm and the number of entries with |x| > ``eps``.
+
+    The norm is taken of the array scaled by its max, so it overflows only
+    when the norm itself does.  A NaN or infinite entry makes max and norm
+    non-finite, so the report writes both as null.
+    """
+    a = np.abs(np.asarray(arr, dtype=float))
+    top = float(a.max(initial=0.0))
+    if not math.isfinite(top):
+        norm = math.nan
+    elif top == 0.0:
+        norm = 0.0
+    else:
+        norm = top * float(np.linalg.norm(a / top))
+    return {"max": top, "norm": norm, "nonzero": int(np.count_nonzero(a > eps))}
 
 
 def _restored(value):

@@ -116,7 +116,7 @@ def test_c06_conformal_curvature_invariance():
         inst = build_example(ExampleParams(lam))
         d = natural.connection_D(inst, EPS)
         alpha = random_closed_form(inst.alg, rng)
-        ok &= conformal_curvature_residual(d, alpha, inst.alg, inst.metric, EPS) <= EPS
+        ok &= conformal_curvature_residual(analyze_instance(inst, EPS), alpha, EPS) <= EPS
         geo = deformed_geometry(inst, alpha, EPS)
         ok &= max_abs(transform_D(d, alpha).gamma - geo.D.coeffs.gamma) <= EPS
     conclude("6 natural curvature invariant under conformal rescaling (100 pairs)", ok)

@@ -7,7 +7,10 @@ import pytest
 import prodgeo
 from prodgeo.cli import main
 from prodgeo.conformal import closed_form_basis
-from prodgeo.report import Report, _jsonable, report_from_dict
+from prodgeo.instancefile import load_instance
+from prodgeo.pipeline import analyze_instance
+from prodgeo.report import Report, _jsonable, report_from_dict, table_summary
+from prodgeo.tensors import max_abs
 from tests.conftest import frame_changed_dim8, instance_payload
 
 ORTHO = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -124,8 +127,8 @@ class TestAnalyze:
         code, data = run_json(capsys, ["analyze", "--file", path, "--json"])
         assert code == 0
         assert data["flags"]["is_w0"] is True
-        assert np.max(np.abs(np.array(data["tables"]["curvature"]))) == 0.0
-        assert data["tables"]["weyl_max"] == 0.0
+        assert data["tables"]["curvature"]["max"] == 0.0
+        assert data["tables"]["weyl"]["max"] == 0.0
 
     def test_builtin_and_explicit_reports_agree(self, capsys, tmp_path):
         lam = [1, 2, 3, 4]
@@ -404,6 +407,120 @@ class TestNonFiniteReport:
             main(["verify-paper", "--lambda=1,2,3,4", f"--epsilon={value}", "--json"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+SUMMARIZED = ("levi_civita_gamma", "natural_gamma", "torsion", "curvature", "natural_curvature", "weyl")
+
+
+def _rank(value) -> int:
+    """The rank of a table value: 0 for a number or a summary, else its array rank."""
+    if isinstance(value, dict):
+        return max((_rank(item) for item in value.values()), default=0)
+    return np.asarray(value, dtype=float).ndim
+
+
+@pytest.fixture(params=["frame_changed_dim8", "hyperbolic_dim8"])
+def instance_file(request, tmp_path):
+    """An instance file of a dim-8 fixture, with a closed 1-form for it."""
+    inst = frame_changed_dim8() if request.param == "frame_changed_dim8" else request.getfixturevalue(request.param)[0]
+    alpha = ",".join(repr(x) for x in (0.7 * closed_form_basis(inst.alg)[0]).tolist())
+    return write_json(tmp_path / f"{request.param}.json", instance_payload(inst)), alpha
+
+
+class TestTableSummaries:
+    def test_no_report_holds_a_table_of_rank_3_or_more(self, capsys, instance_file):
+        path, alpha = instance_file
+        for argv in (
+            ["verify-paper", "--lambda=1,2,3,4", "--json"],
+            ["analyze", "--file", path, "--json"],
+            ["conformal", "--file", path, f"--alpha={alpha}", "--json"],
+        ):
+            code, data = run_json(capsys, argv)
+            assert code == data["exit_status"] != 4, argv
+            assert {key: _rank(value) for key, value in data["tables"].items() if _rank(value) > 2} == {}, argv
+
+    def test_each_summary_reduces_the_analysed_array(self, capsys, instance_file):
+        path, _ = instance_file
+        eps = 1e-9
+        code, data = run_json(capsys, ["analyze", "--file", path, f"--epsilon={eps}", "--json"])
+        assert code == data["exit_status"]
+        a = analyze_instance(load_instance(path).instance, eps)
+        arrays = {
+            "levi_civita_gamma": a.nabla.gamma,
+            "natural_gamma": a.D.coeffs.gamma,
+            "torsion": a.D.T.components,
+            "curvature": a.R.components,
+            "natural_curvature": a.Rprime.components,
+            "weyl": a.W.components,
+        }
+        assert set(SUMMARIZED) <= set(data["tables"])
+        assert not {"natural_curvature_max", "weyl_max"} & set(data["tables"])
+        for key, arr in arrays.items():
+            summary = data["tables"][key]
+            assert set(summary) == {"max", "norm", "nonzero"}, key
+            assert summary["max"] == max_abs(arr), key
+            assert summary["norm"] == pytest.approx(np.linalg.norm(arr), rel=1e-12), key
+            assert summary["nonzero"] == np.count_nonzero(np.abs(arr) > eps), key
+        # the curvature of a hyperbolic or dense instance is not roundoff
+        assert data["tables"]["curvature"]["nonzero"] > 0
+
+    def test_large_lambda_summaries_are_finite(self, capsys):
+        code, data = run_json(capsys, ["verify-paper", "--lambda=1e100,2,3,4", "--json"])
+        assert data["exit_status"] == code
+        for key in SUMMARIZED:
+            summary = data["tables"][key]
+            assert math.isfinite(summary["max"]) and math.isfinite(summary["norm"]), key
+        assert data["tables"]["curvature"]["norm"] > 1e200
+        assert not [note for note in data["notes"] if "overflow" in note]
+
+    def test_norm_is_scaled_by_the_max(self):
+        with np.errstate(over="raise"):
+            summary = table_summary(np.full((4, 4, 4), -1e200), 1e-9)
+        assert summary == {"max": 1e200, "norm": pytest.approx(8e200, rel=1e-15), "nonzero": 64}
+        assert table_summary(np.zeros((2, 2, 2)), 0.0) == {"max": 0.0, "norm": 0.0, "nonzero": 0}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_write_null_max_and_norm(self, bad):
+        arr = np.zeros((2, 2, 2))
+        arr[0, 1, 1], arr[1, 0, 0] = bad, 3.0
+        rep = Report(instance={}, epsilon=1e-9)
+        rep.tables["curvature"] = table_summary(arr, rep.epsilon)
+        data = strict_loads(rep.to_json())
+        assert data["tables"]["curvature"]["max"] is None and data["tables"]["curvature"]["norm"] is None
+        assert data["checks"] == [{"name": "non_finite", "defect": 2.0, "tolerance": 0.0, "pass": False}]
+        assert report_from_dict(data).exit_status == 1
+
+
+class TestWarningsInNotes:
+    @pytest.mark.parametrize(
+        "lam, note",
+        [
+            ("1e308,1e308,1e308,1e308", "warning: RuntimeWarning: overflow encountered in matmul"),
+            ("1e100,2,3,4", "warning: NonSymmetricInputWarning: extending a non-symmetric 2-tensor"),
+        ],
+    )
+    def test_warning_is_a_note_and_stderr_is_empty(self, capsys, lam, note):
+        code = main(["verify-paper", f"--lambda={lam}", "--json"])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        data = strict_loads(captured.out)
+        assert note in data["notes"]
+        warned = [n for n in data["notes"] if n.startswith("warning: ")]
+        assert len(warned) == len(set(warned))
+        rebuilt = report_from_dict(data)
+        assert rebuilt.exit_status == data["exit_status"] == code
+        assert [c.passed for c in rebuilt.all_checks] == [c["pass"] for c in data["checks"]]
+
+    def test_text_report_carries_the_note(self, capsys):
+        main(["verify-paper", "--lambda=1e100,2,3,4"])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "note: warning: NonSymmetricInputWarning" in captured.out
+
+    def test_no_warning_no_note(self, capsys):
+        code, data = run_json(capsys, ["verify-paper", "--lambda=1,2,3,4", "--json"])
+        assert code == 0
+        assert not [n for n in data["notes"] if n.startswith("warning: ")]
 
 
 class TestNegativeListValues:

@@ -169,27 +169,23 @@ class TestCurvatureInvariance:
     def test_generic_point_with_annihilator_form(self, inst_1234):
         basis = closed_form_basis(inst_1234.alg)
         assert basis.shape[0] == 2
-        d = connection_D(inst_1234)
         for row in basis:
-            residual = conformal_curvature_residual(d, row, inst_1234.alg, inst_1234.metric)
+            residual = conformal_curvature_residual(analyze_instance(inst_1234), row)
             assert residual <= 1e-9
 
     def test_zero_form(self, inst_1234):
-        d = connection_D(inst_1234)
-        assert conformal_curvature_residual(d, np.zeros(4), inst_1234.alg, inst_1234.metric) == 0.0
+        assert conformal_curvature_residual(analyze_instance(inst_1234), np.zeros(4)) == 0.0
 
     def test_sweep(self):
         rng = np.random.default_rng(197)
         for lam in random_lambdas(199, 100):
             inst = build_example(ExampleParams(lam))
-            d = connection_D(inst)
             alpha = random_closed_form(inst.alg, rng)
-            assert conformal_curvature_residual(d, alpha, inst.alg, inst.metric) <= 1e-9
+            assert conformal_curvature_residual(analyze_instance(inst), alpha) <= 1e-9
 
     def test_rejects_non_closed(self, inst_1000):
-        d = connection_D(inst_1000)
         with pytest.raises(errors.NotClosed):
-            conformal_curvature_residual(d, [1, 0, 0, 0], inst_1000.alg, inst_1000.metric)
+            conformal_curvature_residual(analyze_instance(inst_1000), [1, 0, 0, 0])
 
 
 class TestWeylConformalInvariance:
@@ -271,12 +267,9 @@ class TestNontrivialCurvedDeformation:
             assert crit.equivalence_holds and crit.closedness_agrees
 
     def test_natural_curvature_invariant_but_levi_civita_curvature_not(self):
-        from prodgeo.natural import connection_D
-
         inst = self.heisenberg_product()
-        d = connection_D(inst)
         alpha = np.array([0.6, -0.3, 0.0, 0.25, 0.5, 0.0])
-        assert conformal_curvature_residual(d, alpha, inst.alg, inst.metric) <= 1e-12
+        assert conformal_curvature_residual(analyze_instance(inst), alpha) <= 1e-12
         geo = deformed_geometry(inst, alpha)
         nabla = levi_civita_coeffs(inst)
         from prodgeo.levicivita import curvature_tensor

@@ -88,7 +88,7 @@ class TestNothingIsBuiltTwice:
     def test_verify_paper_builds_one_base_and_five_rescaled_geometries(self, monkeypatch, capsys):
         calls = record_calls(
             monkeypatch, "levicivita.levi_civita_coeffs", "pipeline.analyze_instance",
-            "levicivita.weyl_tensor",
+            "levicivita.weyl_tensor", "levicivita.curvature_components",
         )
         assert main(["verify-paper", "--lambda=1,2,3,4", "--json"]) == 0
         capsys.readouterr()
@@ -99,6 +99,9 @@ class TestNothingIsBuiltTwice:
         assert sum(_argument(c, 2, "alpha") is not None for c in analyses) == 5
         assert len(analyses) == 6
         assert len(calls["levicivita.weyl_tensor"]) == 7
+        # R and R' of the base, R of each rescaled metric, and each sampled
+        # form's transformed R' compared with the one base R' in (1,3) form
+        assert len(calls["levicivita.curvature_components"]) == 2 + 5 + 5
 
 
 class TestRescaledAnalysisUsesItsOwnConnection:

@@ -8,19 +8,16 @@ relating them.
 
 __version__ = "0.1.0"
 
-from .conformal import ConformalDeformation, deformed_geometry
+from .conformal import deformed_geometry
 from .example import ExampleParams, build_example, golden_tables
-from .levicivita import ConnectionCoeffs, LeeForm, levi_civita_coeffs
+from .levicivita import LeeForm, levi_civita_coeffs
 from .liealg import LieFrameAlgebra
 from .natural import NaturalConnection, STensor, TorsionParams, connection_D
 from .pipeline import InstanceAnalysis, analyze_instance
 from .structure import ProductStructure, RpmInstance
-from .tensors import DenseTensor, MetricTensor, invert_metric, tensor_close, trace_contract
+from .tensors import MetricTensor, invert_metric
 
 __all__ = [
-    "ConformalDeformation",
-    "ConnectionCoeffs",
-    "DenseTensor",
     "ExampleParams",
     "InstanceAnalysis",
     "LeeForm",
@@ -38,6 +35,4 @@ __all__ = [
     "golden_tables",
     "invert_metric",
     "levi_civita_coeffs",
-    "tensor_close",
-    "trace_contract",
 ]

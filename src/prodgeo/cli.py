@@ -29,6 +29,7 @@ from .instancefile import (
     load_instance,
     parse_rational,
 )
+from .liealg import derived_bases
 from .pipeline import InstanceAnalysis, analyze_instance
 from .report import Report, table_summary
 from .structure import structure_defects
@@ -101,16 +102,16 @@ def _flags_dict(a: InstanceAnalysis) -> dict:
 def _tables_dict(a: InstanceAnalysis) -> dict:
     """Objects of rank <= 2 in full; each of rank 3 or 4 as its ``table_summary``."""
     return {
-        "lee_form": a.lee.theta_components,
-        "levi_civita_gamma": table_summary(a.nabla.gamma, a.eps),
-        "curvature": table_summary(a.R.components, a.eps),
-        "ricci": a.ricci.rho.components,
+        "lee_form": a.lee.theta,
+        "levi_civita_gamma": table_summary(a.nabla, a.eps),
+        "curvature": table_summary(a.R, a.eps),
+        "ricci": a.ricci.rho,
         "scalar_curvature": a.ricci.tau,
         "sectional": {f"k_{i + 1}{j + 1}": k for (i, j), k in a.sectional.items()},
-        "natural_gamma": table_summary(a.D.coeffs.gamma, a.eps),
-        "torsion": table_summary(a.D.T.components, a.eps),
-        "natural_curvature": table_summary(a.Rprime.components, a.eps),
-        "weyl": table_summary(a.W.components, a.eps),
+        "natural_gamma": table_summary(a.D.gamma, a.eps),
+        "torsion": table_summary(a.D.T, a.eps),
+        "natural_curvature": table_summary(a.Rprime, a.eps),
+        "weyl": table_summary(a.W, a.eps),
         "trace_s": a.S.trace_S,
     }
 
@@ -244,7 +245,7 @@ def cmd_conformal(args) -> tuple[Report | None, int]:
 
     defect = conformal_mod.closedness_defect(inst.alg, alpha)
     if defect > conformal_mod.closedness_tolerance(inst.alg, alpha, eps):
-        basis = conformal_mod.closed_form_basis(inst.alg)
+        _, basis = derived_bases(inst.alg)
         print(
             f"error: the 1-form is not closed (bracket defect {defect:.3e}); "
             f"closed forms must annihilate the derived subalgebra.\n"
@@ -258,7 +259,7 @@ def cmd_conformal(args) -> tuple[Report | None, int]:
     geo = conformal_mod.deformed_geometry(inst, alpha, eps)
     for name, defect in conformal_mod.conformal_checks(a, geo, alpha).items():
         rep.add(name, defect)
-    rep.tables["lee_form_transformed"] = geo.lee.theta_components
+    rep.tables["lee_form_transformed"] = geo.lee.theta
     return rep, rep.exit_status
 
 

@@ -16,23 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotClosed
-from .levicivita import ConnectionCoeffs, curvature_components
-from .liealg import LieFrameAlgebra, derived_annihilator
+from .levicivita import curvature_components
+from .liealg import LieFrameAlgebra, derived_bases
 from .natural import NaturalConnection
 from .pipeline import InstanceAnalysis, analyze_instance
 from .structure import ProductStructure, RpmInstance
-from .tensors import CO, CONTRA, DEFAULT_EPS, DenseTensor, MetricTensor, max_abs
-
-
-@dataclass(frozen=True)
-class ConformalDeformation:
-    """Constant frame components of du, normalized to u = 0 at the base point."""
-
-    alpha: DenseTensor
-    basepoint_normalized: bool = True
-
-    def closedness_defect(self, alg: LieFrameAlgebra) -> float:
-        return closedness_defect(alg, self.alpha.components)
+from .tensors import DEFAULT_EPS, MetricTensor, max_abs
 
 
 def closedness_defect(alg: LieFrameAlgebra, alpha) -> float:
@@ -55,23 +44,18 @@ def require_closed(alg: LieFrameAlgebra, alpha, eps: float = DEFAULT_EPS) -> np.
     return alpha
 
 
-def closed_form_basis(alg: LieFrameAlgebra) -> np.ndarray:
-    """Orthonormal basis (rows) of the closed constant 1-forms."""
-    return derived_annihilator(alg)
-
-
 def random_closed_form(alg: LieFrameAlgebra, rng: np.random.Generator, scale: float = 2.0) -> np.ndarray:
     """A random closed 1-form; zero when the algebra admits none but zero."""
-    basis = closed_form_basis(alg)
+    _, basis = derived_bases(alg)
     if basis.shape[0] == 0:
         return np.zeros(alg.dim)
     return rng.uniform(-scale, scale, basis.shape[0]) @ basis
 
 
 def transform_levi_civita(
-    conn: ConnectionCoeffs, alpha, metric: MetricTensor, alg: LieFrameAlgebra | None = None,
+    gamma: np.ndarray, alpha, metric: MetricTensor, alg: LieFrameAlgebra | None = None,
     eps: float = DEFAULT_EPS,
-) -> ConnectionCoeffs:
+) -> np.ndarray:
     """Levi-Civita coefficients of the rescaled metric at the base point."""
     alpha = np.asarray(alpha, dtype=float)
     if alg is not None:
@@ -79,19 +63,18 @@ def transform_levi_civita(
     dim = metric.dim
     eye = np.eye(dim)
     grad = metric.inverse @ alpha
-    gamma = (
-        conn.gamma
+    return (
+        gamma
         + np.einsum("i,jk->ijk", alpha, eye)
         + np.einsum("j,ik->ijk", alpha, eye)
         - np.einsum("ij,k->ijk", metric.matrix, grad)
     )
-    return ConnectionCoeffs(gamma, torsion_free=True)
 
 
 @dataclass(frozen=True)
 class LeeTransform:
-    theta_bar: DenseTensor
-    omega_bar: DenseTensor
+    theta_bar: np.ndarray
+    omega_bar: np.ndarray
 
 
 def transform_lee(
@@ -111,24 +94,21 @@ def transform_lee(
     p = structure.components
     n = metric.dim // 2
     grad = metric.inverse @ alpha
-    theta_bar = theta + 2.0 * n * (alpha @ p)
-    omega_bar = omega + 2.0 * n * (p @ grad)
     return LeeTransform(
-        theta_bar=DenseTensor(metric.dim, (CO,), theta_bar),
-        omega_bar=DenseTensor(metric.dim, (CONTRA,), omega_bar),
+        theta_bar=theta + 2.0 * n * (alpha @ p),
+        omega_bar=omega + 2.0 * n * (p @ grad),
     )
 
 
 def transform_D(
     d: NaturalConnection, alpha, alg: LieFrameAlgebra | None = None, eps: float = DEFAULT_EPS
-) -> ConnectionCoeffs:
+) -> np.ndarray:
     """Natural-connection coefficients of the rescaled metric: du(x) stretches y."""
     alpha = np.asarray(alpha, dtype=float)
     if alg is not None:
         require_closed(alg, alpha, eps)
-    dim = d.coeffs.gamma.shape[0]
-    gamma = d.coeffs.gamma + np.einsum("i,jk->ijk", alpha, np.eye(dim))
-    return ConnectionCoeffs(gamma, torsion_free=False)
+    dim = d.gamma.shape[0]
+    return d.gamma + np.einsum("i,jk->ijk", alpha, np.eye(dim))
 
 
 def deformed_geometry(inst: RpmInstance, alpha, eps: float = DEFAULT_EPS) -> InstanceAnalysis:
@@ -145,29 +125,25 @@ def conformal_curvature_residual(base: InstanceAnalysis, alpha, eps: float = DEF
     """Invariance defect of the natural-connection curvature of ``base`` under rescaling."""
     alg = base.inst.alg
     alpha = require_closed(alg, alpha, eps)
-    r_bar = curvature_components(transform_D(base.D, alpha).gamma, alg.c)
+    r_bar = curvature_components(transform_D(base.D, alpha), alg.c)
     return max_abs(r_bar - base.Rprime13)
 
 
 def conformal_weyl_residual(base: InstanceAnalysis, rescaled: InstanceAnalysis) -> float:
     """Invariance defect of the Weyl tensor, compared in (1,3) variance."""
-    return max_abs((rescaled.W.components - base.W.components) @ base.inst.g_inv)
+    return max_abs((rescaled.W - base.W) @ base.inst.g_inv)
 
 
 def conformal_checks(base: InstanceAnalysis, rescaled: InstanceAnalysis, alpha) -> dict[str, float]:
     """The five conformal defects of ``rescaled``, the rescaling of ``base`` by ``alpha``."""
     inst = base.inst
-    lee = transform_lee(
-        base.lee.theta_components, base.lee.omega_components, alpha, inst.structure, inst.metric
-    )
+    lee = transform_lee(base.lee.theta, base.lee.omega, alpha, inst.structure, inst.metric)
     return {
         "conformal_curvature_invariance": conformal_curvature_residual(base, alpha),
         "conformal_weyl_invariance": conformal_weyl_residual(base, rescaled),
-        "conformal_lee_reconstruction": max_abs(
-            lee.theta_bar.components - rescaled.lee.theta_components
-        ),
+        "conformal_lee_reconstruction": max_abs(lee.theta_bar - rescaled.lee.theta),
         "conformal_connection_reconstruction": max_abs(
-            transform_D(base.D, alpha).gamma - rescaled.D.coeffs.gamma
+            transform_D(base.D, alpha) - rescaled.D.gamma
         ),
         "conformal_class_closure": rescaled.flags.conformal_class_residual,
     }

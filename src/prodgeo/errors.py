@@ -25,20 +25,8 @@ class SingularMetric(GeometryError):
     """A metric has no usable inverse."""
 
 
-class SlotOutOfRange(GeometryError):
-    """A contraction slot index is invalid for the given rank."""
-
-
-class VarianceMismatch(GeometryError):
-    """Slot variance tags are incompatible with the requested operation."""
-
-
 class DimensionMismatch(GeometryError):
     """Vector or form components do not match the frame dimension."""
-
-
-class RankOverflow(GeometryError):
-    """An operation would produce a tensor above the supported rank cap."""
 
 
 class DegeneratePlane(GeometryError):

@@ -228,34 +228,12 @@ class TableDeviations:
 
 @dataclass(frozen=True)
 class ExampleReport:
-    """Golden-table deviations plus the theorem checklist for one parameter point."""
+    """Golden-table deviations, tau and the largest W and R' entries at one parameter point."""
 
     deviations: TableDeviations
     tau: float
-    tau_negative_ok: bool
     weyl_max: float
     rprime_max: float
-    torsion_parallel_ok: bool
-    curvature_relation_residual: float
-    ricci_relation_residual: float
-    scalar_relation_residual: float
-    weyl_invariance_residual: float
-    p_criterion_ok: bool
-    degenerate: bool
-
-    def passed(self, eps: float) -> bool:
-        return (
-            self.deviations.max <= eps
-            and self.tau_negative_ok
-            and self.weyl_max <= eps
-            and self.rprime_max <= eps
-            and self.torsion_parallel_ok
-            and self.curvature_relation_residual <= eps
-            and self.ricci_relation_residual <= eps
-            and self.scalar_relation_residual <= eps
-            and self.weyl_invariance_residual <= eps
-            and self.p_criterion_ok
-        )
 
 
 def verify_against_tables(params: ExampleParams, a: InstanceAnalysis) -> ExampleReport:
@@ -263,34 +241,24 @@ def verify_against_tables(params: ExampleParams, a: InstanceAnalysis) -> Example
     tables = golden_tables(params)
     k_inv_dev = max(abs(a.sectional[i - 1, j - 1] - v) for (i, j), v in tables.k_inv.items())
     k_anti_dev = max(abs(a.sectional[i - 1, j - 1] - v) for (i, j), v in tables.k_anti.items())
-    t_up = np.einsum("ijl,lk->ijk", a.D.T.components, a.inst.g_inv)
+    t_up = np.einsum("ijl,lk->ijk", a.D.T, a.inst.g_inv)
 
     deviations = TableDeviations(
-        nabla=max_abs(a.nabla.gamma - tables.nabla),
-        R=max_abs(a.R.components - tables.R),
-        rho=max_abs(a.ricci.rho.components - tables.rho),
+        nabla=max_abs(a.nabla - tables.nabla),
+        R=max_abs(a.R - tables.R),
+        rho=max_abs(a.ricci.rho - tables.rho),
         tau=abs(a.ricci.tau - tables.tau),
-        theta=max_abs(a.lee.theta_components - tables.theta),
+        theta=max_abs(a.lee.theta - tables.theta),
         k_inv=k_inv_dev,
         k_anti=k_anti_dev,
-        D=max_abs(a.D.coeffs.gamma - tables.D),
+        D=max_abs(a.D.gamma - tables.D),
         T_D=max_abs(t_up - tables.T_D),
     )
-
-    degenerate = params.degenerate
     return ExampleReport(
         deviations=deviations,
         tau=a.ricci.tau,
-        tau_negative_ok=True if degenerate else a.ricci.tau < 0.0,
-        weyl_max=max_abs(a.W.components),
-        rprime_max=max_abs(a.Rprime.components),
-        torsion_parallel_ok=(a.parallel.verdict == degenerate),
-        curvature_relation_residual=a.curvature_relation_residual,
-        ricci_relation_residual=a.ricci_relation.ricci_residual,
-        scalar_relation_residual=a.ricci_relation.scalar_residual,
-        weyl_invariance_residual=a.weyl_invariance_residual,
-        p_criterion_ok=a.p_criterion.equivalence_holds and a.p_criterion.closedness_agrees,
-        degenerate=degenerate,
+        weyl_max=max_abs(a.W),
+        rprime_max=max_abs(a.Rprime),
     )
 
 
@@ -340,8 +308,8 @@ def constant_curvature_flags(params: ExampleParams, a: InstanceAnalysis) -> Cons
 
     space_form = None
     if computed_const:
-        pi1 = levicivita.pi1_tensor(a.inst.metric).components
-        space_form = max_abs(a.R.components - (a.ricci.tau / 12.0) * pi1)
+        pi1 = levicivita.pi1_tensor(a.inst.metric)
+        space_form = max_abs(a.R - (a.ricci.tau / 12.0) * pi1)
 
     return ConstantCurvatureFlags(
         const_invariant=alg_inv,

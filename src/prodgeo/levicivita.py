@@ -21,65 +21,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePlane, NonSymmetricInputWarning, RankOverflow, SingularMetric
+from .errors import DegeneratePlane, NonSymmetricInputWarning, SingularMetric
 from .liealg import LieFrameAlgebra
 from .structure import RpmInstance, nijenhuis_tensor
-from .tensors import (
-    CO,
-    CONTRA,
-    DEFAULT_EPS,
-    MAX_RANK,
-    DenseTensor,
-    MetricTensor,
-    compose,
-    freeze,
-    max_abs,
-)
-
-
-@dataclass(frozen=True)
-class ConnectionCoeffs:
-    """Frame-constant coefficients of a linear connection."""
-
-    gamma: np.ndarray
-    torsion_free: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", freeze(self.gamma))
+from .tensors import CO, DEFAULT_EPS, MetricTensor, compose, max_abs
 
 
 @dataclass(frozen=True)
 class LeeForm:
     """A 1-form together with its metric-dual vector."""
 
-    theta: DenseTensor
-    omega: DenseTensor
-
-    @property
-    def theta_components(self) -> np.ndarray:
-        return self.theta.components
-
-    @property
-    def omega_components(self) -> np.ndarray:
-        return self.omega.components
+    theta: np.ndarray
+    omega: np.ndarray
 
     @property
     def norm_sq(self) -> float:
         """theta applied to its own dual; zero exactly when the form vanishes."""
-        return float(self.theta.components @ self.omega.components)
+        return float(self.theta @ self.omega)
 
 
-def torsion_defect(conn: ConnectionCoeffs, alg: LieFrameAlgebra) -> float:
-    return max_abs(conn.gamma - np.swapaxes(conn.gamma, 0, 1) - alg.c)
+def torsion_defect(gamma: np.ndarray, alg: LieFrameAlgebra) -> float:
+    return max_abs(gamma - np.swapaxes(gamma, 0, 1) - alg.c)
 
 
-def compatibility_defect(conn: ConnectionCoeffs, metric: MetricTensor) -> float:
-    low = np.einsum("ijm,mk->ijk", conn.gamma, metric.matrix)
+def compatibility_defect(gamma: np.ndarray, metric: MetricTensor) -> float:
+    low = np.einsum("ijm,mk->ijk", gamma, metric.matrix)
     return max_abs(low + np.swapaxes(low, 1, 2))
 
 
-def levi_civita_coeffs(inst: RpmInstance, dg: np.ndarray | None = None) -> ConnectionCoeffs:
-    """Koszul assembly at a point where the metric equals ``inst.g``.
+def levi_civita_coeffs(inst: RpmInstance, dg: np.ndarray | None = None) -> np.ndarray:
+    """Koszul assembly of gamma at a point where the metric equals ``inst.g``.
 
     ``dg[i, j, k] = X_i(g(X_j, X_k))`` are the frame derivatives of the
     metric there; None (zero) for a frame-constant metric.
@@ -91,7 +62,7 @@ def levi_civita_coeffs(inst: RpmInstance, dg: np.ndarray | None = None) -> Conne
     if dg is not None:
         terms = [dg, np.einsum("jik->ijk", dg), -np.einsum("kij->ijk", dg)] + terms
     low = 0.5 * sum(terms)
-    return ConnectionCoeffs(np.einsum("ijk,kl->ijl", low, inst.g_inv), torsion_free=True)
+    return np.einsum("ijk,kl->ijl", low, inst.g_inv)
 
 
 def cov_deriv_components(gamma: np.ndarray, components: np.ndarray, variance) -> np.ndarray:
@@ -117,30 +88,16 @@ def cov_deriv_components(gamma: np.ndarray, components: np.ndarray, variance) ->
     return out
 
 
-def covariant_derivative(conn: ConnectionCoeffs, t: DenseTensor) -> DenseTensor:
-    """Covariant derivative as a tensor of one higher rank (direction slot first)."""
-    if t.rank >= MAX_RANK:
-        raise RankOverflow(f"derivative of a rank-{t.rank} tensor exceeds rank {MAX_RANK}")
-    out = cov_deriv_components(conn.gamma, t.components, t.variance)
-    return DenseTensor(t.dim, (CO,) + t.variance, out)
-
-
-def structure_tensor_F(inst: RpmInstance, conn: ConnectionCoeffs) -> DenseTensor:
+def structure_tensor_F(inst: RpmInstance, gamma: np.ndarray) -> np.ndarray:
     """Lowered covariant derivative of the product structure."""
-    dp = np.einsum("iml,mj->ijl", conn.gamma, inst.p) - np.einsum(
-        "lm,ijm->ijl", inst.p, conn.gamma
-    )
-    return DenseTensor(inst.dim, (CO, CO, CO), np.einsum("ijl,lk->ijk", dp, inst.g))
+    dp = np.einsum("iml,mj->ijl", gamma, inst.p) - np.einsum("lm,ijm->ijl", inst.p, gamma)
+    return np.einsum("ijl,lk->ijk", dp, inst.g)
 
 
-def lee_form(inst: RpmInstance, f: DenseTensor) -> LeeForm:
+def lee_form(inst: RpmInstance, f: np.ndarray) -> LeeForm:
     """Metric trace of the structure tensor over its first two slots."""
-    theta = np.einsum("ij,ijk->k", inst.g_inv, f.components)
-    omega = inst.g_inv @ theta
-    return LeeForm(
-        theta=DenseTensor(inst.dim, (CO,), theta),
-        omega=DenseTensor(inst.dim, (CONTRA,), omega),
-    )
+    theta = np.einsum("ij,ijk->k", inst.g_inv, f)
+    return LeeForm(theta=theta, omega=inst.g_inv @ theta)
 
 
 def conformal_class_rhs(inst: RpmInstance, theta: np.ndarray) -> np.ndarray:
@@ -168,11 +125,11 @@ class ClassFlags:
     nijenhuis_defect: float
 
 
-def class_flags(inst: RpmInstance, f: DenseTensor, theta, eps: float = DEFAULT_EPS) -> ClassFlags:
+def class_flags(inst: RpmInstance, f: np.ndarray, theta, eps: float = DEFAULT_EPS) -> ClassFlags:
     """Class membership from the structure tensor ``f`` and its Lee form ``theta``."""
-    w0_defect = max_abs(f.components)
-    w1_residual = max_abs(f.components - conformal_class_rhs(inst, theta))
-    n_defect = max_abs(nijenhuis_tensor(inst).components)
+    w0_defect = max_abs(f)
+    w1_residual = max_abs(f - conformal_class_rhs(inst, theta))
+    n_defect = max_abs(nijenhuis_tensor(inst))
     return ClassFlags(
         is_w0=w0_defect <= eps,
         is_w1=w1_residual <= eps,
@@ -195,44 +152,42 @@ def curvature_components(gamma: np.ndarray, c: np.ndarray) -> np.ndarray:
     return t - t.swapaxes(0, 1) - compose(c, gamma)
 
 
-def curvature_tensor(conn: ConnectionCoeffs, alg: LieFrameAlgebra, metric: MetricTensor) -> DenseTensor:
+def curvature_tensor(gamma: np.ndarray, alg: LieFrameAlgebra, metric: MetricTensor) -> np.ndarray:
     """Lowered curvature tensor of a frame-constant connection."""
-    r13 = curvature_components(conn.gamma, alg.c)
-    return DenseTensor(alg.dim, (CO, CO, CO, CO), r13 @ metric.matrix)
+    return curvature_components(gamma, alg.c) @ metric.matrix
 
 
 @dataclass(frozen=True)
 class RicciScalar:
-    rho: DenseTensor
+    rho: np.ndarray
     tau: float
 
 
-def ricci_and_scalar(r: DenseTensor, metric: MetricTensor) -> RicciScalar:
+def ricci_and_scalar(r: np.ndarray, metric: MetricTensor) -> RicciScalar:
     """Ricci tensor and scalar curvature by first/last-slot metric traces."""
-    rho = np.einsum("il,ijkl->jk", metric.inverse, r.components)
+    rho = np.einsum("il,ijkl->jk", metric.inverse, r)
     tau = float(np.einsum("jk,jk->", metric.inverse, rho))
-    return RicciScalar(rho=DenseTensor(r.dim, (CO, CO), rho), tau=tau)
+    return RicciScalar(rho=rho, tau=tau)
 
 
-def sectional_curvature(r: DenseTensor, metric: MetricTensor, u, v, eps: float = DEFAULT_EPS) -> float:
+def sectional_curvature(r: np.ndarray, metric: MetricTensor, u, v, eps: float = DEFAULT_EPS) -> float:
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     g = metric.matrix
     area_sq = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
     if abs(area_sq) <= eps:
         raise DegeneratePlane("the two directions span a degenerate 2-plane")
-    numer = float(((r.components @ u) @ v) @ v @ u)
+    numer = float(((r @ u) @ v) @ v @ u)
     return numer / float(area_sq)
 
 
-def pi1_tensor(metric: MetricTensor) -> DenseTensor:
+def pi1_tensor(metric: MetricTensor) -> np.ndarray:
     """The curvature-type tensor of a unit-curvature space form for this metric."""
     g = metric.matrix
-    out = g[None, :, :, None] * g[:, None, None, :] - g[:, None, :, None] * g[None, :, None, :]
-    return DenseTensor(metric.dim, (CO, CO, CO, CO), out)
+    return g[None, :, :, None] * g[:, None, None, :] - g[:, None, :, None] * g[None, :, None, :]
 
 
-def psi1_operator(metric: MetricTensor, s, eps: float = DEFAULT_EPS) -> DenseTensor:
+def psi1_operator(metric: MetricTensor, s, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Curvature-type extension of a 2-tensor by the metric.
 
     Warns (and still evaluates) when the input is not symmetric, in which
@@ -242,22 +197,16 @@ def psi1_operator(metric: MetricTensor, s, eps: float = DEFAULT_EPS) -> DenseTen
     if max_abs(s - s.T) > eps * max(1.0, max_abs(s)):
         warnings.warn("extending a non-symmetric 2-tensor", NonSymmetricInputWarning)
     g = metric.matrix
-    out = (
+    return (
         g[None, :, :, None] * s[:, None, None, :]
         - g[:, None, :, None] * s[None, :, None, :]
         + s[None, :, :, None] * g[:, None, None, :]
         - s[:, None, :, None] * g[None, :, None, :]
     )
-    return DenseTensor(metric.dim, (CO, CO, CO, CO), out)
 
 
-def weyl_tensor(r: DenseTensor, rho: DenseTensor, tau: float, metric: MetricTensor) -> DenseTensor:
+def weyl_tensor(r: np.ndarray, rho: np.ndarray, tau: float, metric: MetricTensor) -> np.ndarray:
     """Trace-free conformally invariant part of a curvature tensor."""
     n = metric.dim // 2
-    correction = (
-        psi1_operator(metric, rho.components).components
-        - (tau / (2 * n - 1)) * pi1_tensor(metric).components
-    )
-    return DenseTensor(
-        metric.dim, (CO, CO, CO, CO), r.components - correction / (2 * (n - 1))
-    )
+    correction = psi1_operator(metric, rho) - (tau / (2 * n - 1)) * pi1_tensor(metric)
+    return r - correction / (2 * (n - 1))

@@ -67,17 +67,14 @@ def jacobi_defect(alg: LieFrameAlgebra) -> float:
     return max_abs(cyc)
 
 
-def derived_subalgebra(alg: LieFrameAlgebra, tol: float = DERIVED_PIVOT_TOL) -> np.ndarray:
-    """Orthonormal basis (rows) for the span of all bracket images."""
+def derived_bases(alg: LieFrameAlgebra, tol: float = DERIVED_PIVOT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal row bases from one SVD of the bracket images.
+
+    The first spans the derived subalgebra; the second spans its
+    annihilator, the closed constant 1-forms (those vanishing on every
+    bracket).
+    """
     images = alg.c.reshape(alg.dim * alg.dim, alg.dim)
     _, s, vt = np.linalg.svd(images)
     rank = int(np.sum(s > tol))
-    return vt[:rank].copy()
-
-
-def derived_annihilator(alg: LieFrameAlgebra, tol: float = DERIVED_PIVOT_TOL) -> np.ndarray:
-    """Orthonormal basis (rows) for the 1-forms vanishing on every bracket."""
-    images = alg.c.reshape(alg.dim * alg.dim, alg.dim)
-    _, s, vt = np.linalg.svd(images)
-    rank = int(np.sum(s > tol))
-    return vt[rank:].copy()
+    return vt[:rank], vt[rank:]

@@ -19,14 +19,13 @@ import numpy as np
 from . import levicivita
 from .errors import NotW1Warning
 from .levicivita import (
-    ConnectionCoeffs,
     cov_deriv_components,
     curvature_components,
     pi1_tensor,
     psi1_operator,
 )
 from .structure import RpmInstance, structure_pullback
-from .tensors import CO, CONTRA, DEFAULT_EPS, DenseTensor, MetricTensor, compose, max_abs
+from .tensors import CO, CONTRA, DEFAULT_EPS, MetricTensor, compose, max_abs
 
 
 @dataclass(frozen=True)
@@ -46,23 +45,23 @@ def canonical_params(n: int) -> TorsionParams:
 class NaturalConnection:
     """Connection coefficients plus the lowered potential and torsion tensors."""
 
-    coeffs: ConnectionCoeffs
-    Q: DenseTensor
-    T: DenseTensor
+    gamma: np.ndarray
+    Q: np.ndarray
+    T: np.ndarray
 
 
 @dataclass(frozen=True)
 class STensor:
     """The 2-tensor mediating between the two curvature tensors."""
 
-    S: DenseTensor
+    S: np.ndarray
     trace_S: float
 
 
-def _checked_lee_form(inst: RpmInstance, nabla: ConnectionCoeffs, eps: float) -> np.ndarray:
-    """Lee form of ``nabla``; warns when the instance is outside the class."""
+def _checked_lee_form(inst: RpmInstance, nabla: np.ndarray, eps: float) -> np.ndarray:
+    """Lee form of the Levi-Civita coefficients ``nabla``; warns outside the class."""
     f = levicivita.structure_tensor_F(inst, nabla)
-    theta = levicivita.lee_form(inst, f).theta_components
+    theta = levicivita.lee_form(inst, f).theta
     flags = levicivita.class_flags(inst, f, theta, eps)
     if not flags.is_w1:
         warnings.warn(
@@ -75,7 +74,7 @@ def _checked_lee_form(inst: RpmInstance, nabla: ConnectionCoeffs, eps: float) ->
 
 def torsion_family(
     inst: RpmInstance, theta, params: TorsionParams, eps: float = DEFAULT_EPS
-) -> DenseTensor:
+) -> np.ndarray:
     """Lowered torsion of the natural-connection family member for ``params``."""
     _checked_lee_form(inst, levicivita.levi_civita_coeffs(inst), eps)
     theta = np.asarray(theta, dtype=float)
@@ -96,18 +95,16 @@ def torsion_family(
         + np.einsum("jk,i->ijk", g, theta_p)
         - np.einsum("ik,j->ijk", g, theta_p)
     )
-    out = base + params.lambda_p * lam_block + params.mu_p * mu_block
-    return DenseTensor(inst.dim, (CO, CO, CO), out)
+    return base + params.lambda_p * lam_block + params.mu_p * mu_block
 
 
-def torsion_of_D(inst: RpmInstance, theta) -> DenseTensor:
+def torsion_of_D(inst: RpmInstance, theta) -> np.ndarray:
     """Lowered torsion of the distinguished natural connection."""
     theta = np.asarray(theta, dtype=float)
     theta_p = theta @ inst.p
-    out = (
+    return (
         np.einsum("jk,i->ijk", inst.g, theta_p) - np.einsum("ik,j->ijk", inst.g, theta_p)
     ) / (2.0 * inst.n)
-    return DenseTensor(inst.dim, (CO, CO, CO), out)
 
 
 def potential_from_torsion(t3: np.ndarray) -> np.ndarray:
@@ -119,38 +116,29 @@ def potential_from_torsion(t3: np.ndarray) -> np.ndarray:
     return 0.5 * (t3 - np.einsum("jki->ijk", t3) + np.einsum("kij->ijk", t3))
 
 
-def connection_from_torsion(inst: RpmInstance, t: DenseTensor) -> NaturalConnection:
-    """Build the metric connection whose torsion is ``t``."""
-    q3 = potential_from_torsion(t.components)
+def connection_from_torsion(inst: RpmInstance, t: np.ndarray) -> NaturalConnection:
+    """Build the metric connection whose lowered torsion is ``t``."""
+    q3 = potential_from_torsion(t)
     q_up = np.einsum("ijl,lk->ijk", q3, inst.g_inv)
-    gamma = levicivita.levi_civita_coeffs(inst).gamma + q_up
-    return NaturalConnection(
-        coeffs=ConnectionCoeffs(gamma, torsion_free=False),
-        Q=DenseTensor(inst.dim, (CO, CO, CO), q3),
-        T=t,
-    )
+    gamma = levicivita.levi_civita_coeffs(inst) + q_up
+    return NaturalConnection(gamma=gamma, Q=q3, T=t)
 
 
-def direct_potential(inst: RpmInstance, theta) -> DenseTensor:
+def direct_potential(inst: RpmInstance, theta) -> np.ndarray:
     """Closed-form potential of the distinguished connection (independent route)."""
     theta = np.asarray(theta, dtype=float)
     theta_p = theta @ inst.p
-    out = (
+    return (
         np.einsum("ij,k->ijk", inst.g, theta_p) - np.einsum("ik,j->ijk", inst.g, theta_p)
     ) / (2.0 * inst.n)
-    return DenseTensor(inst.dim, (CO, CO, CO), out)
 
 
-def connection_D_from(inst: RpmInstance, nabla: ConnectionCoeffs, theta) -> NaturalConnection:
-    """Distinguished natural connection from precomputed Levi-Civita data."""
-    q3 = direct_potential(inst, theta).components
+def connection_D_from(inst: RpmInstance, nabla: np.ndarray, theta) -> NaturalConnection:
+    """Distinguished natural connection from the Levi-Civita coefficients ``nabla``."""
+    q3 = direct_potential(inst, theta)
     q_up = np.einsum("ijl,lk->ijk", q3, inst.g_inv)
     t3 = q3 - np.einsum("jik->ijk", q3)
-    return NaturalConnection(
-        coeffs=ConnectionCoeffs(nabla.gamma + q_up, torsion_free=False),
-        Q=DenseTensor(inst.dim, (CO, CO, CO), q3),
-        T=DenseTensor(inst.dim, (CO, CO, CO), t3),
-    )
+    return NaturalConnection(gamma=nabla + q_up, Q=q3, T=t3)
 
 
 def connection_D(inst: RpmInstance, eps: float = DEFAULT_EPS) -> NaturalConnection:
@@ -158,29 +146,29 @@ def connection_D(inst: RpmInstance, eps: float = DEFAULT_EPS) -> NaturalConnecti
     return connection_D_from(inst, nabla, _checked_lee_form(inst, nabla, eps))
 
 
-def recomputed_torsion(conn: ConnectionCoeffs, inst: RpmInstance) -> np.ndarray:
+def recomputed_torsion(gamma: np.ndarray, inst: RpmInstance) -> np.ndarray:
     """Lowered torsion read back from connection coefficients."""
-    t_up = conn.gamma - np.swapaxes(conn.gamma, 0, 1) - inst.c
+    t_up = gamma - np.swapaxes(gamma, 0, 1) - inst.c
     return np.einsum("ijm,mk->ijk", t_up, inst.g)
 
 
 def naturality_defects(d: NaturalConnection, inst: RpmInstance) -> tuple[float, float]:
     """(metric, structure) parallelism defects of a candidate natural connection."""
-    dg = cov_deriv_components(d.coeffs.gamma, inst.g, (CO, CO))
-    dp = cov_deriv_components(d.coeffs.gamma, inst.p, (CONTRA, CO))
+    dg = cov_deriv_components(d.gamma, inst.g, (CO, CO))
+    dp = cov_deriv_components(d.gamma, inst.p, (CONTRA, CO))
     return max_abs(dg), max_abs(dp)
 
 
-def curvature_Rprime(d: NaturalConnection, alg, metric: MetricTensor, r13=None) -> DenseTensor:
+def curvature_Rprime(d: NaturalConnection, alg, metric: MetricTensor, r13=None) -> np.ndarray:
     """Lowered curvature tensor of the natural connection, from its (1,3) form ``r13`` if given."""
     if r13 is None:
-        r13 = curvature_components(d.coeffs.gamma, alg.c)
-    return DenseTensor(alg.dim, (CO, CO, CO, CO), r13 @ metric.matrix)
+        r13 = curvature_components(d.gamma, alg.c)
+    return r13 @ metric.matrix
 
 
 def dtheta_components(d: NaturalConnection, theta) -> np.ndarray:
     """Covariant derivative of a frame-constant 1-form along the connection."""
-    return cov_deriv_components(d.coeffs.gamma, np.asarray(theta, dtype=float), (CO,))
+    return cov_deriv_components(d.gamma, np.asarray(theta, dtype=float), (CO,))
 
 
 def s_tensor(inst: RpmInstance, d: NaturalConnection, theta) -> STensor:
@@ -195,15 +183,15 @@ def s_tensor(inst: RpmInstance, d: NaturalConnection, theta) -> STensor:
     theta_omega = float(theta @ inst.g_inv @ theta)
     s = dtheta_components(d, theta) @ inst.p + (theta_omega / (4.0 * n)) * inst.g
     trace = float(np.einsum("ij,ij->", inst.g_inv, s))
-    return STensor(S=DenseTensor(inst.dim, (CO, CO), s), trace_S=trace)
+    return STensor(S=s, trace_S=trace)
 
 
 def verify_curvature_relation(
-    r: DenseTensor, r_prime: DenseTensor, s: STensor, metric: MetricTensor, n: int
+    r: np.ndarray, r_prime: np.ndarray, s: STensor, metric: MetricTensor, n: int
 ) -> float:
     """Residual of the curvature relation between the two connections."""
-    correction = psi1_operator(metric, s.S.components).components / (2.0 * n)
-    return max_abs(r.components - r_prime.components + correction)
+    correction = psi1_operator(metric, s.S) / (2.0 * n)
+    return max_abs(r - r_prime + correction)
 
 
 @dataclass(frozen=True)
@@ -213,8 +201,8 @@ class RicciRelation:
 
 
 def ricci_scalar_relation(
-    rho: DenseTensor,
-    rho_prime: DenseTensor,
+    rho: np.ndarray,
+    rho_prime: np.ndarray,
     tau: float,
     tau_prime: float,
     s: STensor,
@@ -222,8 +210,8 @@ def ricci_scalar_relation(
     n: int,
 ) -> RicciRelation:
     """Residuals of the contracted curvature relation."""
-    ricci_corr = (metric.matrix * s.trace_S + 2.0 * (n - 1) * s.S.components) / (2.0 * n)
-    ricci_residual = max_abs(rho.components - rho_prime.components + ricci_corr)
+    ricci_corr = (metric.matrix * s.trace_S + 2.0 * (n - 1) * s.S) / (2.0 * n)
+    ricci_residual = max_abs(rho - rho_prime + ricci_corr)
     scalar_residual = abs(tau - tau_prime + (2.0 * n - 1.0) / n * s.trace_S)
     return RicciRelation(ricci_residual=ricci_residual, scalar_residual=scalar_residual)
 
@@ -248,8 +236,7 @@ class PTensorReport:
     verdict: bool
 
 
-def is_riemannian_P_tensor(l: DenseTensor, p, eps: float = DEFAULT_EPS) -> PTensorReport:
-    comp = l.components
+def is_riemannian_P_tensor(comp: np.ndarray, p, eps: float = DEFAULT_EPS) -> PTensorReport:
     p = np.asarray(p, dtype=float)
     skew12 = max_abs(comp + np.einsum("jikl->ijkl", comp))
     skew34 = max_abs(comp + np.einsum("ijlk->ijkl", comp))
@@ -282,20 +269,20 @@ class PCurvatureCriterion:
 
 def p_curvature_criterion(
     inst: RpmInstance,
-    nabla: ConnectionCoeffs,
+    nabla: np.ndarray,
     d: NaturalConnection,
     theta,
-    r_prime: DenseTensor,
+    r_prime: np.ndarray,
     eps: float = DEFAULT_EPS,
 ) -> PCurvatureCriterion:
-    """``nabla`` is the Levi-Civita connection that ``d``, ``theta`` and the
-    curvature ``r_prime`` of ``d`` were built from."""
+    """``nabla`` holds the Levi-Civita coefficients that ``d``, ``theta`` and
+    the curvature ``r_prime`` of ``d`` were built from."""
     theta = np.asarray(theta, dtype=float)
     dtheta_p = dtheta_components(d, theta) @ inst.p
     sym_defect = max_abs(dtheta_p - dtheta_p.T)
-    bianchi = bianchi_defect(r_prime.components)
+    bianchi = bianchi_defect(r_prime)
 
-    grad_theta_p = cov_deriv_components(nabla.gamma, theta, (CO,)) @ inst.p
+    grad_theta_p = cov_deriv_components(nabla, theta, (CO,)) @ inst.p
     closedness = max_abs(grad_theta_p - grad_theta_p.T)
 
     return PCurvatureCriterion(
@@ -319,18 +306,18 @@ class ParallelTorsionReport:
 
 def has_parallel_torsion(
     inst: RpmInstance,
-    nabla: ConnectionCoeffs,
+    nabla: np.ndarray,
     d: NaturalConnection,
     theta,
     eps: float = DEFAULT_EPS,
 ) -> ParallelTorsionReport:
-    """``nabla`` is the Levi-Civita connection that ``d`` and ``theta`` were built from."""
+    """``nabla`` holds the Levi-Civita coefficients that ``d`` and ``theta`` were built from."""
     theta = np.asarray(theta, dtype=float)
-    t_up = np.einsum("ijl,lk->ijk", d.T.components, inst.g_inv)
-    dt = cov_deriv_components(d.coeffs.gamma, t_up, (CO, CO, CONTRA))
+    t_up = np.einsum("ijl,lk->ijk", d.T, inst.g_inv)
+    dt = cov_deriv_components(d.gamma, t_up, (CO, CO, CONTRA))
     dtheta = dtheta_components(d, theta)
 
-    grad_theta = cov_deriv_components(nabla.gamma, theta, (CO,))
+    grad_theta = cov_deriv_components(nabla, theta, (CO,))
     omega = inst.g_inv @ theta
     theta_p_omega = float(theta @ inst.p @ omega)
     theta_p = theta @ inst.p
@@ -370,10 +357,10 @@ class FlatReport:
 def flat_D_report(
     inst: RpmInstance,
     d: NaturalConnection,
-    r: DenseTensor,
+    r: np.ndarray,
     ricci: levicivita.RicciScalar,
-    r_prime: DenseTensor,
-    w: DenseTensor,
+    r_prime: np.ndarray,
+    w: np.ndarray,
     theta,
     parallel: ParallelTorsionReport,
     eps: float = DEFAULT_EPS,
@@ -384,34 +371,32 @@ def flat_D_report(
     n = inst.n
     metric = inst.metric
     theta_omega = float(theta @ inst.g_inv @ theta)
-    pi1 = pi1_tensor(metric).components
+    pi1 = pi1_tensor(metric)
 
-    rprime_max = max_abs(r_prime.components)
+    rprime_max = max_abs(r_prime)
     is_flat = rprime_max <= eps
     tau = ricci.tau
 
-    weyl_max = max_abs(w.components) if is_flat else None
+    weyl_max = max_abs(w) if is_flat else None
 
     space_form = ricci_res = scalar_res = dr_defect = None
     tau_negative = None
     if is_flat and parallel.verdict:
-        space_form = max_abs(r.components + (theta_omega / (4.0 * n * n)) * pi1)
+        space_form = max_abs(r + (theta_omega / (4.0 * n * n)) * pi1)
         ricci_res = max_abs(
-            ricci.rho.components + (2.0 * n - 1.0) / (4.0 * n * n) * theta_omega * metric.matrix
+            ricci.rho + (2.0 * n - 1.0) / (4.0 * n * n) * theta_omega * metric.matrix
         )
         scalar_res = abs(tau + (2.0 * n - 1.0) / (2.0 * n) * theta_omega)
         # one direction at a time: the full derivative would hold dim^5 numbers
         dr_defect = max(
-            max_abs(cov_deriv_components(slab, r.components, (CO, CO, CO, CO)))
-            for slab in np.split(d.coeffs.gamma, inst.dim)
+            max_abs(cov_deriv_components(slab, r, (CO, CO, CO, CO)))
+            for slab in np.split(d.gamma, inst.dim)
         )
         tau_negative = tau < 0.0 if theta_omega > eps else None
 
     parallel_relation = None
     if parallel.verdict:
-        parallel_relation = max_abs(
-            r.components - r_prime.components + (theta_omega / (4.0 * n * n)) * pi1
-        )
+        parallel_relation = max_abs(r - r_prime + (theta_omega / (4.0 * n * n)) * pi1)
 
     return FlatReport(
         is_flat=is_flat,
@@ -443,8 +428,8 @@ def torsion_identity_defects(
     inst: RpmInstance, d: NaturalConnection, theta
 ) -> TorsionIdentityDefects:
     theta = np.asarray(theta, dtype=float)
-    t3 = d.T.components
-    q3 = d.Q.components
+    t3 = d.T
+    q3 = d.Q
     p = inst.p
 
     cyclic = max_abs(t3 + np.einsum("jki->ijk", t3) + np.einsum("kij->ijk", t3))

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import levicivita, natural
-from .levicivita import ClassFlags, ConnectionCoeffs, LeeForm, RicciScalar
+from .levicivita import ClassFlags, LeeForm, RicciScalar
 from .natural import (
     FlatReport,
     NaturalConnection,
@@ -26,7 +26,7 @@ from .natural import (
     TorsionIdentityDefects,
 )
 from .structure import RpmInstance, StructureReport, validate_structure
-from .tensors import DEFAULT_EPS, DenseTensor, max_abs
+from .tensors import DEFAULT_EPS, max_abs
 
 
 class InstanceAnalysis:
@@ -42,12 +42,12 @@ class InstanceAnalysis:
         return validate_structure(self.inst, self.eps)
 
     @cached_property
-    def nabla(self) -> ConnectionCoeffs:
+    def nabla(self) -> np.ndarray:
         dg = None if self.alpha is None else 2.0 * self.alpha[:, None, None] * self.inst.g
         return levicivita.levi_civita_coeffs(self.inst, dg)
 
     @cached_property
-    def F(self) -> DenseTensor:
+    def F(self) -> np.ndarray:
         return levicivita.structure_tensor_F(self.inst, self.nabla)
 
     @cached_property
@@ -56,10 +56,10 @@ class InstanceAnalysis:
 
     @cached_property
     def flags(self) -> ClassFlags:
-        return levicivita.class_flags(self.inst, self.F, self.lee.theta_components, self.eps)
+        return levicivita.class_flags(self.inst, self.F, self.lee.theta, self.eps)
 
     @cached_property
-    def R(self) -> DenseTensor:
+    def R(self) -> np.ndarray:
         return levicivita.curvature_tensor(self.nabla, self.inst.alg, self.inst.metric)
 
     @cached_property
@@ -78,15 +78,15 @@ class InstanceAnalysis:
 
     @cached_property
     def D(self) -> NaturalConnection:
-        return natural.connection_D_from(self.inst, self.nabla, self.lee.theta_components)
+        return natural.connection_D_from(self.inst, self.nabla, self.lee.theta)
 
     @cached_property
     def Rprime13(self) -> np.ndarray:
         """Curvature of D in (1,3) form, value slot last; the conformal checks compare it."""
-        return levicivita.curvature_components(self.D.coeffs.gamma, self.inst.alg.c)
+        return levicivita.curvature_components(self.D.gamma, self.inst.alg.c)
 
     @cached_property
-    def Rprime(self) -> DenseTensor:
+    def Rprime(self) -> np.ndarray:
         return natural.curvature_Rprime(self.D, self.inst.alg, self.inst.metric, self.Rprime13)
 
     @cached_property
@@ -95,14 +95,14 @@ class InstanceAnalysis:
 
     @cached_property
     def S(self) -> STensor:
-        return natural.s_tensor(self.inst, self.D, self.lee.theta_components)
+        return natural.s_tensor(self.inst, self.D, self.lee.theta)
 
     @cached_property
-    def W(self) -> DenseTensor:
+    def W(self) -> np.ndarray:
         return levicivita.weyl_tensor(self.R, self.ricci.rho, self.ricci.tau, self.inst.metric)
 
     @cached_property
-    def Wprime(self) -> DenseTensor:
+    def Wprime(self) -> np.ndarray:
         return levicivita.weyl_tensor(
             self.Rprime, self.ricci_prime.rho, self.ricci_prime.tau, self.inst.metric
         )
@@ -121,11 +121,11 @@ class InstanceAnalysis:
 
     @cached_property
     def torsion_reconstruction_defect(self) -> float:
-        return max_abs(natural.recomputed_torsion(self.D.coeffs, self.inst) - self.D.T.components)
+        return max_abs(natural.recomputed_torsion(self.D.gamma, self.inst) - self.D.T)
 
     @cached_property
     def torsion_identities(self) -> TorsionIdentityDefects:
-        return natural.torsion_identity_defects(self.inst, self.D, self.lee.theta_components)
+        return natural.torsion_identity_defects(self.inst, self.D, self.lee.theta)
 
     @cached_property
     def curvature_relation_residual(self) -> float:
@@ -143,25 +143,25 @@ class InstanceAnalysis:
     @cached_property
     def weyl_invariance_residual(self) -> float:
         """Largest component difference of the Weyl tensors of the two connections."""
-        return max_abs(self.W.components - self.Wprime.components)
+        return max_abs(self.W - self.Wprime)
 
     @cached_property
     def p_criterion(self) -> PCurvatureCriterion:
         return natural.p_curvature_criterion(
-            self.inst, self.nabla, self.D, self.lee.theta_components, self.Rprime, self.eps
+            self.inst, self.nabla, self.D, self.lee.theta, self.Rprime, self.eps
         )
 
     @cached_property
     def parallel(self) -> ParallelTorsionReport:
         return natural.has_parallel_torsion(
-            self.inst, self.nabla, self.D, self.lee.theta_components, self.eps
+            self.inst, self.nabla, self.D, self.lee.theta, self.eps
         )
 
     @cached_property
     def flat(self) -> FlatReport:
         return natural.flat_D_report(
             self.inst, self.D, self.R, self.ricci, self.Rprime, self.W,
-            self.lee.theta_components, self.parallel, self.eps,
+            self.lee.theta, self.parallel, self.eps,
         )
 
 

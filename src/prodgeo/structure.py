@@ -15,7 +15,7 @@ import numpy as np
 from . import liealg
 from .errors import ShapeMismatch
 from .liealg import LieFrameAlgebra
-from .tensors import CO, CONTRA, DEFAULT_EPS, DenseTensor, MetricTensor, freeze, max_abs
+from .tensors import DEFAULT_EPS, MetricTensor, freeze, max_abs
 
 
 @dataclass(frozen=True)
@@ -120,35 +120,20 @@ def validate_structure(inst: RpmInstance, tolerance: float = DEFAULT_EPS) -> Str
     return structure_defects(inst.c, inst.g, inst.p, tolerance)
 
 
-def associated_metric(inst: RpmInstance) -> DenseTensor:
-    """The indefinite metric pairing each vector with the image of the other."""
-    return DenseTensor(inst.dim, (CO, CO), inst.g @ inst.p)
-
-
-def associated_signature(inst: RpmInstance, tol: float = DEFAULT_EPS) -> tuple[int, int]:
-    """(positive, negative) eigenvalue counts of the associated metric."""
-    eigenvalues = np.linalg.eigvalsh(inst.g @ inst.p)
-    return int(np.sum(eigenvalues > tol)), int(np.sum(eigenvalues < -tol))
-
-
 def structure_pullback(p: np.ndarray, t: np.ndarray) -> np.ndarray:
     """t(P x_i, P x_j) of a rank-3 array, as two two-operand contractions."""
     return np.einsum("bj,ibk->ijk", p, np.einsum("ai,abk->ibk", p, t))
 
 
-def nijenhuis_tensor(inst: RpmInstance) -> DenseTensor:
+def nijenhuis_tensor(inst: RpmInstance) -> np.ndarray:
     """Integrability obstruction of the structure; zero on product manifolds."""
     c, p = inst.c, inst.p
     n12 = structure_pullback(p, c)
     n3 = np.einsum("km,ijm->ijk", p, np.einsum("ai,ajm->ijm", p, c))
     n4 = np.einsum("km,ijm->ijk", p, np.einsum("bj,ibm->ijm", p, c))
-    return DenseTensor(inst.dim, (CO, CO, CONTRA), n12 + c - n3 - n4)
+    return n12 + c - n3 - n4
 
 
 def abelian_structure_defect(inst: RpmInstance) -> float:
     """Largest component of [P·, P·] + [·, ·] over all frame pairs."""
     return max_abs(structure_pullback(inst.p, inst.c) + inst.c)
-
-
-def is_abelian_structure(inst: RpmInstance, eps: float = DEFAULT_EPS) -> bool:
-    return abelian_structure_defect(inst) <= eps

@@ -61,9 +61,9 @@ def test_c01_golden_table_reproduction():
     ok = report.deviations.max <= EPS
     a = analyze_instance(build_example(SPOT), EPS)
     ok &= a.ricci.tau == pytest.approx(-180.0, abs=EPS)
-    ok &= np.allclose(a.lee.theta_components, [16, -12, -8, 4], atol=EPS)
-    ok &= a.ricci.rho.components[0, 0] == pytest.approx(-42.0, abs=EPS)
-    ok &= a.ricci.rho.components[0, 1] == pytest.approx(24.0, abs=EPS)
+    ok &= np.allclose(a.lee.theta, [16, -12, -8, 4], atol=EPS)
+    ok &= a.ricci.rho[0, 0] == pytest.approx(-42.0, abs=EPS)
+    ok &= a.ricci.rho[0, 1] == pytest.approx(24.0, abs=EPS)
     for lam in random_lambdas(300, 200):
         ok &= table_report(ExampleParams(lam), EPS).deviations.max <= EPS
     conclude("1 golden-table reproduction (spot values and 200 random points)", ok)
@@ -73,7 +73,7 @@ def test_c02_flat_natural_connection():
     ok = True
     for lam in [SPOT.lam, (0.0, 0.0, 0.0, 0.0)] + random_lambdas(310, 200):
         a = analyze_instance(build_example(ExampleParams(lam)), EPS)
-        ok &= max_abs(a.Rprime.components) <= EPS
+        ok &= max_abs(a.Rprime) <= EPS
     conclude("2 natural connection is flat on the family", ok)
 
 
@@ -81,7 +81,7 @@ def test_c03_conformal_flatness():
     ok = True
     for lam in [SPOT.lam] + random_lambdas(320, 200):
         a = analyze_instance(build_example(ExampleParams(lam)), EPS)
-        ok &= max_abs(a.W.components) <= EPS
+        ok &= max_abs(a.W) <= EPS
     conclude("3 Weyl tensor vanishes on the family", ok)
 
 
@@ -118,7 +118,7 @@ def test_c06_conformal_curvature_invariance():
         alpha = random_closed_form(inst.alg, rng)
         ok &= conformal_curvature_residual(analyze_instance(inst, EPS), alpha, EPS) <= EPS
         geo = deformed_geometry(inst, alpha, EPS)
-        ok &= max_abs(transform_D(d, alpha).gamma - geo.D.coeffs.gamma) <= EPS
+        ok &= max_abs(transform_D(d, alpha) - geo.D.gamma) <= EPS
     conclude("6 natural curvature invariant under conformal rescaling (100 pairs)", ok)
 
 
@@ -128,7 +128,7 @@ def test_c07_curvature_type_biconditional():
         ok &= analysis.p_criterion.equivalence_holds
         ok &= analysis.p_criterion.closedness_agrees
         deformed_crit = natural.p_curvature_criterion(
-            inst, geo.nabla, geo.D, geo.lee.theta_components, geo.Rprime, EPS
+            inst, geo.nabla, geo.D, geo.lee.theta, geo.Rprime, EPS
         )
         ok &= deformed_crit.equivalence_holds and deformed_crit.closedness_agrees
     conclude("7 curvature-type criterion biconditional and closedness form", ok)
@@ -190,15 +190,15 @@ def test_c09_space_form_identity_at_unit_lambda():
     same_plane = (np.einsum("ik,jl->ijkl", basis, basis) + np.einsum("il,jk->ijkl", basis, basis)) > 0
     cross = np.where(same_plane, 0.0, tables.R)
     ok &= cross[0, 1, 0, 2] == 1.0 and max_abs(cross) == 1.0
-    pi1 = levicivita.pi1_tensor(inst.metric).components
-    ok &= max_abs(a.R.components - (tables.tau / 12.0) * pi1 - cross) <= EPS
+    pi1 = levicivita.pi1_tensor(inst.metric)
+    ok &= max_abs(a.R - (tables.tau / 12.0) * pi1 - cross) <= EPS
 
     off_diagonal = tables.rho - np.diag(np.diag(tables.rho))
     ok &= np.all(np.diag(tables.rho) == tables.tau / 4.0)
     ok &= max_abs(off_diagonal) == 2.0
-    ok &= max_abs(a.ricci.rho.components - (tables.tau / 4.0) * inst.g - off_diagonal) <= EPS
+    ok &= max_abs(a.ricci.rho - (tables.tau / 4.0) * inst.g - off_diagonal) <= EPS
 
-    residual = max_abs(a.R.components - (a.ricci.tau / 12.0) * pi1)
+    residual = max_abs(a.R - (a.ricci.tau / 12.0) * pi1)
     ok &= residual == pytest.approx(max_abs(cross), abs=EPS) and residual > EPS
     conclude(
         f"9b space-form identity refuted at unit parameters "
@@ -297,7 +297,7 @@ def test_c10_structural_property_suite():
         inst = build_example(ExampleParams(lam))
         a = analyze_instance(inst, EPS)
         ok &= jacobi_defect(inst.alg) <= EPS
-        ok &= max_abs(nijenhuis_tensor(inst).components) <= EPS
+        ok &= max_abs(nijenhuis_tensor(inst)) <= EPS
         ok &= abelian_structure_defect(inst) <= EPS
         ok &= a.flags.conformal_class_residual <= EPS
         ok &= a.naturality_metric_defect <= EPS
@@ -317,16 +317,16 @@ def test_c11_typo_resolution_oracles():
         nabla = levicivita.levi_civita_coeffs(inst)
         f = levicivita.structure_tensor_F(inst, nabla)
         lee = levicivita.lee_form(inst, f)
-        theta = lee.theta_components
+        theta = lee.theta
 
         built = natural.connection_from_torsion(inst, natural.torsion_of_D(inst, theta))
-        ok &= max_abs(built.Q.components - natural.direct_potential(inst, theta).components) <= EPS
+        ok &= max_abs(built.Q - natural.direct_potential(inst, theta)) <= EPS
 
         alpha = random_closed_form(inst.alg, rng)
         geo = deformed_geometry(inst, alpha, EPS)
         rule = transform_lee(
-            theta, lee.omega_components, alpha, inst.structure, inst.metric
+            theta, lee.omega, alpha, inst.structure, inst.metric
         )
-        ok &= max_abs(rule.theta_bar.components - geo.lee.theta_components) <= EPS
-        ok &= max_abs(rule.omega_bar.components - geo.lee.omega_components) <= EPS
+        ok &= max_abs(rule.theta_bar - geo.lee.theta) <= EPS
+        ok &= max_abs(rule.omega_bar - geo.lee.omega) <= EPS
     conclude("11 torsion-potential and Lee-transform resolution oracles", ok)

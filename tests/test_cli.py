@@ -6,8 +6,8 @@ import pytest
 
 import prodgeo
 from prodgeo.cli import main
-from prodgeo.conformal import closed_form_basis
 from prodgeo.instancefile import load_instance
+from prodgeo.liealg import derived_bases
 from prodgeo.pipeline import analyze_instance
 from prodgeo.report import Report, _jsonable, report_from_dict, table_summary
 from prodgeo.tensors import max_abs
@@ -47,7 +47,7 @@ def explicit_example_file(tmp_path, lam):
 def dense_dim8_file(tmp_path):
     """The frame-changed dim-8 instance as a file, with a closed 1-form for it."""
     inst = frame_changed_dim8()
-    alpha = ",".join(repr(x) for x in closed_form_basis(inst.alg)[0].tolist())
+    alpha = ",".join(repr(x) for x in derived_bases(inst.alg)[1][0].tolist())
     return write_json(tmp_path / "dense8.json", instance_payload(inst)), alpha
 
 
@@ -423,7 +423,7 @@ def _rank(value) -> int:
 def instance_file(request, tmp_path):
     """An instance file of a dim-8 fixture, with a closed 1-form for it."""
     inst = frame_changed_dim8() if request.param == "frame_changed_dim8" else request.getfixturevalue(request.param)[0]
-    alpha = ",".join(repr(x) for x in (0.7 * closed_form_basis(inst.alg)[0]).tolist())
+    alpha = ",".join(repr(x) for x in (0.7 * derived_bases(inst.alg)[1][0]).tolist())
     return write_json(tmp_path / f"{request.param}.json", instance_payload(inst)), alpha
 
 
@@ -446,12 +446,12 @@ class TestTableSummaries:
         assert code == data["exit_status"]
         a = analyze_instance(load_instance(path).instance, eps)
         arrays = {
-            "levi_civita_gamma": a.nabla.gamma,
-            "natural_gamma": a.D.coeffs.gamma,
-            "torsion": a.D.T.components,
-            "curvature": a.R.components,
-            "natural_curvature": a.Rprime.components,
-            "weyl": a.W.components,
+            "levi_civita_gamma": a.nabla,
+            "natural_gamma": a.D.gamma,
+            "torsion": a.D.T,
+            "curvature": a.R,
+            "natural_curvature": a.Rprime,
+            "weyl": a.W,
         }
         assert set(SUMMARIZED) <= set(data["tables"])
         assert not {"natural_curvature_max", "weyl_max"} & set(data["tables"])

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from prodgeo import cli
 from prodgeo.example import (
     ExampleParams,
     build_example,
@@ -8,16 +11,22 @@ from prodgeo.example import (
 )
 from prodgeo.pipeline import analyze_instance
 from prodgeo.liealg import bracket, jacobi_defect
-from prodgeo.structure import is_abelian_structure, validate_structure
+from prodgeo.structure import abelian_structure_defect, validate_structure
 from tests.conftest import curvature_flags, random_lambdas, table_report
 
 E = np.eye(4)
 
 
+def verify_paper(capsys, lam) -> tuple[int, dict]:
+    """Exit code and JSON report of an in-process ``verify-paper`` run at ``lam``."""
+    code = cli.main(["verify-paper", f"--lambda={','.join(repr(float(v)) for v in lam)}", "--json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
 class TestBuildExample:
     def test_generic_point_is_valid(self, inst_1234):
         assert validate_structure(inst_1234).ok
-        assert is_abelian_structure(inst_1234)
+        assert abelian_structure_defect(inst_1234) <= 1e-9
         flags = analyze_instance(inst_1234).flags
         assert flags.is_w1 and flags.is_product and not flags.is_w0
 
@@ -58,28 +67,27 @@ class TestGoldenTables:
 
 
 class TestVerifyAgainstTables:
-    def test_generic_point_passes(self):
+    def test_generic_point_passes(self, capsys):
+        assert verify_paper(capsys, (1, 2, 3, 4))[0] == 0
         report = table_report(ExampleParams((1, 2, 3, 4)))
-        assert report.passed(1e-9)
         assert report.deviations.max <= 1e-9
 
-    def test_degenerate_point_passes_with_flag(self):
-        report = table_report(ExampleParams((0, 0, 0, 0)))
-        assert report.passed(1e-9)
-        assert report.degenerate
-        assert report.tau == 0.0
+    def test_degenerate_point_passes_with_flag(self, capsys):
+        # the report checks no torsion verdict at lambda = 0: assert the flag
+        code, data = verify_paper(capsys, (0, 0, 0, 0))
+        assert code == 0 and data["flags"]["torsion_parallel"] is True
+        assert ExampleParams((0, 0, 0, 0)).degenerate
+        assert table_report(ExampleParams((0, 0, 0, 0))).tau == 0.0
 
-    def test_random_sweep(self):
+    def test_random_sweep(self, capsys):
         for lam in random_lambdas(241, 200):
-            report = table_report(ExampleParams(lam))
-            assert report.passed(1e-9), (lam, report)
+            assert verify_paper(capsys, lam)[0] == 0, lam
 
     def test_checklist_content(self):
         report = table_report(ExampleParams((1, 2, 3, 4)))
         assert report.tau == pytest.approx(-180.0)
         assert report.rprime_max <= 1e-9
         assert report.weyl_max <= 1e-9
-        assert not report.degenerate
 
 
 class TestConstantCurvatureFlags:

@@ -15,9 +15,11 @@ import pytest
 from prodgeo.levicivita import (
     cov_deriv_components,
     curvature_components,
+    curvature_tensor,
     levi_civita_coeffs,
     pi1_tensor,
     psi1_operator,
+    ricci_and_scalar,
 )
 from prodgeo.liealg import LieFrameAlgebra
 from prodgeo.structure import ProductStructure, RpmInstance, nijenhuis_tensor
@@ -65,6 +67,12 @@ def psi1_terms(g, s):
     ]
 
 
+def trace_terms(g_inv, r):
+    """The metric trace of the first and last slots, one term per (i, l) pair."""
+    dim = g_inv.shape[0]
+    return [g_inv[i, l] * r[i, ..., l] for i in range(dim) for l in range(dim)]
+
+
 def nijenhuis_terms(c, p):
     return [
         np.einsum("ai,bj,abk->ijk", p, p, c),
@@ -90,7 +98,7 @@ def connections():
     inst = frame_changed_dim8()
     rng = np.random.default_rng(5)
     return {
-        "frame_changed_dim8": (inst.c, levi_civita_coeffs(inst).gamma),
+        "frame_changed_dim8": (inst.c, levi_civita_coeffs(inst)),
         "random": (rng.normal(size=(8, 8, 8)), rng.normal(size=(8, 8, 8))),
     }
 
@@ -139,10 +147,22 @@ def test_pi1_and_psi1(seed):
     s = s + s.T
     ab = np.abs(g.matrix), np.abs(s)
     assert_within_roundoff(
-        psi1_operator(g, s).components, psi1_terms(g.matrix, s), psi1_terms(*ab), 4
+        psi1_operator(g, s), psi1_terms(g.matrix, s), psi1_terms(*ab), 4
     )
     half = psi1_terms(g.matrix, g.matrix)[:2]
-    assert_within_roundoff(pi1_tensor(g).components, half, psi1_terms(ab[0], ab[0])[:2], 2)
+    assert_within_roundoff(pi1_tensor(g), half, psi1_terms(ab[0], ab[0])[:2], 2)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ricci_and_scalar(seed):
+    inst = frame_changed_dim8(seed)
+    r = curvature_tensor(levi_civita_coeffs(inst), inst.alg, inst.metric)
+    ricci = ricci_and_scalar(r, inst.metric)
+    g_inv, n = inst.g_inv, inst.dim**2
+    abs_g_inv = np.abs(g_inv)
+    assert_within_roundoff(ricci.rho, trace_terms(g_inv, r), trace_terms(abs_g_inv, np.abs(r)), n)
+    rho = ricci.rho
+    assert_within_roundoff(ricci.tau, trace_terms(g_inv, rho), trace_terms(abs_g_inv, np.abs(rho)), n)
 
 
 @pytest.mark.parametrize(
@@ -151,7 +171,7 @@ def test_pi1_and_psi1(seed):
 def test_nijenhuis_tensor(inst):
     dim = inst.dim
     assert_within_roundoff(
-        nijenhuis_tensor(inst).components,
+        nijenhuis_tensor(inst),
         nijenhuis_terms(inst.c, inst.p),
         nijenhuis_terms(np.abs(inst.c), np.abs(inst.p)),
         3 * dim * dim + 3,

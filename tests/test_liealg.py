@@ -8,7 +8,7 @@ from prodgeo.example import ExampleParams, build_example
 from prodgeo.liealg import (
     LieFrameAlgebra,
     bracket,
-    derived_subalgebra,
+    derived_bases,
     jacobi_defect,
 )
 from tests.conftest import random_lambdas
@@ -102,6 +102,15 @@ class TestJacobi:
         with pytest.raises(errors.GeometryError):
             LieFrameAlgebra(4, c)
 
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_dimension_must_be_even_and_at_least_four(self, dim):
+        with pytest.raises(errors.BadDimension):
+            LieFrameAlgebra.abelian(dim)
+
+    def test_shape_must_match_dimension(self):
+        with pytest.raises(errors.ShapeMismatch):
+            LieFrameAlgebra(4, np.zeros((4, 4, 3)))
+
 
 def span_projector(rows):
     if rows.shape[0] == 0:
@@ -111,11 +120,11 @@ def span_projector(rows):
 
 class TestDerivedSubalgebra:
     def test_abelian_is_trivial(self):
-        assert derived_subalgebra(LieFrameAlgebra.abelian(4)).shape[0] == 0
+        assert derived_bases(LieFrameAlgebra.abelian(4))[0].shape[0] == 0
 
     def test_single_parameter_example(self, inst_1000):
         # brackets are multiples of X1 and X4
-        basis = derived_subalgebra(inst_1000.alg)
+        basis = derived_bases(inst_1000.alg)[0]
         assert basis.shape[0] == 2
         proj = span_projector(basis)
         assert np.allclose(proj @ E[0], E[0])
@@ -123,7 +132,7 @@ class TestDerivedSubalgebra:
         assert np.allclose(proj @ E[1], 0.0)
 
     def test_generic_example_is_two_dimensional(self, inst_1234):
-        basis = derived_subalgebra(inst_1234.alg)
+        basis = derived_bases(inst_1234.alg)[0]
         assert basis.shape[0] == 2
         # both generating bracket vectors lie in the span
         proj = span_projector(basis)
@@ -131,5 +140,11 @@ class TestDerivedSubalgebra:
             assert np.max(np.abs(proj @ vec - vec)) < 1e-9
 
     def test_rows_are_orthonormal(self, inst_1234):
-        basis = derived_subalgebra(inst_1234.alg)
+        basis = derived_bases(inst_1234.alg)[0]
         assert np.allclose(basis @ basis.T, np.eye(basis.shape[0]))
+
+    def test_closed_forms_complete_the_derived_basis(self, inst_1234):
+        derived, closed = derived_bases(inst_1234.alg)
+        both = np.vstack([derived, closed])
+        assert np.allclose(both @ both.T, np.eye(4))
+        assert np.max(np.abs(inst_1234.c @ closed.T)) < 1e-9

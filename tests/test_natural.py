@@ -37,7 +37,7 @@ from prodgeo.natural import (
     verify_curvature_relation,
 )
 from prodgeo.structure import RpmInstance
-from prodgeo.tensors import CO, DenseTensor, max_abs
+from prodgeo.tensors import CO, max_abs
 from prodgeo.pipeline import analyze_instance
 from tests.conftest import random_lambdas
 
@@ -47,7 +47,7 @@ E = np.eye(4)
 def full(inst):
     nabla = levi_civita_coeffs(inst)
     f = structure_tensor_F(inst, nabla)
-    theta = lee_form(inst, f).theta_components
+    theta = lee_form(inst, f).theta
     return nabla, theta
 
 
@@ -55,20 +55,20 @@ class TestTorsionFamily:
     def test_zero_params_match_distinguished_torsion(self, inst_1234):
         _, theta = full(inst_1234)
         fam = torsion_family(inst_1234, theta, TorsionParams(0.0, 0.0))
-        assert max_abs(fam.components - torsion_of_D(inst_1234, theta).components) <= 1e-12
+        assert max_abs(fam - torsion_of_D(inst_1234, theta)) <= 1e-12
 
     def test_canonical_member(self, inst_1234):
         _, theta = full(inst_1234)
         t = torsion_family(inst_1234, theta, canonical_params(inst_1234.n))
-        comp = t.components
+        comp = t
         assert max_abs(comp + np.einsum("jik->ijk", comp)) <= 1e-12
         # differs from the distinguished torsion whenever the Lee form is nonzero
-        assert max_abs(comp - torsion_of_D(inst_1234, theta).components) > 0.1
+        assert max_abs(comp - torsion_of_D(inst_1234, theta)) > 0.1
 
     def test_vanishing_lee_form(self, inst_zero):
         _, theta = full(inst_zero)
         for params in (TorsionParams(0, 0), TorsionParams(1.5, -0.25), canonical_params(2)):
-            assert max_abs(torsion_family(inst_zero, theta, params).components) == 0.0
+            assert max_abs(torsion_family(inst_zero, theta, params)) == 0.0
 
     def test_every_member_yields_natural_connection(self, inst_1234):
         _, theta = full(inst_1234)
@@ -100,19 +100,18 @@ class TestConnectionFromTorsion:
             _, theta = full(inst)
             built = connection_from_torsion(inst, torsion_of_D(inst, theta))
             direct = direct_potential(inst, theta)
-            assert max_abs(built.Q.components - direct.components) <= 1e-9
+            assert max_abs(built.Q - direct) <= 1e-9
 
     def test_zero_torsion_gives_levi_civita(self, inst_1234):
-        zero = DenseTensor(4, (CO, CO, CO), np.zeros((4, 4, 4)))
-        built = connection_from_torsion(inst_1234, zero)
-        assert max_abs(built.Q.components) == 0.0
-        assert max_abs(built.coeffs.gamma - levi_civita_coeffs(inst_1234).gamma) == 0.0
+        built = connection_from_torsion(inst_1234, np.zeros((4, 4, 4)))
+        assert max_abs(built.Q) == 0.0
+        assert max_abs(built.gamma - levi_civita_coeffs(inst_1234)) == 0.0
 
     def test_potential_is_transposed_torsion(self, inst_1234):
         _, theta = full(inst_1234)
         built = connection_from_torsion(inst_1234, torsion_of_D(inst_1234, theta))
-        t = built.T.components
-        assert max_abs(built.Q.components - np.einsum("kji->ijk", t)) <= 1e-12
+        t = built.T
+        assert max_abs(built.Q - np.einsum("kji->ijk", t)) <= 1e-12
 
     def test_torsion_reconstruction_round_trip(self):
         for lam in random_lambdas(79, 50):
@@ -120,22 +119,22 @@ class TestConnectionFromTorsion:
             _, theta = full(inst)
             t = torsion_of_D(inst, theta)
             built = connection_from_torsion(inst, t)
-            assert max_abs(recomputed_torsion(built.coeffs, inst) - t.components) <= 1e-9
+            assert max_abs(recomputed_torsion(built.gamma, inst) - t) <= 1e-9
 
 
 class TestConnectionD:
     def test_single_parameter_components(self, inst_1000):
         d = connection_D(inst_1000)
-        assert np.allclose(d.coeffs.gamma[2, 3], [-1, 0, 0, 0])  # X4 along X3 gives -X1
+        assert np.allclose(d.gamma[2, 3], [-1, 0, 0, 0])  # X4 along X3 gives -X1
 
     def test_other_parameter_components(self):
         inst = build_example(ExampleParams((0, 0, 3, 0)))
         d = connection_D(inst)
-        assert np.allclose(d.coeffs.gamma[0, 0], [0, 0, 0, -3])  # X1 along X1 gives -3 X4
+        assert np.allclose(d.gamma[0, 0], [0, 0, 0, -3])  # X1 along X1 gives -3 X4
 
     def test_degenerate_case_reduces_to_levi_civita(self, inst_zero):
         d = connection_D(inst_zero)
-        assert max_abs(d.coeffs.gamma - levi_civita_coeffs(inst_zero).gamma) == 0.0
+        assert max_abs(d.gamma - levi_civita_coeffs(inst_zero)) == 0.0
 
     def test_lee_derivative_relation(self):
         # derivative along the natural connection differs from the Levi-Civita
@@ -145,7 +144,7 @@ class TestConnectionD:
             nabla, theta = full(inst)
             d = connection_D(inst)
             lhs = dtheta_components(d, theta)
-            grad = cov_deriv_components(nabla.gamma, theta, (CO,))
+            grad = cov_deriv_components(nabla, theta, (CO,))
             omega = inst.g_inv @ theta
             theta_p_omega = float(theta @ inst.p @ omega)
             correction = (
@@ -175,7 +174,7 @@ class TestConnectionD:
 class TestTorsionOfD:
     def test_single_parameter_values(self, inst_1000):
         _, theta = full(inst_1000)
-        t = torsion_of_D(inst_1000, theta).components
+        t = torsion_of_D(inst_1000, theta)
         t_up = np.einsum("ijl,lk->ijk", t, inst_1000.g_inv)
         assert np.allclose(t_up[0, 1], [-1, 0, 0, 0])
         assert np.allclose(t_up[1, 3], [0, 0, 0, 1])
@@ -183,13 +182,13 @@ class TestTorsionOfD:
     def test_generic_values(self, inst_1234):
         _, theta = full(inst_1234)
         t_up = np.einsum(
-            "ijl,lk->ijk", torsion_of_D(inst_1234, theta).components, inst_1234.g_inv
+            "ijl,lk->ijk", torsion_of_D(inst_1234, theta), inst_1234.g_inv
         )
         assert np.allclose(t_up[2, 3], [0, 0, 3, 4])
 
     def test_vanishing_lee_form(self, inst_zero):
         _, theta = full(inst_zero)
-        assert max_abs(torsion_of_D(inst_zero, theta).components) == 0.0
+        assert max_abs(torsion_of_D(inst_zero, theta)) == 0.0
 
     def test_structural_identities(self):
         for lam in random_lambdas(97, 100):
@@ -209,7 +208,7 @@ class TestCurvatureRelation:
         for lam in random_lambdas(101, 100):
             inst = build_example(ExampleParams(lam))
             a = analyze_instance(inst)
-            assert max_abs(a.Rprime.components) <= 1e-9
+            assert max_abs(a.Rprime) <= 1e-9
             assert a.curvature_relation_residual <= 1e-9
             assert a.ricci_relation.ricci_residual <= 1e-9
             assert a.ricci_relation.scalar_residual <= 1e-9
@@ -217,7 +216,7 @@ class TestCurvatureRelation:
     def test_degenerate_case_exact(self, inst_zero):
         a = analyze_instance(inst_zero)
         assert a.curvature_relation_residual == 0.0
-        assert max_abs(a.Rprime.components - a.R.components) == 0.0
+        assert max_abs(a.Rprime - a.R) == 0.0
 
     def test_relation_on_deformed_instances(self):
         rng = np.random.default_rng(103)
@@ -241,13 +240,13 @@ class TestCurvatureRelation:
     def test_s_vanishes_with_lee_form(self, inst_zero):
         _, theta = full(inst_zero)
         d = connection_D(inst_zero)
-        assert max_abs(s_tensor(inst_zero, d, theta).S.components) == 0.0
+        assert max_abs(s_tensor(inst_zero, d, theta).S) == 0.0
 
     def test_metric_part_of_s(self, inst_1000):
         # Lee norm 16 over 4n = 8 gives twice the identity
         _, theta = full(inst_1000)
         d = connection_D(inst_1000)
-        s = s_tensor(inst_1000, d, theta).S.components
+        s = s_tensor(inst_1000, d, theta).S
         dtheta_part = dtheta_components(d, theta) @ inst_1000.p
         assert np.allclose(s - dtheta_part, 2.0 * np.eye(4))
 
@@ -258,7 +257,7 @@ class TestNaturalCurvature:
             inst = build_example(ExampleParams(lam))
             d = connection_D(inst)
             rp = curvature_Rprime(d, inst.alg, inst.metric)
-            assert max_abs(rp.components) <= 1e-9
+            assert max_abs(rp) <= 1e-9
 
     def test_degenerate_case_equals_levi_civita_curvature(self, inst_zero):
         from prodgeo.levicivita import curvature_tensor
@@ -267,7 +266,7 @@ class TestNaturalCurvature:
         rp = curvature_Rprime(d, inst_zero.alg, inst_zero.metric)
         nabla = levi_civita_coeffs(inst_zero)
         r = curvature_tensor(nabla, inst_zero.alg, inst_zero.metric)
-        assert max_abs(rp.components - r.components) == 0.0
+        assert max_abs(rp - r) == 0.0
 
     def test_canonical_connection_curvature_properties(self, inst_1234):
         # a second natural connection with generically non-flat curvature:
@@ -276,7 +275,7 @@ class TestNaturalCurvature:
         conn = connection_from_torsion(
             inst_1234, torsion_family(inst_1234, theta, canonical_params(inst_1234.n))
         )
-        rp = curvature_Rprime(conn, inst_1234.alg, inst_1234.metric).components
+        rp = curvature_Rprime(conn, inst_1234.alg, inst_1234.metric)
         assert max_abs(rp) > 1.0
         assert max_abs(rp + np.einsum("jikl->ijkl", rp)) <= 1e-9
         assert max_abs(rp + np.einsum("ijlk->ijkl", rp)) <= 1e-9
@@ -286,9 +285,7 @@ class TestNaturalCurvature:
 
 class TestPTensorPredicate:
     def test_zero_tensor(self, inst_1234):
-        report = is_riemannian_P_tensor(
-            DenseTensor(4, (CO,) * 4, np.zeros((4,) * 4)), inst_1234.p
-        )
+        report = is_riemannian_P_tensor(np.zeros((4,) * 4), inst_1234.p)
         assert report.verdict
 
     def test_space_form_tensor_is_not_structure_invariant(self, inst_1234):
@@ -348,7 +345,7 @@ class TestCriterionAndParallelTorsion:
             inst = build_example(ExampleParams(lam))
             alpha = random_closed_form(inst.alg, rng)
             geo = deformed_geometry(inst, alpha)
-            crit = p_curvature_criterion(inst, geo.nabla, geo.D, geo.lee.theta_components, geo.Rprime)
+            crit = p_curvature_criterion(inst, geo.nabla, geo.D, geo.lee.theta, geo.Rprime)
             assert crit.equivalence_holds and crit.closedness_agrees
 
     def test_perturbed_connection_fails_both_sides(self, inst_1234):
@@ -356,11 +353,9 @@ class TestCriterionAndParallelTorsion:
         # together, which is exactly what the biconditional asserts
         nabla, theta = full(inst_1234)
         d = connection_D(inst_1234)
-        gamma = np.array(d.coeffs.gamma)
+        gamma = np.array(d.gamma)
         gamma[0, 1, 2] += 0.35
-        bent = NaturalConnection(
-            coeffs=type(d.coeffs)(gamma, torsion_free=False), Q=d.Q, T=d.T
-        )
+        bent = NaturalConnection(gamma=gamma, Q=d.Q, T=d.T)
         rp = curvature_Rprime(bent, inst_1234.alg, inst_1234.metric)
         crit = p_curvature_criterion(inst_1234, nabla, bent, theta, rp)
         assert crit.dtheta_symmetry_defect > 1e-3
@@ -421,9 +416,9 @@ class TestFlatReport:
             w_prime = weyl_tensor(
                 a.Rprime, a.ricci_prime.rho, a.ricci_prime.tau, inst.metric
             )
-            assert max_abs(a.Rprime.components) <= 1e-9
-            assert max_abs(w_prime.components) <= 1e-9
-            assert max_abs(a.W.components) <= 1e-9
+            assert max_abs(a.Rprime) <= 1e-9
+            assert max_abs(w_prime) <= 1e-9
+            assert max_abs(a.W) <= 1e-9
 
     def test_synthetic_flat_parallel_instance(self, inst_1234):
         # fabricate the flat-with-parallel-torsion regime by feeding the
@@ -433,15 +428,10 @@ class TestFlatReport:
         d = connection_D(inst_1234)
         theta_omega = float(theta @ inst_1234.g_inv @ theta)
         n = inst_1234.n
-        r = DenseTensor(
-            4, (CO,) * 4,
-            -(theta_omega / (4 * n * n)) * pi1_tensor(inst_1234.metric).components,
-        )
-        zero = DenseTensor(4, (CO,) * 4, np.zeros((4,) * 4))
+        r = -(theta_omega / (4 * n * n)) * pi1_tensor(inst_1234.metric)
+        zero = np.zeros((4,) * 4)
         degenerate_d = NaturalConnection(
-            coeffs=type(d.coeffs)(np.zeros((4, 4, 4)), torsion_free=False),
-            Q=DenseTensor(4, (CO,) * 3, np.zeros((4, 4, 4))),
-            T=DenseTensor(4, (CO,) * 3, np.zeros((4, 4, 4))),
+            gamma=np.zeros((4, 4, 4)), Q=np.zeros((4, 4, 4)), T=np.zeros((4, 4, 4))
         )
         ricci = ricci_and_scalar(r, inst_1234.metric)
         w = weyl_tensor(r, ricci.rho, ricci.tau, inst_1234.metric)
@@ -470,7 +460,7 @@ class TestFlatReport:
         assert report.parallel_curvature_defect <= 1e-9
         assert report.parallel_relation_residual <= 1e-9
         # the per-direction maximum is the maximum of the whole derivative
-        full = cov_deriv_components(a.D.coeffs.gamma, a.R.components, (CO,) * 4)
+        full = cov_deriv_components(a.D.gamma, a.R, (CO,) * 4)
         assert report.parallel_curvature_defect == max_abs(full)
 
 

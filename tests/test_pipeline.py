@@ -12,8 +12,9 @@ import pytest
 
 import prodgeo
 from prodgeo.cli import build_parser, main
-from prodgeo.conformal import closed_form_basis, deformed_geometry, random_closed_form
+from prodgeo.conformal import deformed_geometry, random_closed_form
 from prodgeo.example import ExampleParams, build_example
+from prodgeo.liealg import derived_bases
 from prodgeo.pipeline import analyze_instance
 from tests.conftest import instance_payload
 from tests.test_cli import write_json
@@ -68,7 +69,7 @@ class TestNothingIsBuiltTwice:
     def test_conformal_builds_only_what_its_checks_read(self, monkeypatch, capsys, tmp_path, hyperbolic_dim8):
         inst, _ = hyperbolic_dim8
         path = write_json(tmp_path / "hyperbolic8.json", instance_payload(inst))
-        alpha = ",".join(repr(x) for x in (0.7 * closed_form_basis(inst.alg)[0]).tolist())
+        alpha = ",".join(repr(x) for x in (0.7 * derived_bases(inst.alg)[1][0]).tolist())
         calls = record_calls(
             monkeypatch, "levicivita.weyl_tensor", "natural.flat_D_report",
             "natural.curvature_Rprime", "levicivita.cov_deriv_components",

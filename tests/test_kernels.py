@@ -22,8 +22,8 @@ from prodgeo.levicivita import (
     ricci_and_scalar,
 )
 from prodgeo.liealg import LieFrameAlgebra
-from prodgeo.structure import ProductStructure, RpmInstance, nijenhuis_tensor
-from prodgeo.tensors import CO, CONTRA, MetricTensor
+from prodgeo.structure import ProductStructure, RpmInstance, nijenhuis_tensor, structure_pullback
+from prodgeo.tensors import CO, CONTRA, MetricTensor, compose
 from tests.conftest import frame_changed_dim8
 
 EPS = np.finfo(float).eps
@@ -71,6 +71,12 @@ def trace_terms(g_inv, r):
     """The metric trace of the first and last slots, one term per (i, l) pair."""
     dim = g_inv.shape[0]
     return [g_inv[i, l] * r[i, ..., l] for i in range(dim) for l in range(dim)]
+
+
+def pullback_terms(p, t):
+    """t(P x_i, P x_j), one term per (a, b) pair of the two contracted slots."""
+    dim = p.shape[0]
+    return [np.einsum("i,j,k->ijk", p[a], p[b], t[a, b]) for a in range(dim) for b in range(dim)]
 
 
 def nijenhuis_terms(c, p):
@@ -139,6 +145,15 @@ class TestAgainstEinsum:
             3 * (gamma.shape[0] + 1),
         )
 
+    def test_compose(self, source):
+        c, gamma = CONNECTIONS[source]
+        assert_within_roundoff(
+            compose(c, gamma),
+            [np.einsum("ijm,mkl->ijkl", c, gamma)],
+            [np.einsum("ijm,mkl->ijkl", np.abs(c), np.abs(gamma))],
+            gamma.shape[0],
+        )
+
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_pi1_and_psi1(seed):
@@ -175,6 +190,19 @@ def test_nijenhuis_tensor(inst):
         nijenhuis_terms(inst.c, inst.p),
         nijenhuis_terms(np.abs(inst.c), np.abs(inst.p)),
         3 * dim * dim + 3,
+    )
+
+
+@pytest.mark.parametrize(
+    "inst", [frame_changed_dim8(), random_instance(4)], ids=["frame_changed_dim8", "random"]
+)
+def test_structure_pullback(inst):
+    dim = inst.dim
+    assert_within_roundoff(
+        structure_pullback(inst.p, inst.c),
+        pullback_terms(inst.p, inst.c),
+        pullback_terms(np.abs(inst.p), np.abs(inst.c)),
+        dim * dim,
     )
 
 

@@ -5,6 +5,7 @@ from prodgeo import errors
 from prodgeo.conformal import deformed_geometry, random_closed_form
 from prodgeo.example import ExampleParams, build_example
 from prodgeo.levicivita import (
+    compatibility_defect,
     cov_deriv_components,
     levi_civita_coeffs,
     lee_form,
@@ -28,6 +29,7 @@ from prodgeo.natural import (
     is_riemannian_P_tensor,
     naturality_defects,
     p_curvature_criterion,
+    potential_from_torsion,
     recomputed_torsion,
     ricci_scalar_relation,
     s_tensor,
@@ -39,7 +41,7 @@ from prodgeo.natural import (
 from prodgeo.structure import RpmInstance
 from prodgeo.tensors import CO, max_abs
 from prodgeo.pipeline import analyze_instance
-from tests.conftest import random_lambdas
+from tests.conftest import frame_changed_dim8, random_lambdas
 
 E = np.eye(4)
 
@@ -120,6 +122,24 @@ class TestConnectionFromTorsion:
             t = torsion_of_D(inst, theta)
             built = connection_from_torsion(inst, t)
             assert max_abs(recomputed_torsion(built.gamma, inst) - t) <= 1e-9
+
+    def test_potential_of_any_torsion_is_metric_and_reproduces_it(self):
+        # pure index algebra: Q[i,j,k] + Q[i,k,j] = 0 and Q[i,j,k] - Q[j,i,k] = T[i,j,k]
+        rng = np.random.default_rng(83)
+        t = rng.normal(size=(6, 6, 6))
+        t = t - np.swapaxes(t, 0, 1)
+        q = potential_from_torsion(t)
+        assert max_abs(q + np.swapaxes(q, 1, 2)) <= 1e-12
+        assert max_abs(q - np.swapaxes(q, 0, 1) - t) <= 1e-12
+
+    def test_arbitrary_torsion_round_trip_in_moved_frame(self):
+        # a torsion that is not of the distinguished family, in a frame where g != I
+        inst = frame_changed_dim8(2)
+        t = np.random.default_rng(89).normal(size=(8, 8, 8))
+        t = t - np.swapaxes(t, 0, 1)
+        built = connection_from_torsion(inst, t)
+        assert compatibility_defect(built.gamma, inst.metric) <= 1e-9
+        assert max_abs(recomputed_torsion(built.gamma, inst) - t) <= 1e-9
 
 
 class TestConnectionD:

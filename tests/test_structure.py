@@ -8,6 +8,7 @@ from prodgeo.structure import (
     RpmInstance,
     abelian_structure_defect,
     nijenhuis_tensor,
+    structure_defects,
     validate_structure,
 )
 from prodgeo.tensors import MetricTensor, max_abs
@@ -44,6 +45,40 @@ class TestValidateStructure:
 
     def test_block_reflection_is_valid(self):
         assert validate_structure(block_instance()).ok
+
+
+ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
+SHEAR = np.array([[1.0, 1.0], [0.0, -1.0]])
+NON_LIE = LieFrameAlgebra.from_brackets(4, {(0, 1): E[1], (0, 2): E[2], (1, 2): E[0]}).c
+
+# Raw (c, g, P) that break exactly one axiom each, starting from the abelian
+# algebra, the identity metric and BLOCK_P.
+ONE_AXIOM_BROKEN = {
+    # orthogonal and trace-free, but P^2 = -I
+    "structure_squares_to_identity": (None, None, np.kron(np.eye(2), ROTATION)),
+    # P^2 = I and trace-free, but not an isometry
+    "structure_metric_compatibility": (None, None, np.kron(np.eye(2), SHEAR)),
+    "structure_trace": (None, None, np.eye(4)),
+    # [X1,X2]=X2, [X1,X3]=X3, [X2,X3]=X1 (see test_liealg.py)
+    "jacobi_identity": (NON_LIE, None, None),
+    # an off-diagonal entry inside the +1 eigenblock of BLOCK_P
+    "metric_symmetry": (None, np.eye(4) + 0.5 * np.outer(E[0], E[1]), None),
+    "metric_positive_definite": (None, np.diag([1.0, 1.0, 1.0, -1.0]), None),
+}
+
+
+class TestStructureDefects:
+    @pytest.mark.parametrize("name", list(ONE_AXIOM_BROKEN))
+    def test_each_axiom_flags_only_itself(self, name):
+        c, g, p = ONE_AXIOM_BROKEN[name]
+        report = structure_defects(
+            np.zeros((4, 4, 4)) if c is None else c,
+            np.eye(4) if g is None else g,
+            BLOCK_P if p is None else p,
+        )
+        assert [d.name for d in report.checks] == list(ONE_AXIOM_BROKEN)
+        assert [d.name for d in report.failures] == [name]
+        assert not report.ok
 
 
 def brute_force_nijenhuis(inst, u, v):

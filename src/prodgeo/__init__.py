@@ -12,7 +12,7 @@ from .conformal import deformed_geometry
 from .example import ExampleParams, build_example, golden_tables
 from .levicivita import LeeForm, levi_civita_coeffs
 from .liealg import LieFrameAlgebra
-from .natural import NaturalConnection, STensor, TorsionParams, connection_D
+from .natural import NaturalConnection, STensor, TorsionParams
 from .pipeline import InstanceAnalysis, analyze_instance
 from .structure import ProductStructure, RpmInstance
 from .tensors import MetricTensor, invert_metric
@@ -30,7 +30,6 @@ __all__ = [
     "TorsionParams",
     "analyze_instance",
     "build_example",
-    "connection_D",
     "deformed_geometry",
     "golden_tables",
     "invert_metric",

@@ -29,7 +29,6 @@ from .instancefile import (
     load_instance,
     parse_rational,
 )
-from .liealg import derived_bases
 from .pipeline import InstanceAnalysis, analyze_instance
 from .report import Report, table_summary
 from .structure import structure_defects
@@ -122,7 +121,7 @@ def _conformal_sweep(rep: Report, a: InstanceAnalysis, seed: int, samples: int =
     for _ in range(samples):
         alpha = conformal_mod.random_closed_form(a.inst.alg, rng)
         geo = conformal_mod.deformed_geometry(a.inst, alpha, rep.epsilon)
-        for name, defect in conformal_mod.conformal_checks(a, geo, alpha).items():
+        for name, defect in conformal_mod.conformal_checks(a, geo).items():
             worst[name] = max(worst.get(name, 0.0), defect)
     for name, defect in worst.items():
         rep.add(name, defect)
@@ -243,21 +242,10 @@ def cmd_conformal(args) -> tuple[Report | None, int]:
         _add_structure_checks(rep, a.structure)
         return rep, EXIT_STRUCTURE_FAILURE
 
-    defect = conformal_mod.closedness_defect(inst.alg, alpha)
-    if defect > conformal_mod.closedness_tolerance(inst.alg, alpha, eps):
-        _, basis = derived_bases(inst.alg)
-        print(
-            f"error: the 1-form is not closed (bracket defect {defect:.3e}); "
-            f"closed forms must annihilate the derived subalgebra.\n"
-            f"closed-form basis rows:\n{np.array2string(basis, precision=6)}",
-            file=sys.stderr,
-        )
-        return None, EXIT_NOT_CLOSED
-
+    geo = conformal_mod.deformed_geometry(inst, alpha, eps)  # NotClosed exits 4 in main
     rep = Report(instance=loaded.descriptor, epsilon=eps)
     rep.tables["alpha"] = alpha
-    geo = conformal_mod.deformed_geometry(inst, alpha, eps)
-    for name, defect in conformal_mod.conformal_checks(a, geo, alpha).items():
+    for name, defect in conformal_mod.conformal_checks(a, geo).items():
         rep.add(name, defect)
     rep.tables["lee_form_transformed"] = geo.lee.theta
     return rep, rep.exit_status

@@ -34,11 +34,14 @@ class DegeneratePlane(GeometryError):
 
 
 class NotClosed(GeometryError):
-    """A 1-form required to be closed does not annihilate the derived subalgebra."""
+    """A 1-form required to be closed does not annihilate the derived subalgebra.
 
+    ``basis`` holds the rows of an orthonormal basis of the closed forms.
+    """
 
-class NotW1Warning(UserWarning):
-    """Instance is outside the conformal class the torsion family assumes."""
+    def __init__(self, message: str, basis):
+        super().__init__(message)
+        self.basis = basis
 
 
 class NonSymmetricInputWarning(UserWarning):

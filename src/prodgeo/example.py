@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import levicivita
 from .liealg import LieFrameAlgebra
 from .pipeline import InstanceAnalysis
 from .structure import ProductStructure, RpmInstance
@@ -241,7 +240,6 @@ def verify_against_tables(params: ExampleParams, a: InstanceAnalysis) -> Example
     tables = golden_tables(params)
     k_inv_dev = max(abs(a.sectional[i - 1, j - 1] - v) for (i, j), v in tables.k_inv.items())
     k_anti_dev = max(abs(a.sectional[i - 1, j - 1] - v) for (i, j), v in tables.k_anti.items())
-    t_up = np.einsum("ijl,lk->ijk", a.D.T, a.inst.g_inv)
 
     deviations = TableDeviations(
         nabla=max_abs(a.nabla - tables.nabla),
@@ -252,7 +250,7 @@ def verify_against_tables(params: ExampleParams, a: InstanceAnalysis) -> Example
         k_inv=k_inv_dev,
         k_anti=k_anti_dev,
         D=max_abs(a.D.gamma - tables.D),
-        T_D=max_abs(t_up - tables.T_D),
+        T_D=max_abs(a.t_sharp - tables.T_D),
     )
     return ExampleReport(
         deviations=deviations,
@@ -308,8 +306,7 @@ def constant_curvature_flags(params: ExampleParams, a: InstanceAnalysis) -> Cons
 
     space_form = None
     if computed_const:
-        pi1 = levicivita.pi1_tensor(a.inst.metric)
-        space_form = max_abs(a.R - (a.ricci.tau / 12.0) * pi1)
+        space_form = max_abs(a.R - (a.ricci.tau / 12.0) * a.inst.metric.pi1)
 
     return ConstantCurvatureFlags(
         const_invariant=alg_inv,

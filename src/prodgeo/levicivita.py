@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,7 @@ class LeeForm:
     theta: np.ndarray
     omega: np.ndarray
 
-    @property
+    @cached_property
     def norm_sq(self) -> float:
         """theta applied to its own dual; zero exactly when the form vanishes."""
         return float(self.theta @ self.omega)
@@ -85,6 +86,7 @@ def cov_deriv_components(gamma: np.ndarray, components: np.ndarray, variance) ->
             out -= term
         else:
             out += term
+        del term  # else it is alive while the next slot's term is built
     return out
 
 
@@ -181,12 +183,6 @@ def sectional_curvature(r: np.ndarray, metric: MetricTensor, u, v, eps: float = 
     return numer / float(area_sq)
 
 
-def pi1_tensor(metric: MetricTensor) -> np.ndarray:
-    """The curvature-type tensor of a unit-curvature space form for this metric."""
-    g = metric.matrix
-    return g[None, :, :, None] * g[:, None, None, :] - g[:, None, :, None] * g[None, :, None, :]
-
-
 def psi1_operator(metric: MetricTensor, s, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Curvature-type extension of a 2-tensor by the metric.
 
@@ -208,5 +204,8 @@ def psi1_operator(metric: MetricTensor, s, eps: float = DEFAULT_EPS) -> np.ndarr
 def weyl_tensor(r: np.ndarray, rho: np.ndarray, tau: float, metric: MetricTensor) -> np.ndarray:
     """Trace-free conformally invariant part of a curvature tensor."""
     n = metric.dim // 2
-    correction = psi1_operator(metric, rho) - (tau / (2 * n - 1)) * pi1_tensor(metric)
-    return r - correction / (2 * (n - 1))
+    correction = psi1_operator(metric, rho)
+    # in place: the cached pi1 stays alive, so spare the dim**4 temporaries
+    correction -= (tau / (2 * n - 1)) * metric.pi1
+    correction /= 2 * (n - 1)
+    return r - correction

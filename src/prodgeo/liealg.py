@@ -18,8 +18,10 @@ from .tensors import compose, freeze, max_abs
 DERIVED_PIVOT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieFrameAlgebra:
+    """Structure constants of a frame; compared and hashed by identity."""
+
     dim: int
     c: np.ndarray
 
@@ -60,9 +62,10 @@ def bracket(alg: LieFrameAlgebra, u, v) -> np.ndarray:
     return np.einsum("i,j,ijk->k", u, v, alg.c)
 
 
-def jacobi_defect(alg: LieFrameAlgebra) -> float:
-    """Largest component of the cyclic bracket sum over all basis triples."""
-    nested = compose(alg.c, alg.c)
+def jacobi_defect(c: np.ndarray) -> float:
+    """Largest component of the cyclic bracket sum of the structure constants ``c``
+    over all basis triples."""
+    nested = compose(c, c)
     cyc = nested + np.einsum("jkil->ijkl", nested) + np.einsum("kijl->ijkl", nested)
     return max_abs(cyc)
 

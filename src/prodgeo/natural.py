@@ -11,19 +11,12 @@ built from the derivative of the Lee form.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import levicivita
-from .errors import NotW1Warning
-from .levicivita import (
-    cov_deriv_components,
-    curvature_components,
-    pi1_tensor,
-    psi1_operator,
-)
+from .levicivita import LeeForm, cov_deriv_components, curvature_components, psi1_operator
 from .structure import RpmInstance, structure_pullback
 from .tensors import CO, CONTRA, DEFAULT_EPS, MetricTensor, compose, max_abs
 
@@ -58,25 +51,12 @@ class STensor:
     trace_S: float
 
 
-def _checked_lee_form(inst: RpmInstance, nabla: np.ndarray, eps: float) -> np.ndarray:
-    """Lee form of the Levi-Civita coefficients ``nabla``; warns outside the class."""
-    f = levicivita.structure_tensor_F(inst, nabla)
-    theta = levicivita.lee_form(inst, f).theta
-    flags = levicivita.class_flags(inst, f, theta, eps)
-    if not flags.is_w1:
-        warnings.warn(
-            f"instance is outside the conformally flat product class "
-            f"(residual {flags.conformal_class_residual:.3e})",
-            NotW1Warning,
-        )
-    return theta
+def torsion_family(inst: RpmInstance, theta, params: TorsionParams) -> np.ndarray:
+    """Lowered torsion of the natural-connection family member for ``params``.
 
-
-def torsion_family(
-    inst: RpmInstance, theta, params: TorsionParams, eps: float = DEFAULT_EPS
-) -> np.ndarray:
-    """Lowered torsion of the natural-connection family member for ``params``."""
-    _checked_lee_form(inst, levicivita.levi_civita_coeffs(inst), eps)
+    The family is natural only on the conformally flat product class, which
+    is not checked here.
+    """
     theta = np.asarray(theta, dtype=float)
     g, p, n = inst.g, inst.p, inst.n
     theta_p = theta @ p
@@ -141,11 +121,6 @@ def connection_D_from(inst: RpmInstance, nabla: np.ndarray, theta) -> NaturalCon
     return NaturalConnection(gamma=nabla + q_up, Q=q3, T=t3)
 
 
-def connection_D(inst: RpmInstance, eps: float = DEFAULT_EPS) -> NaturalConnection:
-    nabla = levicivita.levi_civita_coeffs(inst)
-    return connection_D_from(inst, nabla, _checked_lee_form(inst, nabla, eps))
-
-
 def recomputed_torsion(gamma: np.ndarray, inst: RpmInstance) -> np.ndarray:
     """Lowered torsion read back from connection coefficients."""
     t_up = gamma - np.swapaxes(gamma, 0, 1) - inst.c
@@ -166,22 +141,15 @@ def curvature_Rprime(d: NaturalConnection, alg, metric: MetricTensor, r13=None) 
     return r13 @ metric.matrix
 
 
-def dtheta_components(d: NaturalConnection, theta) -> np.ndarray:
-    """Covariant derivative of a frame-constant 1-form along the connection."""
-    return cov_deriv_components(d.gamma, np.asarray(theta, dtype=float), (CO,))
-
-
-def s_tensor(inst: RpmInstance, d: NaturalConnection, theta) -> STensor:
-    """Correction 2-tensor of the curvature relation.
+def s_tensor(inst: RpmInstance, dtheta: np.ndarray, theta_norm_sq: float) -> STensor:
+    """Correction 2-tensor of the curvature relation, from the derivative
+    ``dtheta`` of the Lee form along D and its squared norm.
 
     The metric part carries the squared Lee norm over 4n, the coefficient
     forced by contracting the curvature relation against the golden scalar
     curvature of the builtin example.
     """
-    theta = np.asarray(theta, dtype=float)
-    n = inst.n
-    theta_omega = float(theta @ inst.g_inv @ theta)
-    s = dtheta_components(d, theta) @ inst.p + (theta_omega / (4.0 * n)) * inst.g
+    s = dtheta @ inst.p + (theta_norm_sq / (4.0 * inst.n)) * inst.g
     trace = float(np.einsum("ij,ij->", inst.g_inv, s))
     return STensor(S=s, trace_S=trace)
 
@@ -269,20 +237,18 @@ class PCurvatureCriterion:
 
 def p_curvature_criterion(
     inst: RpmInstance,
-    nabla: np.ndarray,
-    d: NaturalConnection,
-    theta,
+    grad_theta: np.ndarray,
+    dtheta: np.ndarray,
     r_prime: np.ndarray,
     eps: float = DEFAULT_EPS,
 ) -> PCurvatureCriterion:
-    """``nabla`` holds the Levi-Civita coefficients that ``d``, ``theta`` and
-    the curvature ``r_prime`` of ``d`` were built from."""
-    theta = np.asarray(theta, dtype=float)
-    dtheta_p = dtheta_components(d, theta) @ inst.p
+    """``grad_theta`` and ``dtheta`` are the derivatives of the Lee form along
+    the Levi-Civita connection and along D, ``r_prime`` the curvature of D."""
+    dtheta_p = dtheta @ inst.p
     sym_defect = max_abs(dtheta_p - dtheta_p.T)
     bianchi = bianchi_defect(r_prime)
 
-    grad_theta_p = cov_deriv_components(nabla, theta, (CO,)) @ inst.p
+    grad_theta_p = grad_theta @ inst.p
     closedness = max_abs(grad_theta_p - grad_theta_p.T)
 
     return PCurvatureCriterion(
@@ -306,28 +272,27 @@ class ParallelTorsionReport:
 
 def has_parallel_torsion(
     inst: RpmInstance,
-    nabla: np.ndarray,
     d: NaturalConnection,
-    theta,
+    t_sharp: np.ndarray,
+    lee: LeeForm,
+    grad_theta: np.ndarray,
+    dtheta: np.ndarray,
     eps: float = DEFAULT_EPS,
 ) -> ParallelTorsionReport:
-    """``nabla`` holds the Levi-Civita coefficients that ``d`` and ``theta`` were built from."""
-    theta = np.asarray(theta, dtype=float)
-    t_up = np.einsum("ijl,lk->ijk", d.T, inst.g_inv)
-    dt = cov_deriv_components(d.gamma, t_up, (CO, CO, CONTRA))
-    dtheta = dtheta_components(d, theta)
-
-    grad_theta = cov_deriv_components(nabla, theta, (CO,))
-    omega = inst.g_inv @ theta
-    theta_p_omega = float(theta @ inst.p @ omega)
+    """``t_sharp`` is the torsion of ``d`` with its last slot raised, ``lee``
+    the Lee form, ``grad_theta`` and ``dtheta`` its derivatives along the
+    Levi-Civita connection and along ``d``."""
+    dt_defect = max_abs(cov_deriv_components(d.gamma, t_sharp, (CO, CO, CONTRA)))
+    theta = lee.theta
+    theta_p_omega = float(theta @ inst.p @ lee.omega)
     theta_p = theta @ inst.p
     expected = (inst.g * theta_p_omega - np.einsum("j,i->ij", theta_p, theta)) / (2.0 * inst.n)
 
     return ParallelTorsionReport(
-        dt_defect=max_abs(dt),
+        dt_defect=dt_defect,
         dtheta_defect=max_abs(dtheta),
         gradient_identity_defect=max_abs(grad_theta - expected),
-        verdict=max_abs(dt) <= eps,
+        verdict=dt_defect <= eps,
     )
 
 
@@ -361,17 +326,16 @@ def flat_D_report(
     ricci: levicivita.RicciScalar,
     r_prime: np.ndarray,
     w: np.ndarray,
-    theta,
+    theta_norm_sq: float,
     parallel: ParallelTorsionReport,
     eps: float = DEFAULT_EPS,
 ) -> FlatReport:
     """``r``, ``ricci`` and the Weyl tensor ``w`` belong to the Levi-Civita
-    connection, ``r_prime`` and ``parallel`` to ``d``."""
-    theta = np.asarray(theta, dtype=float)
+    connection, ``r_prime`` and ``parallel`` to ``d``; ``theta_norm_sq`` is
+    the squared norm of the Lee form."""
     n = inst.n
     metric = inst.metric
-    theta_omega = float(theta @ inst.g_inv @ theta)
-    pi1 = pi1_tensor(metric)
+    pi1 = metric.pi1
 
     rprime_max = max_abs(r_prime)
     is_flat = rprime_max <= eps
@@ -382,21 +346,21 @@ def flat_D_report(
     space_form = ricci_res = scalar_res = dr_defect = None
     tau_negative = None
     if is_flat and parallel.verdict:
-        space_form = max_abs(r + (theta_omega / (4.0 * n * n)) * pi1)
+        space_form = max_abs(r + (theta_norm_sq / (4.0 * n * n)) * pi1)
         ricci_res = max_abs(
-            ricci.rho + (2.0 * n - 1.0) / (4.0 * n * n) * theta_omega * metric.matrix
+            ricci.rho + (2.0 * n - 1.0) / (4.0 * n * n) * theta_norm_sq * metric.matrix
         )
-        scalar_res = abs(tau + (2.0 * n - 1.0) / (2.0 * n) * theta_omega)
+        scalar_res = abs(tau + (2.0 * n - 1.0) / (2.0 * n) * theta_norm_sq)
         # one direction at a time: the full derivative would hold dim^5 numbers
         dr_defect = max(
             max_abs(cov_deriv_components(slab, r, (CO, CO, CO, CO)))
             for slab in np.split(d.gamma, inst.dim)
         )
-        tau_negative = tau < 0.0 if theta_omega > eps else None
+        tau_negative = tau < 0.0 if theta_norm_sq > eps else None
 
     parallel_relation = None
     if parallel.verdict:
-        parallel_relation = max_abs(r - r_prime + (theta_omega / (4.0 * n * n)) * pi1)
+        parallel_relation = max_abs(r - r_prime + (theta_norm_sq / (4.0 * n * n)) * pi1)
 
     return FlatReport(
         is_flat=is_flat,
@@ -425,9 +389,9 @@ class TorsionIdentityDefects:
 
 
 def torsion_identity_defects(
-    inst: RpmInstance, d: NaturalConnection, theta
+    inst: RpmInstance, d: NaturalConnection, theta: np.ndarray, t_sharp: np.ndarray
 ) -> TorsionIdentityDefects:
-    theta = np.asarray(theta, dtype=float)
+    """``t_sharp`` is the torsion of ``d`` with its last slot raised."""
     t3 = d.T
     q3 = d.Q
     p = inst.p
@@ -438,14 +402,13 @@ def torsion_identity_defects(
         t_pp + np.einsum("jki->ijk", t_pp) + np.einsum("kij->ijk", t_pp)
     )
 
-    t_up = np.einsum("ijl,lk->ijk", t3, inst.g_inv)
-    nested = compose(t_up, t_up)
+    nested = compose(t_sharp, t_sharp)
     nested_cyclic = max_abs(
         nested + np.einsum("jkil->ijkl", nested) + np.einsum("kijl->ijkl", nested)
     )
 
     potential_transpose = max_abs(q3 - np.einsum("kji->ijk", t3))
-    lee_orthogonality = max_abs(np.einsum("m,ml,ijl->ij", theta, p, t_up))
+    lee_orthogonality = max_abs(np.einsum("m,ml,ijl->ij", theta, p, t_sharp))
 
     return TorsionIdentityDefects(
         cyclic=cyclic,

@@ -26,7 +26,7 @@ from .natural import (
     TorsionIdentityDefects,
 )
 from .structure import RpmInstance, StructureReport, validate_structure
-from .tensors import DEFAULT_EPS, max_abs
+from .tensors import CO, DEFAULT_EPS, max_abs
 
 
 class InstanceAnalysis:
@@ -81,6 +81,21 @@ class InstanceAnalysis:
         return natural.connection_D_from(self.inst, self.nabla, self.lee.theta)
 
     @cached_property
+    def grad_theta(self) -> np.ndarray:
+        """Derivative of the Lee form along the Levi-Civita connection, direction slot first."""
+        return levicivita.cov_deriv_components(self.nabla, self.lee.theta, (CO,))
+
+    @cached_property
+    def dtheta(self) -> np.ndarray:
+        """Derivative of the Lee form along D, direction slot first."""
+        return levicivita.cov_deriv_components(self.D.gamma, self.lee.theta, (CO,))
+
+    @cached_property
+    def t_sharp(self) -> np.ndarray:
+        """Torsion of D with its last slot raised."""
+        return np.einsum("ijl,lk->ijk", self.D.T, self.inst.g_inv)
+
+    @cached_property
     def Rprime13(self) -> np.ndarray:
         """Curvature of D in (1,3) form, value slot last; the conformal checks compare it."""
         return levicivita.curvature_components(self.D.gamma, self.inst.alg.c)
@@ -95,7 +110,7 @@ class InstanceAnalysis:
 
     @cached_property
     def S(self) -> STensor:
-        return natural.s_tensor(self.inst, self.D, self.lee.theta)
+        return natural.s_tensor(self.inst, self.dtheta, self.lee.norm_sq)
 
     @cached_property
     def W(self) -> np.ndarray:
@@ -125,7 +140,7 @@ class InstanceAnalysis:
 
     @cached_property
     def torsion_identities(self) -> TorsionIdentityDefects:
-        return natural.torsion_identity_defects(self.inst, self.D, self.lee.theta)
+        return natural.torsion_identity_defects(self.inst, self.D, self.lee.theta, self.t_sharp)
 
     @cached_property
     def curvature_relation_residual(self) -> float:
@@ -148,20 +163,20 @@ class InstanceAnalysis:
     @cached_property
     def p_criterion(self) -> PCurvatureCriterion:
         return natural.p_curvature_criterion(
-            self.inst, self.nabla, self.D, self.lee.theta, self.Rprime, self.eps
+            self.inst, self.grad_theta, self.dtheta, self.Rprime, self.eps
         )
 
     @cached_property
     def parallel(self) -> ParallelTorsionReport:
         return natural.has_parallel_torsion(
-            self.inst, self.nabla, self.D, self.lee.theta, self.eps
+            self.inst, self.D, self.t_sharp, self.lee, self.grad_theta, self.dtheta, self.eps
         )
 
     @cached_property
     def flat(self) -> FlatReport:
         return natural.flat_D_report(
             self.inst, self.D, self.R, self.ricci, self.Rprime, self.W,
-            self.lee.theta, self.parallel, self.eps,
+            self.lee.norm_sq, self.parallel, self.eps,
         )
 
 

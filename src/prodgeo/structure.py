@@ -18,9 +18,9 @@ from .liealg import LieFrameAlgebra
 from .tensors import DEFAULT_EPS, MetricTensor, freeze, max_abs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductStructure:
-    """Components of an almost product endomorphism."""
+    """Components of an almost product endomorphism; compared and hashed by identity."""
 
     components: np.ndarray
 
@@ -35,9 +35,9 @@ class ProductStructure:
         return self.components.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RpmInstance:
-    """A left-invariant Riemannian almost product manifold datum."""
+    """A left-invariant Riemannian almost product manifold datum; compared and hashed by identity."""
 
     alg: LieFrameAlgebra
     metric: MetricTensor
@@ -109,7 +109,7 @@ def structure_defects(c, g, p, tolerance: float = DEFAULT_EPS) -> StructureRepor
         Defect("structure_squares_to_identity", max_abs(p @ p - eye)),
         Defect("structure_metric_compatibility", max_abs(p.T @ g @ p - g)),
         Defect("structure_trace", abs(float(np.trace(p)))),
-        Defect("jacobi_identity", liealg.jacobi_defect(LieFrameAlgebra(dim, c))),
+        Defect("jacobi_identity", liealg.jacobi_defect(c)),
         Defect("metric_symmetry", max_abs(g - g.T)),
         Defect("metric_positive_definite", max(0.0, -float(eigenvalues[0]))),
     )

@@ -10,6 +10,7 @@ handed on as it is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,9 +54,13 @@ def invert_metric(matrix, eps: float = DEFAULT_EPS) -> np.ndarray:
     return np.linalg.inv(mat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricTensor:
-    """A Riemannian metric together with its cached inverse, both read-only copies."""
+    """A Riemannian metric together with its cached inverse, both read-only copies.
+
+    Compared and hashed by identity: two metrics built from equal matrices
+    are distinct objects, each with its own cached space-form tensor.
+    """
 
     matrix: np.ndarray
     inverse: np.ndarray
@@ -71,3 +76,15 @@ class MetricTensor:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def pi1(self) -> np.ndarray:
+        """The space-form tensor, built on first read and shared by every reader, read-only."""
+        pi1 = pi1_tensor(self.matrix)
+        pi1.setflags(write=False)
+        return pi1
+
+
+def pi1_tensor(g: np.ndarray) -> np.ndarray:
+    """The curvature-type tensor of a unit-curvature space form for the metric matrix ``g``."""
+    return g[None, :, :, None] * g[:, None, None, :] - g[:, None, :, None] * g[None, :, None, :]

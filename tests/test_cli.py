@@ -6,6 +6,7 @@ import pytest
 
 import prodgeo
 from prodgeo.cli import main
+from prodgeo.example import ExampleParams, build_example
 from prodgeo.instancefile import load_instance
 from prodgeo.liealg import derived_bases
 from prodgeo.pipeline import analyze_instance
@@ -151,6 +152,22 @@ class TestAnalyze:
         checks_e = {c["name"]: c["pass"] for c in data_e["checks"]}
         assert checks_b == checks_e
 
+    def test_instance_outside_the_class_is_noted(self, capsys, tmp_path):
+        # adding [X2, X3] = X1 to the builtin at lambda = (1, 0, 0, 0) leaves
+        # the conformally flat product class
+        payload = instance_payload(build_example(ExampleParams((1, 0, 0, 0))))
+        for entry in payload["brackets"]:
+            if (entry["i"], entry["j"]) == (2, 3):
+                entry["coeffs"] = [1, 0, 0, 0]
+        path = write_json(tmp_path / "outside.json", payload)
+        code = main(["analyze", "--file", path, "--json"])
+        captured = capsys.readouterr()
+        data = strict_loads(captured.out)
+        assert captured.err == ""
+        assert data["flags"]["is_w1"] is False
+        assert any("outside the conformally flat product class" in n for n in data["notes"])
+        assert report_from_dict(data).exit_status == data["exit_status"] == code
+
     def test_structural_failure_exit_code(self, capsys, tmp_path):
         payload = {"dim": 4, "brackets": [], "metric": ORTHO, "P": ORTHO}
         path = write_json(tmp_path / "identity_p.json", payload)
@@ -263,10 +280,16 @@ class TestConformal:
 
     def test_non_closed_form_exits_4(self, capsys, tmp_path):
         path = builtin_file(tmp_path, [1, 0, 0, 0])
-        code = main(["conformal", "--file", path, "--alpha", "1,0,0,0"])
-        err = capsys.readouterr().err
-        assert code == 4
-        assert "derived subalgebra" in err
+        # the closed forms annihilate the derived subalgebra, spanned by X1 and X4
+        _, basis = derived_bases(build_example(ExampleParams((1, 0, 0, 0))).alg)
+        assert np.allclose(np.abs(basis), [[0, 1, 0, 0], [0, 0, 1, 0]])
+        for json_flag in ([], ["--json"]):
+            code = main(["conformal", "--file", path, "--alpha", "1,0,0,0", *json_flag])
+            captured = capsys.readouterr()
+            assert code == 4
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and "derived subalgebra" in captured.err
+            assert f"closed-form basis rows:\n{np.array2string(basis, precision=6)}" in captured.err
 
     @pytest.mark.parametrize("first, closed", [("2e-9", False), ("5e-10", True)])
     def test_unit_scale_closedness_keeps_the_absolute_tolerance(self, capsys, tmp_path, first, closed):

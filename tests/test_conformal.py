@@ -22,7 +22,6 @@ from prodgeo.levicivita import (
     structure_tensor_F,
     torsion_defect,
 )
-from prodgeo.natural import connection_D
 from prodgeo.pipeline import analyze_instance
 from prodgeo.liealg import derived_bases
 from prodgeo.tensors import CO, max_abs
@@ -51,6 +50,14 @@ class TestClosedness:
         with pytest.raises(errors.NotClosed):
             require_closed(inst_1000.alg, [1, 0, 0, 0])
 
+    def test_rescaling_by_a_non_closed_form_carries_the_closed_form_basis(self, inst_1000):
+        with pytest.raises(errors.NotClosed) as caught:
+            deformed_geometry(inst_1000, [1, 0, 0, 0])
+        basis = caught.value.basis
+        assert np.array_equal(basis, derived_bases(inst_1000.alg)[1])
+        assert "derived subalgebra" in str(caught.value)
+        assert np.array2string(basis, precision=6) in str(caught.value)
+
 
 class TestTransformLeviCivita:
     def test_zero_form_is_identity(self, inst_1234):
@@ -70,7 +77,7 @@ class TestTransformLeviCivita:
             inst = build_example(ExampleParams(lam))
             alpha = random_closed_form(inst.alg, rng)
             nabla = levi_civita_coeffs(inst)
-            out = transform_levi_civita(nabla, alpha, inst.metric, inst.alg)
+            out = transform_levi_civita(nabla, alpha, inst.metric)
             assert torsion_defect(out, inst.alg) <= 1e-9
 
     def test_compatible_with_scaled_metric_at_base_point(self, inst_1234):
@@ -78,16 +85,11 @@ class TestTransformLeviCivita:
         rng = np.random.default_rng(11)
         alpha = random_closed_form(inst_1234.alg, rng)
         nabla = levi_civita_coeffs(inst_1234)
-        out = transform_levi_civita(nabla, alpha, inst_1234.metric, inst_1234.alg)
+        out = transform_levi_civita(nabla, alpha, inst_1234.metric)
         dg_partial = 2.0 * np.einsum("i,jk->ijk", alpha, inst_1234.g)
         dg = dg_partial + cov_deriv_components(out, inst_1234.g, (CO, CO))
         assert max_abs(dg) <= 1e-9
         assert compatibility_defect(out, inst_1234.metric) > 0.1  # without them it is not
-
-    def test_rejects_non_closed_form(self, inst_1000):
-        nabla = levi_civita_coeffs(inst_1000)
-        with pytest.raises(errors.NotClosed):
-            transform_levi_civita(nabla, [1, 0, 0, 0], inst_1000.metric, inst_1000.alg)
 
 
 class TestTransformLee:
@@ -139,11 +141,11 @@ class TestTransformLee:
 
 class TestTransformD:
     def test_zero_form_is_identity(self, inst_1234):
-        d = connection_D(inst_1234)
+        d = analyze_instance(inst_1234).D
         assert max_abs(transform_D(d, np.zeros(4)) - d.gamma) == 0.0
 
     def test_hand_expanded_component(self, inst_1000):
-        d = connection_D(inst_1000)
+        d = analyze_instance(inst_1000).D
         out = transform_D(d, [0, 1, 0, 0])
         assert np.allclose(out[1, 2], [0, 0, 1, 0])  # X3 along X2 picks up X3
 
@@ -151,10 +153,16 @@ class TestTransformD:
         rng = np.random.default_rng(191)
         for lam in random_lambdas(193, 50):
             inst = build_example(ExampleParams(lam))
-            d = connection_D(inst)
+            d = analyze_instance(inst).D
             alpha = random_closed_form(inst.alg, rng)
             geo = deformed_geometry(inst, alpha)
             assert max_abs(transform_D(d, alpha) - geo.D.gamma) <= 1e-9
+
+
+def curvature_residual(inst, alpha):
+    """``conformal_curvature_residual`` of ``inst`` for the closed form ``alpha``."""
+    a = analyze_instance(inst)
+    return conformal_curvature_residual(a, transform_D(a.D, alpha))
 
 
 class TestCurvatureInvariance:
@@ -162,22 +170,21 @@ class TestCurvatureInvariance:
         _, basis = derived_bases(inst_1234.alg)
         assert basis.shape[0] == 2
         for row in basis:
-            residual = conformal_curvature_residual(analyze_instance(inst_1234), row)
-            assert residual <= 1e-9
+            assert curvature_residual(inst_1234, row) <= 1e-9
 
     def test_zero_form(self, inst_1234):
-        assert conformal_curvature_residual(analyze_instance(inst_1234), np.zeros(4)) == 0.0
+        assert curvature_residual(inst_1234, np.zeros(4)) == 0.0
 
     def test_sweep(self):
         rng = np.random.default_rng(197)
         for lam in random_lambdas(199, 100):
             inst = build_example(ExampleParams(lam))
             alpha = random_closed_form(inst.alg, rng)
-            assert conformal_curvature_residual(analyze_instance(inst), alpha) <= 1e-9
+            assert curvature_residual(inst, alpha) <= 1e-9
 
-    def test_rejects_non_closed(self, inst_1000):
-        with pytest.raises(errors.NotClosed):
-            conformal_curvature_residual(analyze_instance(inst_1000), [1, 0, 0, 0])
+    def test_non_closed_form_bends_the_curvature(self, inst_1000):
+        # the transformation rule leaves the curvature of D invariant only for closed forms
+        assert curvature_residual(inst_1000, [1, 0, 0, 0]) > 0.1
 
 
 class TestWeylConformalInvariance:
@@ -255,13 +262,13 @@ class TestNontrivialCurvedDeformation:
             assert rel.ricci_residual <= 1e-9 and rel.scalar_residual <= 1e-9
             assert max_abs(geo.W - geo.Wprime) <= 1e-9
             assert geo.flags.conformal_class_residual <= 1e-9
-            crit = p_curvature_criterion(inst, geo.nabla, geo.D, geo.lee.theta, geo.Rprime)
+            crit = p_curvature_criterion(inst, geo.grad_theta, geo.dtheta, geo.Rprime)
             assert crit.equivalence_holds and crit.closedness_agrees
 
     def test_natural_curvature_invariant_but_levi_civita_curvature_not(self):
         inst = self.heisenberg_product()
         alpha = np.array([0.6, -0.3, 0.0, 0.25, 0.5, 0.0])
-        assert conformal_curvature_residual(analyze_instance(inst), alpha) <= 1e-12
+        assert curvature_residual(inst, alpha) <= 1e-12
         geo = deformed_geometry(inst, alpha)
         nabla = levi_civita_coeffs(inst)
         from prodgeo.levicivita import curvature_tensor

@@ -39,7 +39,7 @@ class TestBuildExample:
 
     def test_jacobi_over_parameter_space(self):
         for lam in random_lambdas(239, 200):
-            assert jacobi_defect(build_example(ExampleParams(lam)).alg) <= 1e-9
+            assert jacobi_defect(build_example(ExampleParams(lam)).c) <= 1e-9
 
 
 class TestGoldenTables:

@@ -17,7 +17,6 @@ from prodgeo.levicivita import (
     curvature_components,
     curvature_tensor,
     levi_civita_coeffs,
-    pi1_tensor,
     psi1_operator,
     ricci_and_scalar,
 )
@@ -165,7 +164,7 @@ def test_pi1_and_psi1(seed):
         psi1_operator(g, s), psi1_terms(g.matrix, s), psi1_terms(*ab), 4
     )
     half = psi1_terms(g.matrix, g.matrix)[:2]
-    assert_within_roundoff(pi1_tensor(g), half, psi1_terms(ab[0], ab[0])[:2], 2)
+    assert_within_roundoff(g.pi1, half, psi1_terms(ab[0], ab[0])[:2], 2)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

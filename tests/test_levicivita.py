@@ -11,7 +11,6 @@ from prodgeo.levicivita import (
     curvature_tensor,
     lee_form,
     levi_civita_coeffs,
-    pi1_tensor,
     psi1_operator,
     ricci_and_scalar,
     sectional_curvature,
@@ -334,12 +333,12 @@ class TestSectional:
 class TestCurvatureTypeOperators:
     def test_space_form_tensor_entry(self):
         metric = MetricTensor.from_matrix(np.eye(4))
-        pi1 = pi1_tensor(metric)
+        pi1 = metric.pi1
         assert pi1[0, 1, 1, 0] == pytest.approx(1.0)
 
     def test_degenerate_arguments_vanish(self):
         metric = MetricTensor.from_matrix(np.eye(4))
-        pi1 = pi1_tensor(metric)
+        pi1 = metric.pi1
         rng = np.random.default_rng(9)
         for _ in range(10):
             x, z, w = rng.normal(size=(3, 4))
@@ -348,7 +347,7 @@ class TestCurvatureTypeOperators:
     def test_metric_extension_is_twice_space_form(self, inst_1234):
         metric = inst_1234.metric
         psi_g = psi1_operator(metric, metric.matrix)
-        assert max_abs(psi_g - 2.0 * pi1_tensor(metric)) <= 1e-12
+        assert max_abs(psi_g - 2.0 * metric.pi1) <= 1e-12
 
     def test_zero_input(self, inst_1234):
         assert max_abs(psi1_operator(inst_1234.metric, np.zeros((4, 4)))) == 0.0
@@ -379,7 +378,7 @@ class TestWeyl:
     def test_space_form_input(self, inst_1234):
         metric = inst_1234.metric
         for c in (-2.0, 0.0, 3.5):
-            r = c * pi1_tensor(metric)
+            r = c * metric.pi1
             ricci = ricci_and_scalar(r, metric)
             w = weyl_tensor(r, ricci.rho, ricci.tau, metric)
             assert max_abs(w) <= 1e-12

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from prodgeo import errors
 from prodgeo.conformal import deformed_geometry, random_closed_form
 from prodgeo.example import ExampleParams, build_example
 from prodgeo.levicivita import (
@@ -9,21 +8,17 @@ from prodgeo.levicivita import (
     cov_deriv_components,
     levi_civita_coeffs,
     lee_form,
-    pi1_tensor,
     ricci_and_scalar,
     structure_tensor_F,
     weyl_tensor,
 )
-from prodgeo.liealg import LieFrameAlgebra
 from prodgeo.natural import (
     NaturalConnection,
     TorsionParams,
     canonical_params,
-    connection_D,
     connection_from_torsion,
     curvature_Rprime,
     direct_potential,
-    dtheta_components,
     flat_D_report,
     has_parallel_torsion,
     is_riemannian_P_tensor,
@@ -34,16 +29,12 @@ from prodgeo.natural import (
     ricci_scalar_relation,
     s_tensor,
     torsion_family,
-    torsion_identity_defects,
     torsion_of_D,
     verify_curvature_relation,
 )
-from prodgeo.structure import RpmInstance
 from prodgeo.tensors import CO, max_abs
 from prodgeo.pipeline import analyze_instance
 from tests.conftest import frame_changed_dim8, random_lambdas
-
-E = np.eye(4)
 
 
 def full(inst):
@@ -80,19 +71,6 @@ class TestTorsionFamily:
             conn = connection_from_torsion(inst_1234, torsion_family(inst_1234, theta, params))
             dg, dp = naturality_defects(conn, inst_1234)
             assert dg <= 1e-9 and dp <= 1e-9
-
-    def test_warns_outside_class(self, inst_1000):
-        c = np.array(inst_1000.c)
-        c[1, 2] = E[0]
-        c[2, 1] = -E[0]
-        inst = RpmInstance(
-            alg=LieFrameAlgebra(4, c),
-            metric=inst_1000.metric,
-            structure=inst_1000.structure,
-        )
-        _, theta = full(inst)
-        with pytest.warns(errors.NotW1Warning):
-            torsion_family(inst, theta, TorsionParams(0, 0))
 
 
 class TestConnectionFromTorsion:
@@ -144,16 +122,16 @@ class TestConnectionFromTorsion:
 
 class TestConnectionD:
     def test_single_parameter_components(self, inst_1000):
-        d = connection_D(inst_1000)
+        d = analyze_instance(inst_1000).D
         assert np.allclose(d.gamma[2, 3], [-1, 0, 0, 0])  # X4 along X3 gives -X1
 
     def test_other_parameter_components(self):
         inst = build_example(ExampleParams((0, 0, 3, 0)))
-        d = connection_D(inst)
+        d = analyze_instance(inst).D
         assert np.allclose(d.gamma[0, 0], [0, 0, 0, -3])  # X1 along X1 gives -3 X4
 
     def test_degenerate_case_reduces_to_levi_civita(self, inst_zero):
-        d = connection_D(inst_zero)
+        d = analyze_instance(inst_zero).D
         assert max_abs(d.gamma - levi_civita_coeffs(inst_zero)) == 0.0
 
     def test_lee_derivative_relation(self):
@@ -162,8 +140,7 @@ class TestConnectionD:
         for lam in random_lambdas(83, 30):
             inst = build_example(ExampleParams(lam))
             nabla, theta = full(inst)
-            d = connection_D(inst)
-            lhs = dtheta_components(d, theta)
+            lhs = analyze_instance(inst).dtheta
             grad = cov_deriv_components(nabla, theta, (CO,))
             omega = inst.g_inv @ theta
             theta_p_omega = float(theta @ inst.p @ omega)
@@ -175,20 +152,8 @@ class TestConnectionD:
     def test_naturality(self):
         for lam in random_lambdas(89, 100):
             inst = build_example(ExampleParams(lam))
-            dg, dp = naturality_defects(connection_D(inst), inst)
+            dg, dp = naturality_defects(analyze_instance(inst).D, inst)
             assert dg <= 1e-9 and dp <= 1e-9
-
-    def test_warns_outside_class(self, inst_1000):
-        c = np.array(inst_1000.c)
-        c[1, 2] = E[0]
-        c[2, 1] = -E[0]
-        inst = RpmInstance(
-            alg=LieFrameAlgebra(4, c),
-            metric=inst_1000.metric,
-            structure=inst_1000.structure,
-        )
-        with pytest.warns(errors.NotW1Warning):
-            connection_D(inst)
 
 
 class TestTorsionOfD:
@@ -213,9 +178,7 @@ class TestTorsionOfD:
     def test_structural_identities(self):
         for lam in random_lambdas(97, 100):
             inst = build_example(ExampleParams(lam))
-            _, theta = full(inst)
-            d = connection_D(inst)
-            ids = torsion_identity_defects(inst, d, theta)
+            ids = analyze_instance(inst).torsion_identities
             assert ids.cyclic <= 1e-9
             assert ids.structure_cyclic <= 1e-9
             assert ids.nested_cyclic <= 1e-9
@@ -253,36 +216,32 @@ class TestCurvatureRelation:
             assert rel.ricci_residual <= 1e-9 and rel.scalar_residual <= 1e-9
 
     def test_trace_spot_value(self, inst_1234):
-        _, theta = full(inst_1234)
-        d = connection_D(inst_1234)
-        assert s_tensor(inst_1234, d, theta).trace_S == pytest.approx(120.0)
+        a = analyze_instance(inst_1234)
+        assert s_tensor(inst_1234, a.dtheta, a.lee.norm_sq).trace_S == pytest.approx(120.0)
 
     def test_s_vanishes_with_lee_form(self, inst_zero):
-        _, theta = full(inst_zero)
-        d = connection_D(inst_zero)
-        assert max_abs(s_tensor(inst_zero, d, theta).S) == 0.0
+        assert max_abs(analyze_instance(inst_zero).S.S) == 0.0
 
     def test_metric_part_of_s(self, inst_1000):
         # Lee norm 16 over 4n = 8 gives twice the identity
+        a = analyze_instance(inst_1000)
         _, theta = full(inst_1000)
-        d = connection_D(inst_1000)
-        s = s_tensor(inst_1000, d, theta).S
-        dtheta_part = dtheta_components(d, theta) @ inst_1000.p
-        assert np.allclose(s - dtheta_part, 2.0 * np.eye(4))
+        dtheta_part = cov_deriv_components(a.D.gamma, theta, (CO,)) @ inst_1000.p
+        assert np.allclose(a.S.S - dtheta_part, 2.0 * np.eye(4))
 
 
 class TestNaturalCurvature:
     def test_family_flat(self):
         for lam in random_lambdas(109, 50):
             inst = build_example(ExampleParams(lam))
-            d = connection_D(inst)
+            d = analyze_instance(inst).D
             rp = curvature_Rprime(d, inst.alg, inst.metric)
             assert max_abs(rp) <= 1e-9
 
     def test_degenerate_case_equals_levi_civita_curvature(self, inst_zero):
         from prodgeo.levicivita import curvature_tensor
 
-        d = connection_D(inst_zero)
+        d = analyze_instance(inst_zero).D
         rp = curvature_Rprime(d, inst_zero.alg, inst_zero.metric)
         nabla = levi_civita_coeffs(inst_zero)
         r = curvature_tensor(nabla, inst_zero.alg, inst_zero.metric)
@@ -312,7 +271,7 @@ class TestPTensorPredicate:
         # the invariance axiom transforms only the last two slots, and the
         # space-form tensor fails it: pairing slots across the two factors
         # flips against pairing them straight (defect 2 on unit diagonals)
-        report = is_riemannian_P_tensor(pi1_tensor(inst_1234.metric), inst_1234.p)
+        report = is_riemannian_P_tensor(inst_1234.metric.pi1, inst_1234.p)
         assert report.skew12 <= 1e-12 and report.skew34 <= 1e-12
         assert report.bianchi <= 1e-12
         assert report.p_invariance == pytest.approx(2.0)
@@ -342,19 +301,17 @@ class TestPTensorPredicate:
 
 class TestCriterionAndParallelTorsion:
     def test_flat_family_satisfies_criterion(self, inst_1234):
-        nabla, theta = full(inst_1234)
-        d = connection_D(inst_1234)
-        rp = curvature_Rprime(d, inst_1234.alg, inst_1234.metric)
-        crit = p_curvature_criterion(inst_1234, nabla, d, theta, rp)
+        a = analyze_instance(inst_1234)
+        rp = curvature_Rprime(a.D, inst_1234.alg, inst_1234.metric)
+        crit = p_curvature_criterion(inst_1234, a.grad_theta, a.dtheta, rp)
         assert crit.dtheta_symmetry_defect <= 1e-9
         assert crit.bianchi_defect_rprime <= 1e-9
         assert crit.equivalence_holds and crit.closedness_agrees
 
     def test_degenerate_case(self, inst_zero):
-        nabla, theta = full(inst_zero)
-        d = connection_D(inst_zero)
-        rp = curvature_Rprime(d, inst_zero.alg, inst_zero.metric)
-        crit = p_curvature_criterion(inst_zero, nabla, d, theta, rp)
+        a = analyze_instance(inst_zero)
+        rp = curvature_Rprime(a.D, inst_zero.alg, inst_zero.metric)
+        crit = p_curvature_criterion(inst_zero, a.grad_theta, a.dtheta, rp)
         assert crit.dtheta_symmetry_defect == 0.0
         assert crit.bianchi_defect_rprime == 0.0
         assert crit.equivalence_holds
@@ -365,29 +322,27 @@ class TestCriterionAndParallelTorsion:
             inst = build_example(ExampleParams(lam))
             alpha = random_closed_form(inst.alg, rng)
             geo = deformed_geometry(inst, alpha)
-            crit = p_curvature_criterion(inst, geo.nabla, geo.D, geo.lee.theta, geo.Rprime)
+            crit = p_curvature_criterion(inst, geo.grad_theta, geo.dtheta, geo.Rprime)
             assert crit.equivalence_holds and crit.closedness_agrees
 
     def test_perturbed_connection_fails_both_sides(self, inst_1234):
         # breaking naturality must break the symmetry and the cyclic identity
         # together, which is exactly what the biconditional asserts
-        nabla, theta = full(inst_1234)
-        d = connection_D(inst_1234)
-        gamma = np.array(d.gamma)
+        a = analyze_instance(inst_1234)
+        gamma = np.array(a.D.gamma)
         gamma[0, 1, 2] += 0.35
-        bent = NaturalConnection(gamma=gamma, Q=d.Q, T=d.T)
+        bent = NaturalConnection(gamma=gamma, Q=a.D.Q, T=a.D.T)
         rp = curvature_Rprime(bent, inst_1234.alg, inst_1234.metric)
-        crit = p_curvature_criterion(inst_1234, nabla, bent, theta, rp)
+        dtheta = cov_deriv_components(bent.gamma, a.lee.theta, (CO,))
+        crit = p_curvature_criterion(inst_1234, a.grad_theta, dtheta, rp)
         assert crit.dtheta_symmetry_defect > 1e-3
         assert crit.bianchi_defect_rprime > 1e-3
         assert crit.equivalence_holds
 
     def test_parallel_torsion_only_in_degenerate_case(self):
         for lam in random_lambdas(131, 50):
-            inst = build_example(ExampleParams(lam))
-            nabla, theta = full(inst)
-            d = connection_D(inst)
-            report = has_parallel_torsion(inst, nabla, d, theta)
+            a = analyze_instance(build_example(ExampleParams(lam)))
+            report = has_parallel_torsion(a.inst, a.D, a.t_sharp, a.lee, a.grad_theta, a.dtheta)
             assert report.verdict == all(abs(v) < 1e-12 for v in lam)
             verdicts = {
                 report.dt_defect <= 1e-9,
@@ -397,9 +352,7 @@ class TestCriterionAndParallelTorsion:
             assert len(verdicts) == 1  # triple equivalence
 
     def test_generic_point_all_defects_positive(self, inst_1234):
-        nabla, theta = full(inst_1234)
-        d = connection_D(inst_1234)
-        report = has_parallel_torsion(inst_1234, nabla, d, theta)
+        report = analyze_instance(inst_1234).parallel
         assert report.dt_defect > 1.0
         assert report.dtheta_defect > 1.0
         assert report.gradient_identity_defect > 1.0
@@ -444,19 +397,20 @@ class TestFlatReport:
         # fabricate the flat-with-parallel-torsion regime by feeding the
         # degenerate geometry a hand-built space-form curvature, so the
         # conditional branch is exercised with a nonzero Lee form
-        nabla, theta = full(inst_1234)
-        d = connection_D(inst_1234)
-        theta_omega = float(theta @ inst_1234.g_inv @ theta)
+        a = analyze_instance(inst_1234)
+        theta_omega = a.lee.norm_sq
         n = inst_1234.n
-        r = -(theta_omega / (4 * n * n)) * pi1_tensor(inst_1234.metric)
+        r = -(theta_omega / (4 * n * n)) * inst_1234.metric.pi1
         zero = np.zeros((4,) * 4)
         degenerate_d = NaturalConnection(
             gamma=np.zeros((4, 4, 4)), Q=np.zeros((4, 4, 4)), T=np.zeros((4, 4, 4))
         )
         ricci = ricci_and_scalar(r, inst_1234.metric)
         w = weyl_tensor(r, ricci.rho, ricci.tau, inst_1234.metric)
-        parallel = has_parallel_torsion(inst_1234, nabla, degenerate_d, theta)
-        report = flat_D_report(inst_1234, degenerate_d, r, ricci, zero, w, theta, parallel)
+        parallel = has_parallel_torsion(
+            inst_1234, degenerate_d, degenerate_d.T, a.lee, a.grad_theta, np.zeros((4, 4))
+        )
+        report = flat_D_report(inst_1234, degenerate_d, r, ricci, zero, w, theta_omega, parallel)
         assert report.is_flat and report.torsion_parallel
         assert report.space_form_residual <= 1e-9
         assert report.ricci_residual <= 1e-9

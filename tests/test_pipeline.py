@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 import prodgeo
+from prodgeo import cli
 from prodgeo.cli import build_parser, main
 from prodgeo.conformal import deformed_geometry, random_closed_form
 from prodgeo.example import ExampleParams, build_example
 from prodgeo.liealg import derived_bases
 from prodgeo.pipeline import analyze_instance
+from prodgeo.report import Report
 from tests.conftest import instance_payload
 from tests.test_cli import write_json
 
@@ -50,6 +52,19 @@ def _argument(call, position, keyword):
     return args[position] if len(args) > position else kwargs.get(keyword)
 
 
+@pytest.fixture
+def commands(tmp_path, hyperbolic_dim8):
+    """argv of each command: the builtin family, or the dim-8 hyperbolic instance with a closed form."""
+    inst, _ = hyperbolic_dim8
+    path = write_json(tmp_path / "hyperbolic8.json", instance_payload(inst))
+    alpha = ",".join(repr(x) for x in (0.7 * derived_bases(inst.alg)[1][0]).tolist())
+    return {
+        "verify-paper": ["verify-paper", "--lambda=1,2,3,4", "--json"],
+        "analyze": ["analyze", "--file", path, "--json"],
+        "conformal": ["conformal", "--file", path, f"--alpha={alpha}", "--json"],
+    }
+
+
 class TestNothingIsBuiltTwice:
     def test_construction_builds_nothing_and_each_object_is_built_once(self, monkeypatch, inst_1234):
         calls = record_calls(
@@ -66,16 +81,13 @@ class TestNothingIsBuiltTwice:
             "levicivita.weyl_tensor": 2,
         }
 
-    def test_conformal_builds_only_what_its_checks_read(self, monkeypatch, capsys, tmp_path, hyperbolic_dim8):
-        inst, _ = hyperbolic_dim8
-        path = write_json(tmp_path / "hyperbolic8.json", instance_payload(inst))
-        alpha = ",".join(repr(x) for x in (0.7 * derived_bases(inst.alg)[1][0]).tolist())
+    def test_conformal_builds_only_what_its_checks_read(self, monkeypatch, capsys, commands):
         calls = record_calls(
             monkeypatch, "levicivita.weyl_tensor", "natural.flat_D_report",
             "natural.curvature_Rprime", "levicivita.cov_deriv_components",
             "levicivita.levi_civita_coeffs", "conformal.deformed_geometry",
         )
-        assert main(["conformal", "--file", path, f"--alpha={alpha}", "--json"]) == 0
+        assert main(commands["conformal"]) == 0
         assert '"pass": false' not in capsys.readouterr().out
         assert {name: len(log) for name, log in calls.items()} == {
             "levicivita.weyl_tensor": 2,
@@ -103,6 +115,49 @@ class TestNothingIsBuiltTwice:
         # R and R' of the base, R of each rescaled metric, and each sampled
         # form's transformed R' compared with the one base R' in (1,3) form
         assert len(calls["levicivita.curvature_components"]) == 2 + 5 + 5
+
+    @pytest.mark.parametrize("command", ["verify-paper", "analyze", "conformal"])
+    def test_one_space_form_tensor_and_four_input_copies_per_call(self, monkeypatch, capsys, commands, command):
+        # the space-form tensor is cached on the metric, which the base and
+        # every rescaled analysis share; the copies are c, g, its inverse and P
+        calls = record_calls(monkeypatch, "tensors.pi1_tensor", "tensors.freeze")
+        assert main(commands[command]) == 0
+        capsys.readouterr()
+        assert len(calls["tensors.pi1_tensor"]) == 1
+        assert len(calls["tensors.freeze"]) == 4
+
+    def test_space_form_tensor_is_cached_read_only_on_the_metric(self, inst_1234):
+        metric = inst_1234.metric
+        assert metric.pi1 is metric.pi1
+        with pytest.raises(ValueError):
+            metric.pi1[0, 1, 1, 0] = 2.0
+
+    def test_each_lee_form_derivative_is_taken_once_per_analysis(self, monkeypatch, hyperbolic_dim8):
+        inst, _ = hyperbolic_dim8
+        base = analyze_instance(inst, EPS)
+        rescaled = deformed_geometry(inst, 0.7 * derived_bases(inst.alg)[1][0], EPS)
+        calls = record_calls(monkeypatch, "levicivita.cov_deriv_components")
+        for a in (base, rescaled):
+            # everything a report reads of an analysis
+            cli._add_analysis_checks(Report(instance={}, epsilon=EPS), a)
+            cli._flags_dict(a)
+            cli._tables_dict(a)
+            one_forms = [args[0] for args, _ in calls["levicivita.cov_deriv_components"] if args[1].ndim == 1]
+            assert len(one_forms) == 2
+            assert sum(g is a.nabla for g in one_forms) == sum(g is a.D.gamma for g in one_forms) == 1
+            calls["levicivita.cov_deriv_components"].clear()
+
+    @pytest.mark.parametrize("command, samples", [("verify-paper", 5), ("conformal", 1)])
+    def test_each_conformal_sample_transforms_D_and_checks_closedness_once(
+        self, monkeypatch, capsys, commands, command, samples
+    ):
+        calls = record_calls(monkeypatch, "conformal.transform_D", "conformal.closedness_defect")
+        assert main(commands[command]) == 0
+        capsys.readouterr()
+        assert {name: len(log) for name, log in calls.items()} == {
+            "conformal.transform_D": samples,
+            "conformal.closedness_defect": samples,
+        }
 
 
 class TestRescaledAnalysisUsesItsOwnConnection:

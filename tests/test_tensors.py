@@ -32,6 +32,15 @@ class TestInstanceInputs:
         for name in ("c", "g", "g_inv", "p"):
             assert np.array_equal(getattr(inst, name), getattr(model, name))
 
+    def test_equal_instances_compare_and_hash_by_identity(self):
+        first = build_example(ExampleParams((1, 2, 3, 4)))
+        second = build_example(ExampleParams((1, 2, 3, 4)))
+        for a, b in ((first, second), (first.alg, second.alg), (first.metric, second.metric),
+                     (first.structure, second.structure)):
+            assert a == a and a != b
+            assert hash(a) == hash(a)
+            assert len({a: 0, b: 1}) == 2
+
 
 class TestInvertMetric:
     def test_identity_is_self_inverse(self):

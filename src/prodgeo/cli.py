@@ -93,7 +93,7 @@ def _flags_dict(a: InstanceAnalysis) -> dict:
         "is_w0": a.flags.is_w0,
         "is_w1": a.flags.is_w1,
         "is_product": a.flags.is_product,
-        "flat_natural_connection": a.flat.is_flat,
+        "flat_natural_connection": a.is_flat,
         "torsion_parallel": a.parallel.verdict,
     }
 

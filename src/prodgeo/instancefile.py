@@ -57,19 +57,27 @@ def parse_rational(value) -> float:
     return result
 
 
-def parse_rational_vector(values, length: int | None = None) -> np.ndarray:
-    if not isinstance(values, list):
-        raise ParseError(f"expected a list of rationals, got {values!r}")
-    vec = np.array([parse_rational(v) for v in values])
-    if length is not None and vec.shape != (length,):
-        raise ParseError(f"expected {length} entries, got {len(values)}")
-    return vec
+def parse_rational_matrix(rows, n_rows: int, width: int) -> np.ndarray:
+    """A finite (n_rows, width) table from a list of rows of numbers or rational strings.
 
-
-def parse_rational_matrix(rows, dim: int) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise ParseError(f"expected a {dim}x{dim} matrix")
-    return np.stack([parse_rational_vector(row, dim) for row in rows])
+    One pass over the values: a JSON float is kept as it is, every other
+    value goes through ``parse_rational``; one finiteness check then covers
+    the whole table.
+    """
+    if not isinstance(rows, list) or len(rows) != n_rows:
+        raise ParseError(f"expected a {n_rows}x{width} matrix")
+    for row in rows:
+        if not isinstance(row, list):
+            raise ParseError(f"expected a list of rationals, got {row!r}")
+        if len(row) != width:
+            raise ParseError(f"expected {width} entries, got {len(row)}")
+    table = np.array(
+        [v if type(v) is float else parse_rational(v) for row in rows for v in row], dtype=float
+    ).reshape(n_rows, width)
+    bad = np.flatnonzero(~np.isfinite(table))
+    if bad.size:
+        raise ParseError(f"expected a finite number, got {float(table.flat[bad[0]])!r}")
+    return table
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,7 @@ def instance_from_dict(data: dict) -> LoadedInstance:
         builtin = data["builtin"]
         if not isinstance(builtin, dict) or builtin.get("name") != BUILTIN_NAME:
             raise ParseError(f"unknown builtin {builtin!r}; supported: {BUILTIN_NAME}")
-        lam = parse_rational_vector(builtin.get("lambda"), 4)
+        lam = parse_rational_matrix([builtin.get("lambda")], 1, 4)[0]
         inst = build_example(ExampleParams(tuple(lam)))
         return LoadedInstance(
             instance=inst,
@@ -105,35 +113,34 @@ def instance_from_dict(data: dict) -> LoadedInstance:
     if not isinstance(dim, int) or dim < 4 or dim % 2 != 0:
         raise ParseError(f"dim must be an even integer >= 4, got {dim!r}")
 
-    entries: dict[tuple[int, int], np.ndarray] = {}
-    if not isinstance(data["brackets"], list):
+    brackets = data["brackets"]
+    if not isinstance(brackets, list):
         raise ParseError("'brackets' must be a list")
-    for entry in data["brackets"]:
+    keys: dict[tuple[int, int], None] = {}
+    for entry in brackets:
         if not isinstance(entry, dict) or not {"i", "j", "coeffs"} <= set(entry):
             raise ParseError(f"bad bracket entry {entry!r}")
         i, j = entry["i"], entry["j"]
         if not all(isinstance(k, int) and 1 <= k <= dim for k in (i, j)) or i == j:
             raise ParseError(f"bracket indices must be distinct and in 1..{dim}, got ({i}, {j})")
-        key = (i - 1, j - 1)
-        if key in entries or (j - 1, i - 1) in entries:
+        if (i - 1, j - 1) in keys or (j - 1, i - 1) in keys:
             raise ParseError(f"duplicate bracket entry for ({i}, {j})")
-        entries[key] = parse_rational_vector(entry["coeffs"], dim)
+        keys[i - 1, j - 1] = None
+    coeffs = parse_rational_matrix([entry["coeffs"] for entry in brackets], len(brackets), dim)
+    metric = parse_rational_matrix(data["metric"], dim, dim)
+    p = parse_rational_matrix(data["P"], dim, dim)
 
-    metric = parse_rational_matrix(data["metric"], dim)
-    p = parse_rational_matrix(data["P"], dim)
-
+    c = np.zeros((dim, dim, dim))
+    first, second = np.array(list(keys), dtype=int).reshape(-1, 2).T
+    c[first, second] = coeffs
+    c[second, first] = -coeffs
     try:
-        alg = LieFrameAlgebra.from_brackets(dim, entries)
         inst = RpmInstance(
-            alg=alg,
+            alg=LieFrameAlgebra(dim, c),
             metric=MetricTensor.from_matrix(metric),
             structure=ProductStructure(p),
         )
     except GeometryError as exc:
-        c = np.zeros((dim, dim, dim))
-        for (i, j), vec in entries.items():
-            c[i, j] = vec
-            c[j, i] = -vec
         raise InvalidInstance(str(exc), c=c, g=metric, p=p) from exc
     return LoadedInstance(instance=inst, descriptor={"kind": "explicit", "dim": dim})
 

@@ -192,20 +192,20 @@ def psi1_operator(metric: MetricTensor, s, eps: float = DEFAULT_EPS) -> np.ndarr
     s = np.asarray(s, dtype=float)
     if max_abs(s - s.T) > eps * max(1.0, max_abs(s)):
         warnings.warn("extending a non-symmetric 2-tensor", NonSymmetricInputWarning)
-    g = metric.matrix
-    return (
-        g[None, :, :, None] * s[:, None, None, :]
-        - g[:, None, :, None] * s[None, :, None, :]
-        + s[None, :, :, None] * g[:, None, None, :]
-        - s[:, None, :, None] * g[None, :, None, :]
-    )
+    # g(y, z) s(x, w) + s(y, z) g(x, w) at [x, y, z, w], minus its (x, y) swap
+    a = np.multiply.outer(metric.matrix, s)
+    a += np.multiply.outer(s, metric.matrix)
+    a = a.transpose(2, 0, 1, 3)
+    return a - a.swapaxes(0, 1)
 
 
 def weyl_tensor(r: np.ndarray, rho: np.ndarray, tau: float, metric: MetricTensor) -> np.ndarray:
-    """Trace-free conformally invariant part of a curvature tensor."""
+    """Trace-free conformally invariant part of a curvature tensor.
+
+    One extension, of rho - tau g / (2(2n - 1)): the metric's extension is
+    twice the space-form tensor.
+    """
     n = metric.dim // 2
-    correction = psi1_operator(metric, rho)
-    # in place: the cached pi1 stays alive, so spare the dim**4 temporaries
-    correction -= (tau / (2 * n - 1)) * metric.pi1
+    correction = psi1_operator(metric, rho - (tau / (2 * (2 * n - 1))) * metric.matrix)
     correction /= 2 * (n - 1)
     return r - correction

@@ -66,8 +66,9 @@ def jacobi_defect(c: np.ndarray) -> float:
     """Largest component of the cyclic bracket sum of the structure constants ``c``
     over all basis triples."""
     nested = compose(c, c)
-    cyc = nested + np.einsum("jkil->ijkl", nested) + np.einsum("kijl->ijkl", nested)
-    return max_abs(cyc)
+    cyc = nested + np.einsum("jkil->ijkl", nested)
+    cyc += np.einsum("kijl->ijkl", nested)
+    return float(np.abs(cyc, out=cyc).max())
 
 
 def derived_bases(alg: LieFrameAlgebra, tol: float = DERIVED_PIVOT_TOL) -> tuple[np.ndarray, np.ndarray]:

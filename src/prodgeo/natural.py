@@ -186,11 +186,10 @@ def ricci_scalar_relation(
 
 def bianchi_defect(components: np.ndarray) -> float:
     """First-Bianchi defect: cyclic sum over the first three slots."""
-    return max_abs(
-        components
-        + np.einsum("jkil->ijkl", components)
-        + np.einsum("kijl->ijkl", components)
-    )
+    cyc = components + np.einsum("jkil->ijkl", components)
+    # in place, the absolute value too: the sum is the one dim**4 temporary
+    cyc += np.einsum("kijl->ijkl", components)
+    return float(np.abs(cyc, out=cyc).max())
 
 
 @dataclass(frozen=True)
@@ -307,7 +306,6 @@ class FlatReport:
     """
 
     is_flat: bool
-    rprime_max: float
     weyl_max: float | None
     torsion_parallel: bool
     space_form_residual: float | None
@@ -325,20 +323,17 @@ def flat_D_report(
     r: np.ndarray,
     ricci: levicivita.RicciScalar,
     r_prime: np.ndarray,
+    is_flat: bool,
     w: np.ndarray,
     theta_norm_sq: float,
     parallel: ParallelTorsionReport,
     eps: float = DEFAULT_EPS,
 ) -> FlatReport:
     """``r``, ``ricci`` and the Weyl tensor ``w`` belong to the Levi-Civita
-    connection, ``r_prime`` and ``parallel`` to ``d``; ``theta_norm_sq`` is
-    the squared norm of the Lee form."""
+    connection, ``r_prime``, its flatness ``is_flat`` and ``parallel`` to
+    ``d``; ``theta_norm_sq`` is the squared norm of the Lee form."""
     n = inst.n
     metric = inst.metric
-    pi1 = metric.pi1
-
-    rprime_max = max_abs(r_prime)
-    is_flat = rprime_max <= eps
     tau = ricci.tau
 
     weyl_max = max_abs(w) if is_flat else None
@@ -346,7 +341,7 @@ def flat_D_report(
     space_form = ricci_res = scalar_res = dr_defect = None
     tau_negative = None
     if is_flat and parallel.verdict:
-        space_form = max_abs(r + (theta_norm_sq / (4.0 * n * n)) * pi1)
+        space_form = max_abs(r + (theta_norm_sq / (4.0 * n * n)) * metric.pi1)
         ricci_res = max_abs(
             ricci.rho + (2.0 * n - 1.0) / (4.0 * n * n) * theta_norm_sq * metric.matrix
         )
@@ -360,11 +355,10 @@ def flat_D_report(
 
     parallel_relation = None
     if parallel.verdict:
-        parallel_relation = max_abs(r - r_prime + (theta_norm_sq / (4.0 * n * n)) * pi1)
+        parallel_relation = max_abs(r - r_prime + (theta_norm_sq / (4.0 * n * n)) * metric.pi1)
 
     return FlatReport(
         is_flat=is_flat,
-        rprime_max=rprime_max,
         weyl_max=weyl_max,
         torsion_parallel=parallel.verdict,
         space_form_residual=space_form,
@@ -403,9 +397,9 @@ def torsion_identity_defects(
     )
 
     nested = compose(t_sharp, t_sharp)
-    nested_cyclic = max_abs(
-        nested + np.einsum("jkil->ijkl", nested) + np.einsum("kijl->ijkl", nested)
-    )
+    cyc = nested + np.einsum("jkil->ijkl", nested)
+    cyc += np.einsum("kijl->ijkl", nested)
+    nested_cyclic = float(np.abs(cyc, out=cyc).max())
 
     potential_transpose = max_abs(q3 - np.einsum("kji->ijk", t3))
     lee_orthogonality = max_abs(np.einsum("m,ml,ijl->ij", theta, p, t_sharp))

@@ -173,9 +173,15 @@ class InstanceAnalysis:
         )
 
     @cached_property
+    def is_flat(self) -> bool:
+        """Whether D is flat: the one flatness test, which the reports read."""
+        return max_abs(self.Rprime) <= self.eps
+
+    @cached_property
     def flat(self) -> FlatReport:
+        """The flat-branch residuals; no report reads them, only tests."""
         return natural.flat_D_report(
-            self.inst, self.D, self.R, self.ricci, self.Rprime, self.W,
+            self.inst, self.D, self.R, self.ricci, self.Rprime, self.is_flat, self.W,
             self.lee.norm_sq, self.parallel, self.eps,
         )
 

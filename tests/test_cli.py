@@ -388,6 +388,44 @@ class TestNonFiniteInput:
         assert captured.err.startswith("error:")
 
 
+# JSON text of one bad table value, and the message that names it
+BAD_TABLE_VALUES = {
+    "true": ("true", "expected a number or rational string, got True"),
+    "null": ("null", "expected a number or rational string, got None"),
+    "junk": ('"x"', "bad rational 'x'"),
+    "zero_denominator": ('"1/0"', "bad rational '1/0'"),
+    "huge_int": ("1" + "0" * 400, "1" + "0" * 400 + " is too large for a float"),
+    "list": ("[1]", "expected a number or rational string, got [1]"),
+    "short_row": (None, "expected 4 entries, got 3"),
+}
+
+
+class TestMalformedTables:
+    @pytest.mark.parametrize("value", list(BAD_TABLE_VALUES))
+    @pytest.mark.parametrize("where", ["bracket", "metric"])
+    def test_bad_value_exits_2_with_the_message_that_names_it(self, capsys, tmp_path, value, where):
+        token, message = BAD_TABLE_VALUES[value]
+        payload = {
+            "dim": 4,
+            "brackets": [{"i": 1, "j": 2, "coeffs": [0, 1, "3/4", 0.5]}, {"i": 3, "j": 4, "coeffs": [0, 0, 0, 0]}],
+            "metric": [list(row) for row in ORTHO],
+            "P": SWAP_P,
+        }
+        row = payload["brackets"][1]["coeffs"] if where == "bracket" else payload["metric"][2]
+        if token is None:
+            row.pop()
+        else:
+            row[-1] = "PLACEHOLDER"
+        text = json.dumps(payload).replace('"PLACEHOLDER"', token or "", 1)
+        path = tmp_path / "bad_table.json"
+        path.write_text(text)
+        code = main(["analyze", "--file", str(path), "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 class TestNonFiniteReport:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_overflowing_geometry_writes_strict_json(self, capsys):

@@ -19,11 +19,14 @@ from prodgeo.levicivita import (
     levi_civita_coeffs,
     psi1_operator,
     ricci_and_scalar,
+    weyl_tensor,
 )
-from prodgeo.liealg import LieFrameAlgebra
+from prodgeo.liealg import LieFrameAlgebra, jacobi_defect
+from prodgeo.natural import NaturalConnection, bianchi_defect, torsion_identity_defects
 from prodgeo.structure import ProductStructure, RpmInstance, nijenhuis_tensor, structure_pullback
-from prodgeo.tensors import CO, CONTRA, MetricTensor, compose
-from tests.conftest import frame_changed_dim8
+from prodgeo.tensors import CO, CONTRA, MetricTensor, compose, max_abs
+from prodgeo.example import ExampleParams, build_example
+from tests.conftest import frame_changed_dim8, moved_frame
 
 EPS = np.finfo(float).eps
 VARIANCES = [v for rank in range(5) for v in itertools.product((CO, CONTRA), repeat=rank)]
@@ -165,6 +168,60 @@ def test_pi1_and_psi1(seed):
     )
     half = psi1_terms(g.matrix, g.matrix)[:2]
     assert_within_roundoff(g.pi1, half, psi1_terms(ab[0], ab[0])[:2], 2)
+
+
+def weyl_terms(r, rho, tau, g, n):
+    """The two-extension Weyl formula R - (psi1(rho) - tau / (2n - 1) pi1) / (2(n - 1))."""
+    k = 2 * (n - 1)
+    pi1 = psi1_terms(g, g)[:2]
+    return [r] + [-t / k for t in psi1_terms(g, rho)] + [tau / (2 * n - 1) / k * t for t in pi1]
+
+
+def weyl_instances():
+    family = build_example(ExampleParams((1.0, 2.0, 3.0, 4.0)))
+    return {
+        "dim4": moved_frame(family.alg.c, family.structure.components, seed=3),
+        "dim8": frame_changed_dim8(),
+    }
+
+
+@pytest.mark.parametrize("inst", list(weyl_instances().values()), ids=list(weyl_instances()))
+def test_weyl_tensor_against_the_two_extension_formula(inst):
+    # the real curvature plus noise, so the Weyl part is not zero; the
+    # formula is linear in (r, rho, tau) and needs no curvature symmetries
+    dim, metric = inst.dim, inst.metric
+    r = curvature_tensor(levi_civita_coeffs(inst), inst.alg, metric)
+    r = r + np.random.default_rng(dim).normal(size=(dim,) * 4)
+    ricci = ricci_and_scalar(r, metric)
+    rho = 0.5 * (ricci.rho + ricci.rho.T)
+    g, n = metric.matrix, dim // 2
+    assert_within_roundoff(
+        weyl_tensor(r, rho, ricci.tau, metric),
+        weyl_terms(r, rho, ricci.tau, g, n),
+        weyl_terms(np.abs(r), np.abs(rho), abs(ricci.tau), np.abs(g), n),
+        8,
+    )
+
+
+def cyclic_terms(x):
+    return [x, np.einsum("jkil->ijkl", x), np.einsum("kijl->ijkl", x)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_cyclic_sum_defects_are_those_of_the_plain_sum(seed):
+    # the in-place sums add in the same order, so each defect is bitwise that
+    # of the plain three-term sum; an all-negative input puts the largest
+    # magnitude on a negative entry
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(6,) * 4)
+    for arr in (x, -np.abs(x)):
+        assert bianchi_defect(arr) == max_abs(sum(cyclic_terms(arr)))
+    c = rng.normal(size=(6,) * 3)  # not antisymmetric, so the sum's sign is not balanced
+    assert jacobi_defect(c) == max_abs(sum(cyclic_terms(compose(c, c))))
+    t, t_sharp = rng.normal(size=(2,) + (6,) * 3)
+    d = NaturalConnection(gamma=t, Q=t, T=t)
+    ids = torsion_identity_defects(random_instance(seed, 6), d, rng.normal(size=6), t_sharp)
+    assert ids.nested_cyclic == max_abs(sum(cyclic_terms(compose(t_sharp, t_sharp))))
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -410,7 +410,7 @@ class TestFlatReport:
         parallel = has_parallel_torsion(
             inst_1234, degenerate_d, degenerate_d.T, a.lee, a.grad_theta, np.zeros((4, 4))
         )
-        report = flat_D_report(inst_1234, degenerate_d, r, ricci, zero, w, theta_omega, parallel)
+        report = flat_D_report(inst_1234, degenerate_d, r, ricci, zero, True, w, theta_omega, parallel)
         assert report.is_flat and report.torsion_parallel
         assert report.space_form_residual <= 1e-9
         assert report.ricci_residual <= 1e-9
@@ -424,7 +424,7 @@ class TestFlatReport:
         a = analyze_instance(inst)
         report = a.flat
         assert a.flags.is_w1
-        assert report.is_flat and report.torsion_parallel
+        assert report.is_flat is a.is_flat is True and report.torsion_parallel
         dim = inst.dim
         assert report.tau == pytest.approx(-dim * (dim - 1) * a_coeff**2, rel=1e-12)
         assert report.tau_negative is True

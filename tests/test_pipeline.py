@@ -54,12 +54,14 @@ def _argument(call, position, keyword):
 
 @pytest.fixture
 def commands(tmp_path, hyperbolic_dim8):
-    """argv of each command: the builtin family, or the dim-8 hyperbolic instance with a closed form."""
+    """argv of each command: the builtin family, or the dim-8 hyperbolic instance with a closed form;
+    "verify-paper-1111" is the builtin point whose six basis curvatures agree."""
     inst, _ = hyperbolic_dim8
     path = write_json(tmp_path / "hyperbolic8.json", instance_payload(inst))
     alpha = ",".join(repr(x) for x in (0.7 * derived_bases(inst.alg)[1][0]).tolist())
     return {
         "verify-paper": ["verify-paper", "--lambda=1,2,3,4", "--json"],
+        "verify-paper-1111": ["verify-paper", "--lambda=1,1,1,1", "--json"],
         "analyze": ["analyze", "--file", path, "--json"],
         "conformal": ["conformal", "--file", path, f"--alpha={alpha}", "--json"],
     }
@@ -116,14 +118,31 @@ class TestNothingIsBuiltTwice:
         # form's transformed R' compared with the one base R' in (1,3) form
         assert len(calls["levicivita.curvature_components"]) == 2 + 5 + 5
 
-    @pytest.mark.parametrize("command", ["verify-paper", "analyze", "conformal"])
-    def test_one_space_form_tensor_and_four_input_copies_per_call(self, monkeypatch, capsys, commands, command):
-        # the space-form tensor is cached on the metric, which the base and
-        # every rescaled analysis share; the copies are c, g, its inverse and P
+    @pytest.mark.parametrize("command", ["verify-paper", "analyze"])
+    def test_no_flat_branch_residuals_are_built(self, monkeypatch, capsys, commands, command):
+        # the report reads only the flag max|R'| <= eps; on the hyperbolic
+        # instance D is flat with parallel torsion, where the residuals would
+        # take the curvature derivative one direction slab at a time
+        calls = record_calls(monkeypatch, "natural.flat_D_report", "levicivita.cov_deriv_components")
+        assert main(commands[command]) == 0
+        assert '"flat_natural_connection": true' in capsys.readouterr().out
+        assert not calls["natural.flat_D_report"]
+        assert not [args for args, _ in calls["levicivita.cov_deriv_components"] if args[1].ndim == 4]
+
+    @pytest.mark.parametrize(
+        "command, builds",
+        [("verify-paper", 0), ("analyze", 0), ("conformal", 0), ("verify-paper-1111", 1)],
+    )
+    def test_space_form_tensor_only_where_read_and_four_input_copies_per_call(
+        self, monkeypatch, capsys, commands, command, builds
+    ):
+        # the Weyl tensor extends one 2-tensor and reads no space-form tensor;
+        # constant_curvature_flags reads it when the six basis curvatures
+        # agree, as at lambda = (1, 1, 1, 1); the copies are c, g, its inverse and P
         calls = record_calls(monkeypatch, "tensors.pi1_tensor", "tensors.freeze")
         assert main(commands[command]) == 0
         capsys.readouterr()
-        assert len(calls["tensors.pi1_tensor"]) == 1
+        assert len(calls["tensors.pi1_tensor"]) == builds
         assert len(calls["tensors.freeze"]) == 4
 
     def test_space_form_tensor_is_cached_read_only_on_the_metric(self, inst_1234):

@@ -117,14 +117,16 @@ def deformed_geometry(inst: RpmInstance, alpha, eps: float = DEFAULT_EPS) -> Ins
 def conformal_curvature_residual(base: InstanceAnalysis, gamma_bar: np.ndarray) -> float:
     """Invariance defect of the curvature of D: ``gamma_bar`` is ``base.D``
     transformed by a closed form (``transform_D``)."""
-    return max_abs(curvature_components(gamma_bar, base.inst.c) - base.Rprime13)
+    residual = curvature_components(gamma_bar, base.inst.c)
+    residual -= base.Rprime13
+    return max_abs(residual)
 
 
 def conformal_weyl_residual(base: InstanceAnalysis, rescaled: InstanceAnalysis) -> float:
     """Invariance defect of the Weyl tensor, compared in (1,3) variance."""
-    # raised one first-slot slab at a time: one dim**4 temporary, not two
+    # differenced and raised one first-slot slab at a time: dim**3 temporaries only
     g_inv = base.inst.g_inv
-    return max(max_abs(slab @ g_inv) for slab in rescaled.W - base.W)
+    return max(max_abs((w_bar - w) @ g_inv) for w_bar, w in zip(rescaled.W, base.W))
 
 
 def conformal_checks(base: InstanceAnalysis, rescaled: InstanceAnalysis) -> dict[str, float]:

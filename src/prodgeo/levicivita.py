@@ -17,15 +17,15 @@ Conventions (fixed by the golden component tables of the builtin example):
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DegeneratePlane, NonSymmetricInputWarning, SingularMetric
 from .liealg import LieFrameAlgebra
-from .structure import RpmInstance, nijenhuis_tensor
-from .tensors import CO, DEFAULT_EPS, MetricTensor, compose, max_abs
+from .structure import RpmInstance
+from .tensors import CO, DEFAULT_EPS, MetricTensor, max_abs
 
 
 @dataclass(frozen=True)
@@ -117,46 +117,59 @@ def conformal_class_rhs(inst: RpmInstance, theta: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassFlags:
-    """Membership predicates with the defect magnitudes behind them."""
+    """Membership predicates with the defect magnitudes behind them; integrability is read lazily."""
 
     is_w0: bool
     is_w1: bool
-    is_product: bool
     structure_tensor_defect: float
     conformal_class_residual: float
-    nijenhuis_defect: float
+    inst: RpmInstance = field(repr=False)
+    eps: float
+
+    @property
+    def nijenhuis_defect(self) -> float:
+        return self.inst.nijenhuis_defect
+
+    @property
+    def is_product(self) -> bool:
+        return self.nijenhuis_defect <= self.eps
 
 
 def class_flags(inst: RpmInstance, f: np.ndarray, theta, eps: float = DEFAULT_EPS) -> ClassFlags:
     """Class membership from the structure tensor ``f`` and its Lee form ``theta``."""
     w0_defect = max_abs(f)
     w1_residual = max_abs(f - conformal_class_rhs(inst, theta))
-    n_defect = max_abs(nijenhuis_tensor(inst))
     return ClassFlags(
         is_w0=w0_defect <= eps,
         is_w1=w1_residual <= eps,
-        is_product=n_defect <= eps,
         structure_tensor_defect=w0_defect,
         conformal_class_residual=w1_residual,
-        nijenhuis_defect=n_defect,
+        inst=inst,
+        eps=eps,
     )
 
 
-def curvature_components(gamma: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Frame curvature of constant connection coefficients, value slot last.
+def curvature_components(gamma: np.ndarray, c: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+    """Frame curvature of constant connection coefficients, value slot last, lowered by ``g`` if given.
 
     Both quadratic terms come from one batched matrix product,
     t[i, j, k, l] = gamma[j, k, m] gamma[i, m, l]: the second term is t with
-    its first two slots swapped.
+    its first two slots swapped.  The bracket term then goes into t's buffer:
+    two dim**4 buffers in all.  With ``g`` the right factor of both products
+    is gamma g, so lowering costs a dim**3 product, not a dim**5 one.
     """
     d = gamma.shape[0]
-    t = (gamma.reshape(d * d, d) @ gamma).reshape((d,) * 4)
-    return t - t.swapaxes(0, 1) - compose(c, gamma)
+    right = gamma if g is None else gamma @ g
+    t = (gamma.reshape(d * d, d) @ right).reshape((d,) * 4)
+    r = t - t.swapaxes(0, 1)
+    np.matmul(c.reshape(d * d, d), right.reshape(d, d * d), out=t.reshape(d * d, d * d))
+    r -= t
+    return r
 
 
 def curvature_tensor(gamma: np.ndarray, alg: LieFrameAlgebra, metric: MetricTensor) -> np.ndarray:
     """Lowered curvature tensor of a frame-constant connection."""
-    return curvature_components(gamma, alg.c) @ metric.matrix
+    return curvature_components(gamma, alg.c, metric.matrix)
 
 
 @dataclass(frozen=True)
@@ -192,10 +205,10 @@ def psi1_operator(metric: MetricTensor, s, eps: float = DEFAULT_EPS) -> np.ndarr
     s = np.asarray(s, dtype=float)
     if max_abs(s - s.T) > eps * max(1.0, max_abs(s)):
         warnings.warn("extending a non-symmetric 2-tensor", NonSymmetricInputWarning)
-    # g(y, z) s(x, w) + s(y, z) g(x, w) at [x, y, z, w], minus its (x, y) swap
-    a = np.multiply.outer(metric.matrix, s)
-    a += np.multiply.outer(s, metric.matrix)
-    a = a.transpose(2, 0, 1, 3)
+    # g(y, z) s(x, w) + s(y, z) g(x, w) at [x, y, z, w], one rank-2 product
+    # [vec g, vec s] [vec s; vec g], minus its (x, y) swap
+    u, d = np.array((metric.matrix.ravel(), s.ravel())), metric.dim
+    a = (u.T @ u[::-1]).reshape((d,) * 4).transpose(2, 0, 1, 3)
     return a - a.swapaxes(0, 1)
 
 
@@ -208,4 +221,4 @@ def weyl_tensor(r: np.ndarray, rho: np.ndarray, tau: float, metric: MetricTensor
     n = metric.dim // 2
     correction = psi1_operator(metric, rho - (tau / (2 * (2 * n - 1))) * metric.matrix)
     correction /= 2 * (n - 1)
-    return r - correction
+    return np.subtract(r, correction, out=correction)

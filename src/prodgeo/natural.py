@@ -137,7 +137,7 @@ def naturality_defects(d: NaturalConnection, inst: RpmInstance) -> tuple[float, 
 def curvature_Rprime(d: NaturalConnection, alg, metric: MetricTensor, r13=None) -> np.ndarray:
     """Lowered curvature tensor of the natural connection, from its (1,3) form ``r13`` if given."""
     if r13 is None:
-        r13 = curvature_components(d.gamma, alg.c)
+        return curvature_components(d.gamma, alg.c, metric.matrix)
     return r13 @ metric.matrix
 
 
@@ -158,8 +158,11 @@ def verify_curvature_relation(
     r: np.ndarray, r_prime: np.ndarray, s: STensor, metric: MetricTensor, n: int
 ) -> float:
     """Residual of the curvature relation between the two connections."""
-    correction = psi1_operator(metric, s.S) / (2.0 * n)
-    return max_abs(r - r_prime + correction)
+    residual = psi1_operator(metric, s.S)  # summed in place: no dim**4 difference
+    residual /= 2.0 * n
+    residual += r
+    residual -= r_prime
+    return max_abs(residual)
 
 
 @dataclass(frozen=True)
@@ -281,7 +284,9 @@ def has_parallel_torsion(
     """``t_sharp`` is the torsion of ``d`` with its last slot raised, ``lee``
     the Lee form, ``grad_theta`` and ``dtheta`` its derivatives along the
     Levi-Civita connection and along ``d``."""
-    dt_defect = max_abs(cov_deriv_components(d.gamma, t_sharp, (CO, CO, CONTRA)))
+    # one direction at a time, as flat_D_report takes the curvature derivative
+    slabs = np.split(d.gamma, inst.dim)
+    dt_defect = max(max_abs(cov_deriv_components(x, t_sharp, (CO, CO, CONTRA))) for x in slabs)
     theta = lee.theta
     theta_p_omega = float(theta @ inst.p @ lee.omega)
     theta_p = theta @ inst.p

@@ -154,15 +154,17 @@ def table_summary(arr, eps: float) -> dict:
     when the norm itself does.  A NaN or infinite entry makes max and norm
     non-finite, so the report writes both as null.
     """
-    a = np.abs(np.asarray(arr, dtype=float))
+    a = np.abs(np.asarray(arr, dtype=float))  # the one copy, scaled in place below
     top = float(a.max(initial=0.0))
+    nonzero = int(np.count_nonzero(a > eps))
     if not math.isfinite(top):
         norm = math.nan
     elif top == 0.0:
         norm = 0.0
     else:
-        norm = top * float(np.linalg.norm(a / top))
-    return {"max": top, "norm": norm, "nonzero": int(np.count_nonzero(a > eps))}
+        a /= top
+        norm = top * float(np.linalg.norm(a))
+    return {"max": top, "norm": norm, "nonzero": nonzero}
 
 
 def _restored(value):

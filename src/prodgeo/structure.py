@@ -9,6 +9,7 @@ verification commands need to print full diagnostics for bad instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,11 @@ class RpmInstance:
     @property
     def p(self) -> np.ndarray:
         return self.structure.components
+
+    @cached_property
+    def nijenhuis_defect(self) -> float:
+        """max |N| of the integrability obstruction, built once per instance on first read."""
+        return max_abs(nijenhuis_tensor(self))
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,9 @@ def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def max_abs(arr) -> float:
+    """max |x| from the max and the min, no |x| copy; a NaN makes both NaN, + 0.0 clears -0.0."""
     a = np.asarray(arr, dtype=float)
-    return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
+    return 0.0 if a.size == 0 else max(float(a.max()), -float(a.min())) + 0.0
 
 
 def invert_metric(matrix, eps: float = DEFAULT_EPS) -> np.ndarray:

@@ -540,6 +540,21 @@ class TestTableSummaries:
         assert summary == {"max": 1e200, "norm": pytest.approx(8e200, rel=1e-15), "nonzero": 64}
         assert table_summary(np.zeros((2, 2, 2)), 0.0) == {"max": 0.0, "norm": 0.0, "nonzero": 0}
 
+    def test_summary_scales_its_own_copy(self):
+        # |x| is taken once and scaled in place: the numbers are bitwise those
+        # of the scaled copy, and the input is left as it was
+        arr = np.random.default_rng(3).normal(size=(5,) * 4)
+        arr[0] = 1e-12
+        kept = arr.copy()
+        summary = table_summary(arr, 1e-9)
+        top = np.max(np.abs(kept))
+        assert summary == {
+            "max": top,
+            "norm": top * float(np.linalg.norm(np.abs(kept) / top)),
+            "nonzero": 500,
+        }
+        assert np.array_equal(arr, kept)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entries_write_null_max_and_norm(self, bad):
         arr = np.zeros((2, 2, 2))

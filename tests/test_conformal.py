@@ -17,6 +17,8 @@ from prodgeo.example import ExampleParams, build_example
 from prodgeo.levicivita import (
     compatibility_defect,
     cov_deriv_components,
+    curvature_components,
+    curvature_tensor,
     levi_civita_coeffs,
     lee_form,
     structure_tensor_F,
@@ -185,6 +187,28 @@ class TestCurvatureInvariance:
     def test_non_closed_form_bends_the_curvature(self, inst_1000):
         # the transformation rule leaves the curvature of D invariant only for closed forms
         assert curvature_residual(inst_1000, [1, 0, 0, 0]) > 0.1
+
+
+class TestResidualsInPlace:
+    """The residuals difference in place or slab by slab; each is bitwise the
+    max of the whole-array difference, and the analyses' arrays stay as built."""
+
+    def test_bitwise_the_whole_array_residuals(self, inst_1000):
+        # a non-closed form bends both tensors, so the residuals are not roundoff
+        alpha = np.array([1.0, 0.5, 0.0, 0.0])
+        base, rescaled = analyze_instance(inst_1000), analyze_instance(inst_1000, alpha=alpha)
+        with pytest.warns(errors.NonSymmetricInputWarning):  # its Ricci tensor is not symmetric
+            rescaled.W
+        kept = [x.copy() for x in (base.Rprime13, base.W, rescaled.W)]
+        gamma_bar = transform_D(base.D, alpha)
+        curvature = conformal_curvature_residual(base, gamma_bar)
+        weyl = conformal_weyl_residual(base, rescaled)
+        assert curvature == max_abs(curvature_components(gamma_bar, inst_1000.c) - base.Rprime13) > 0.1
+        raised = [slab @ inst_1000.g_inv for slab in rescaled.W - base.W]
+        assert weyl == max(max_abs(x) for x in raised) > 0.1
+        assert all(np.array_equal(x, y) for x, y in zip(kept, (base.Rprime13, base.W, rescaled.W)))
+        for a in (base, rescaled):  # the Weyl tensor is subtracted into its own buffer, not R's
+            assert np.array_equal(a.R, curvature_tensor(a.nabla, inst_1000.alg, inst_1000.metric))
 
 
 class TestWeylConformalInvariance:

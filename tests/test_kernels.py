@@ -23,8 +23,9 @@ from prodgeo.levicivita import (
 )
 from prodgeo.liealg import LieFrameAlgebra, jacobi_defect
 from prodgeo.natural import NaturalConnection, bianchi_defect, torsion_identity_defects
+from prodgeo.pipeline import analyze_instance
 from prodgeo.structure import ProductStructure, RpmInstance, nijenhuis_tensor, structure_pullback
-from prodgeo.tensors import CO, CONTRA, MetricTensor, compose, max_abs
+from prodgeo.tensors import CO, CONTRA, MetricTensor, compose, freeze, max_abs
 from prodgeo.example import ExampleParams, build_example
 from tests.conftest import frame_changed_dim8, moved_frame
 
@@ -147,6 +148,14 @@ class TestAgainstEinsum:
             3 * (gamma.shape[0] + 1),
         )
 
+    def test_unlowered_curvature_is_bitwise_the_three_term_formula(self, source):
+        # the bracket term is written into the product's buffer and subtracted
+        # in place: the same operations in the same order as the plain formula
+        c, gamma = CONNECTIONS[source]
+        d = gamma.shape[0]
+        t = (gamma.reshape(d * d, d) @ gamma).reshape((d,) * 4)
+        assert np.array_equal(curvature_components(gamma, c), t - t.swapaxes(0, 1) - compose(c, gamma))
+
     def test_compose(self, source):
         c, gamma = CONNECTIONS[source]
         assert_within_roundoff(
@@ -157,10 +166,73 @@ class TestAgainstEinsum:
         )
 
 
-@pytest.mark.parametrize("seed", [0, 1])
+def moved_builtin(seed: int = 3) -> RpmInstance:
+    """The builtin family at lambda = (1, 2, 3, 4) in a random non-orthonormal frame."""
+    family = build_example(ExampleParams((1.0, 2.0, 3.0, 4.0)))
+    return moved_frame(family.alg.c, family.structure.components, seed)
+
+
+@pytest.mark.parametrize("inst", [moved_builtin(), frame_changed_dim8()], ids=["dim4", "dim8"])
+def test_lowered_curvature_is_the_unlowered_one_times_g(inst):
+    # lowered through gamma g instead of by a product with g afterwards: the
+    # same sums in another order, so equal up to the roundoff of 3 (2 dim + 1) products
+    g, dim = inst.g, inst.dim
+    nabla = levi_civita_coeffs(inst)
+    assert max_abs(curvature_components(nabla, inst.c, g)) > 1.0  # not a flat connection
+    for gamma in (nabla, analyze_instance(inst).D.gamma):
+        lowered = curvature_components(gamma, inst.c, g)
+        assert_within_roundoff(
+            lowered,
+            [t @ g for t in curvature_terms(gamma, inst.c)],
+            [t @ np.abs(g) for t in curvature_terms(np.abs(gamma), np.abs(inst.c))],
+            3 * (2 * dim + 1),
+        )
+        assert np.array_equal(curvature_tensor(gamma, inst.alg, inst.metric), lowered)
+
+
+def max_abs_cases():
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(5, 6, 7))
+    with_nan, with_inf = x.copy(), x.copy()
+    with_nan[1, 2, 3] = np.nan
+    with_inf[4, 0, 6] = -np.inf
+    return {
+        "random": x,
+        "all_negative": -np.abs(x),
+        "zeros": np.zeros((3, 4)),  # max 0.0 against -min -0.0
+        "negative_zero_only": np.full((3, 4), -0.0),
+        "mixed_zeros": np.array([0.0, -0.0, -0.0]),
+        "nan": with_nan,
+        "minus_inf": with_inf,
+        "plus_inf": np.array([1.0, np.inf, -2.0]),
+        "both_infs": np.array([-np.inf, np.inf]),
+        "nan_and_inf": np.array([-np.inf, np.nan]),
+        "read_only": freeze(x),
+        "scalar": np.float64(-3.5),
+        "rank4": rng.normal(size=(6,) * 4),
+    }
+
+
+@pytest.mark.parametrize("case", list(max_abs_cases()))
+def test_max_abs_is_bitwise_the_max_of_the_absolute_copy(case):
+    # from the max and the min, with no |x| copy; + 0.0 turns -0.0 into 0.0
+    arr = max_abs_cases()[case]
+    got, ref = max_abs(arr), float(np.max(np.abs(arr)))
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+
+def test_max_abs_of_an_empty_array_is_zero():
+    assert max_abs(np.zeros((0, 3))) == 0.0
+    assert max_abs([]) == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, "dim4"])
 def test_pi1_and_psi1(seed):
-    g = frame_changed_dim8(seed).metric
-    s = np.random.default_rng(seed).normal(size=(8, 8))
+    # psi1 is one rank-2 product [vec g, vec s] [vec s; vec g], antisymmetrised
+    inst = moved_builtin() if seed == "dim4" else frame_changed_dim8(seed)
+    g, dim = inst.metric, inst.dim
+    s = np.random.default_rng(dim if seed == "dim4" else seed).normal(size=(dim, dim))
     s = s + s.T
     ab = np.abs(g.matrix), np.abs(s)
     assert_within_roundoff(
@@ -178,11 +250,7 @@ def weyl_terms(r, rho, tau, g, n):
 
 
 def weyl_instances():
-    family = build_example(ExampleParams((1.0, 2.0, 3.0, 4.0)))
-    return {
-        "dim4": moved_frame(family.alg.c, family.structure.components, seed=3),
-        "dim8": frame_changed_dim8(),
-    }
+    return {"dim4": moved_builtin(), "dim8": frame_changed_dim8()}
 
 
 @pytest.mark.parametrize("inst", list(weyl_instances().values()), ids=list(weyl_instances()))
@@ -222,6 +290,15 @@ def test_cyclic_sum_defects_are_those_of_the_plain_sum(seed):
     d = NaturalConnection(gamma=t, Q=t, T=t)
     ids = torsion_identity_defects(random_instance(seed, 6), d, rng.normal(size=6), t_sharp)
     assert ids.nested_cyclic == max_abs(sum(cyclic_terms(compose(t_sharp, t_sharp))))
+
+
+@pytest.mark.parametrize("inst", [moved_builtin(), frame_changed_dim8()], ids=["dim4", "dim8"])
+def test_parallel_torsion_defect_is_that_of_the_whole_derivative(inst):
+    # the torsion derivative is taken one direction slab at a time; its max
+    # over the slabs is bitwise the max of the whole derivative
+    a = analyze_instance(inst)
+    full = cov_deriv_components(a.D.gamma, a.t_sharp, (CO, CO, CONTRA))
+    assert a.parallel.dt_defect == max_abs(full) > 1e-3
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -129,6 +129,37 @@ class TestNothingIsBuiltTwice:
         assert not calls["natural.flat_D_report"]
         assert not [args for args, _ in calls["levicivita.cov_deriv_components"] if args[1].ndim == 4]
 
+    @pytest.mark.parametrize("command", ["verify-paper", "analyze"])
+    def test_torsion_derivative_is_taken_one_direction_at_a_time(self, monkeypatch, capsys, commands, command):
+        # the parallel-torsion defect takes the max over direction slabs, so no
+        # call holds the derivative in every direction at once
+        calls = record_calls(monkeypatch, "levicivita.cov_deriv_components")
+        assert main(commands[command]) == 0
+        capsys.readouterr()
+        torsion = [args[0].shape[0] for args, _ in calls["levicivita.cov_deriv_components"] if args[1].ndim == 3]
+        dim = 4 if command == "verify-paper" else 8
+        assert torsion == [1] * dim
+
+    @pytest.mark.parametrize("command, builds", [("verify-paper", 1), ("analyze", 1), ("conformal", 0)])
+    def test_integrability_is_built_once_per_instance_and_only_where_read(
+        self, monkeypatch, capsys, commands, command, builds
+    ):
+        # it reads c and P only: the five rescaled analyses of verify-paper share
+        # the base instance's, and conformal reports neither the check nor the flag
+        calls = record_calls(monkeypatch, "structure.nijenhuis_tensor")
+        assert main(commands[command]) == 0
+        out = capsys.readouterr().out
+        assert len(calls["structure.nijenhuis_tensor"]) == builds
+        assert ('"is_product": true' in out) == (builds == 1)
+
+    def test_integrability_is_cached_on_the_instance(self, monkeypatch, inst_1234):
+        calls = record_calls(monkeypatch, "structure.nijenhuis_tensor")
+        flags = analyze_instance(inst_1234, EPS).flags
+        assert not calls["structure.nijenhuis_tensor"]
+        assert flags.is_product and flags.nijenhuis_defect == inst_1234.nijenhuis_defect
+        assert analyze_instance(inst_1234, EPS).flags.nijenhuis_defect == flags.nijenhuis_defect
+        assert len(calls["structure.nijenhuis_tensor"]) == 1
+
     @pytest.mark.parametrize(
         "command, builds",
         [("verify-paper", 0), ("analyze", 0), ("conformal", 0), ("verify-paper-1111", 1)],

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotClosed
-from .levicivita import curvature_components
-from .liealg import LieFrameAlgebra, derived_bases
+from .levicivita import curvature_components, ricci_and_scalar, weyl_tensor
+from .liealg import LieFrameAlgebra
 from .natural import NaturalConnection
 from .pipeline import InstanceAnalysis, analyze_instance
 from .structure import ProductStructure, RpmInstance
@@ -38,19 +38,18 @@ def require_closed(alg: LieFrameAlgebra, alpha, eps: float = DEFAULT_EPS) -> np.
     alpha = np.asarray(alpha, dtype=float)
     defect = closedness_defect(alg, alpha)
     if defect > eps * max(1.0, max_abs(alg.c) * max_abs(alpha)):
-        _, basis = derived_bases(alg)
         raise NotClosed(
             f"the 1-form is not closed (bracket defect {defect:.3e}); "
             f"closed forms must annihilate the derived subalgebra.\n"
-            f"closed-form basis rows:\n{np.array2string(basis, precision=6)}",
-            basis,
+            f"closed-form basis rows:\n{np.array2string(alg.closed_forms, precision=6)}",
+            alg.closed_forms,
         )
     return alpha
 
 
 def random_closed_form(alg: LieFrameAlgebra, rng: np.random.Generator, scale: float = 2.0) -> np.ndarray:
     """A random closed 1-form; zero when the algebra admits none but zero."""
-    _, basis = derived_bases(alg)
+    basis = alg.closed_forms
     if basis.shape[0] == 0:
         return np.zeros(alg.dim)
     return rng.uniform(-scale, scale, basis.shape[0]) @ basis
@@ -117,16 +116,19 @@ def deformed_geometry(inst: RpmInstance, alpha, eps: float = DEFAULT_EPS) -> Ins
 def conformal_curvature_residual(base: InstanceAnalysis, gamma_bar: np.ndarray) -> float:
     """Invariance defect of the curvature of D: ``gamma_bar`` is ``base.D``
     transformed by a closed form (``transform_D``)."""
-    residual = curvature_components(gamma_bar, base.inst.c)
-    residual -= base.Rprime13
-    return max_abs(residual)
+    return max_abs(curvature_components(gamma_bar, base.inst.c, minus=base.D.gamma))
 
 
 def conformal_weyl_residual(base: InstanceAnalysis, rescaled: InstanceAnalysis) -> float:
-    """Invariance defect of the Weyl tensor, compared in (1,3) variance."""
-    # differenced and raised one first-slot slab at a time: dim**3 temporaries only
-    g_inv = base.inst.g_inv
-    return max(max_abs((w_bar - w) @ g_inv) for w_bar, w in zip(rescaled.W, base.W))
+    """Invariance defect of the Weyl tensor, compared in (1,3) variance: the Weyl
+    tensor is linear in the curvature and the metrics agree at the base point, so
+    the Weyl difference is the Weyl tensor of the curvature difference."""
+    metric = base.inst.metric
+    diff = curvature_components(rescaled.nabla, base.inst.c, metric.matrix, minus=base.nabla)
+    ricci = ricci_and_scalar(diff, metric)
+    # alpha is closed, so both Ricci tensors are symmetric: any asymmetry here is their roundoff
+    w = weyl_tensor(diff, ricci.rho, ricci.tau, metric, eps=np.inf)
+    return max_abs(np.matmul(w, metric.inverse, out=diff))
 
 
 def conformal_checks(base: InstanceAnalysis, rescaled: InstanceAnalysis) -> dict[str, float]:

@@ -149,19 +149,29 @@ def class_flags(inst: RpmInstance, f: np.ndarray, theta, eps: float = DEFAULT_EP
     )
 
 
-def curvature_components(gamma: np.ndarray, c: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+def curvature_components(
+    gamma: np.ndarray, c: np.ndarray, g: np.ndarray | None = None, minus: np.ndarray | None = None
+) -> np.ndarray:
     """Frame curvature of constant connection coefficients, value slot last, lowered by ``g`` if given.
 
     Both quadratic terms come from one batched matrix product,
     t[i, j, k, l] = gamma[j, k, m] gamma[i, m, l]: the second term is t with
     its first two slots swapped.  The bracket term then goes into t's buffer:
     two dim**4 buffers in all.  With ``g`` the right factor of both products
-    is gamma g, so lowering costs a dim**3 product, not a dim**5 one.
+    is gamma g, so lowering costs a dim**3 product, not a dim**5 one.  With
+    ``minus``, the curvature of gamma minus that of ``minus`` in the same two buffers:
+    the products are differenced before the swap, the bracket term is that of gamma - minus.
     """
     d = gamma.shape[0]
     right = gamma if g is None else gamma @ g
     t = (gamma.reshape(d * d, d) @ right).reshape((d,) * 4)
-    r = t - t.swapaxes(0, 1)
+    if minus is None:
+        r = t - t.swapaxes(0, 1)
+    else:
+        r = (minus.reshape(d * d, d) @ (minus if g is None else minus @ g)).reshape((d,) * 4)
+        t -= r
+        np.subtract(t, t.swapaxes(0, 1), out=r)
+        right = gamma - minus if g is None else (gamma - minus) @ g
     np.matmul(c.reshape(d * d, d), right.reshape(d, d * d), out=t.reshape(d * d, d * d))
     r -= t
     return r
@@ -212,13 +222,15 @@ def psi1_operator(metric: MetricTensor, s, eps: float = DEFAULT_EPS) -> np.ndarr
     return a - a.swapaxes(0, 1)
 
 
-def weyl_tensor(r: np.ndarray, rho: np.ndarray, tau: float, metric: MetricTensor) -> np.ndarray:
+def weyl_tensor(
+    r: np.ndarray, rho: np.ndarray, tau: float, metric: MetricTensor, eps: float = DEFAULT_EPS
+) -> np.ndarray:
     """Trace-free conformally invariant part of a curvature tensor.
 
     One extension, of rho - tau g / (2(2n - 1)): the metric's extension is
-    twice the space-form tensor.
+    twice the space-form tensor, judged symmetric to ``eps`` (``psi1_operator``).
     """
     n = metric.dim // 2
-    correction = psi1_operator(metric, rho - (tau / (2 * (2 * n - 1))) * metric.matrix)
+    correction = psi1_operator(metric, rho - (tau / (2 * (2 * n - 1))) * metric.matrix, eps)
     correction /= 2 * (n - 1)
     return np.subtract(r, correction, out=correction)

@@ -9,11 +9,12 @@ not enforced, so callers can report its defect.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import BadDimension, DimensionMismatch, GeometryError, ShapeMismatch
-from .tensors import compose, freeze, max_abs
+from .tensors import freeze, max_abs
 
 DERIVED_PIVOT_TOL = 1e-9
 
@@ -33,6 +34,13 @@ class LieFrameAlgebra:
             raise ShapeMismatch(f"structure constants have shape {self.c.shape}")
         if max_abs(self.c + np.swapaxes(self.c, 0, 1)) > 1e-12 * max(1.0, max_abs(self.c)):
             raise GeometryError("structure constants are not antisymmetric in (i, j)")
+
+    @cached_property
+    def closed_forms(self) -> np.ndarray:
+        """Row basis of the closed constant 1-forms (``derived_bases``), one SVD per algebra, read-only."""
+        basis = derived_bases(self)[1]
+        basis.setflags(write=False)
+        return basis
 
     @classmethod
     def abelian(cls, dim: int) -> "LieFrameAlgebra":
@@ -64,11 +72,17 @@ def bracket(alg: LieFrameAlgebra, u, v) -> np.ndarray:
 
 def jacobi_defect(c: np.ndarray) -> float:
     """Largest component of the cyclic bracket sum of the structure constants ``c``
-    over all basis triples."""
-    nested = compose(c, c)
-    cyc = nested + np.einsum("jkil->ijkl", nested)
-    cyc += np.einsum("kijl->ijkl", nested)
-    return float(np.abs(cyc, out=cyc).max())
+    over all basis triples, one first-slot slab at a time: no dim**4 array.
+    ``np.max`` of the slab maxima keeps a NaN, where ``max`` could drop it."""
+    d = c.shape[0]
+    rows = c.reshape(d, d * d)
+    slab_max = np.empty(d)
+    for i in range(d):
+        cyc = (c[i] @ rows).reshape(d, d, d)
+        cyc += (c.reshape(d * d, d) @ c[:, i]).reshape(d, d, d)
+        cyc += (c[:, i] @ rows).reshape(d, d, d).swapaxes(0, 1)
+        slab_max[i] = np.abs(cyc, out=cyc).max()
+    return float(np.max(slab_max))
 
 
 def derived_bases(alg: LieFrameAlgebra, tol: float = DERIVED_PIVOT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -17,8 +17,9 @@ import numpy as np
 
 from . import levicivita
 from .levicivita import LeeForm, cov_deriv_components, curvature_components, psi1_operator
+from .liealg import jacobi_defect
 from .structure import RpmInstance, structure_pullback
-from .tensors import CO, CONTRA, DEFAULT_EPS, MetricTensor, compose, max_abs
+from .tensors import CO, CONTRA, DEFAULT_EPS, MetricTensor, max_abs
 
 
 @dataclass(frozen=True)
@@ -134,11 +135,9 @@ def naturality_defects(d: NaturalConnection, inst: RpmInstance) -> tuple[float, 
     return max_abs(dg), max_abs(dp)
 
 
-def curvature_Rprime(d: NaturalConnection, alg, metric: MetricTensor, r13=None) -> np.ndarray:
-    """Lowered curvature tensor of the natural connection, from its (1,3) form ``r13`` if given."""
-    if r13 is None:
-        return curvature_components(d.gamma, alg.c, metric.matrix)
-    return r13 @ metric.matrix
+def curvature_Rprime(d: NaturalConnection, alg, metric: MetricTensor) -> np.ndarray:
+    """Lowered curvature tensor of the natural connection."""
+    return curvature_components(d.gamma, alg.c, metric.matrix)
 
 
 def s_tensor(inst: RpmInstance, dtheta: np.ndarray, theta_norm_sq: float) -> STensor:
@@ -401,10 +400,7 @@ def torsion_identity_defects(
         t_pp + np.einsum("jki->ijk", t_pp) + np.einsum("kij->ijk", t_pp)
     )
 
-    nested = compose(t_sharp, t_sharp)
-    cyc = nested + np.einsum("jkil->ijkl", nested)
-    cyc += np.einsum("kijl->ijkl", nested)
-    nested_cyclic = float(np.abs(cyc, out=cyc).max())
+    nested_cyclic = jacobi_defect(t_sharp)  # the cyclic sum of T#(T#(x, y), z) has the Jacobi form
 
     potential_transpose = max_abs(q3 - np.einsum("kji->ijk", t3))
     lee_orthogonality = max_abs(np.einsum("m,ml,ijl->ij", theta, p, t_sharp))

@@ -96,13 +96,8 @@ class InstanceAnalysis:
         return np.einsum("ijl,lk->ijk", self.D.T, self.inst.g_inv)
 
     @cached_property
-    def Rprime13(self) -> np.ndarray:
-        """Curvature of D in (1,3) form, value slot last; the conformal checks compare it."""
-        return levicivita.curvature_components(self.D.gamma, self.inst.alg.c)
-
-    @cached_property
     def Rprime(self) -> np.ndarray:
-        return natural.curvature_Rprime(self.D, self.inst.alg, self.inst.metric, self.Rprime13)
+        return natural.curvature_Rprime(self.D, self.inst.alg, self.inst.metric)
 
     @cached_property
     def ricci_prime(self) -> RicciScalar:

@@ -598,6 +598,18 @@ class TestWarningsInNotes:
         assert code == 0
         assert not [n for n in data["notes"] if n.startswith("warning: ")]
 
+    @pytest.mark.parametrize("lam, scale", [(1e3, 1e-12), (1e5, 1e-6)])
+    def test_small_form_at_large_lambda_no_symmetry_note(self, capsys, tmp_path, lam, scale):
+        # both Ricci tensors are symmetric: the Weyl residual does not judge the
+        # roundoff asymmetry of their difference against the difference's scale
+        lam = [lam * k for k in (1, 2, 3, 4)]
+        path = builtin_file(tmp_path, lam)
+        row = derived_bases(build_example(ExampleParams(lam)).alg)[1][0]
+        alpha = ",".join(repr(x) for x in (scale * row).tolist())
+        code, data = run_json(capsys, ["conformal", "--file", path, f"--alpha={alpha}", "--json"])
+        assert code == data["exit_status"] == report_from_dict(data).exit_status
+        assert not [n for n in data["notes"] if n.startswith("warning: ")]
+
 
 class TestNegativeListValues:
     def test_lambda_separated_and_equals_forms_agree(self, capsys):

@@ -190,6 +190,41 @@ def test_lowered_curvature_is_the_unlowered_one_times_g(inst):
         assert np.array_equal(curvature_tensor(gamma, inst.alg, inst.metric), lowered)
 
 
+@pytest.mark.parametrize("inst", [moved_builtin(), frame_changed_dim8()], ids=["dim4", "dim8"])
+@pytest.mark.parametrize("lowered", [False, True], ids=["unlowered", "lowered"])
+def test_curvature_difference_is_that_of_two_curvatures(inst, lowered):
+    # the quadratic products are differenced before the swap and the bracket
+    # term is that of gamma - minus: both sides' sums in another order
+    g, dim = inst.g, inst.dim
+    a = analyze_instance(inst)
+    gamma, minus = a.nabla, a.D.gamma
+    lower = (lambda t: t @ g) if lowered else (lambda t: t)
+    abs_lower = (lambda t: t @ np.abs(g)) if lowered else (lambda t: t)
+    new = curvature_components(gamma, inst.c, g if lowered else None, minus=minus)
+    terms = [lower(t) for t in curvature_terms(gamma, inst.c)]
+    terms += [-lower(t) for t in curvature_terms(minus, inst.c)]
+    abs_terms = [abs_lower(t) for x in (gamma, minus) for t in curvature_terms(np.abs(x), np.abs(inst.c))]
+    assert max_abs(new) > 1e-3  # D and the Levi-Civita connection differ in curvature
+    assert_within_roundoff(new, terms, abs_terms, 3 * ((2 if lowered else 1) * dim + 1))
+    assert np.array_equal(
+        curvature_components(gamma, inst.c, g if lowered else None, minus=gamma), np.zeros((dim,) * 4)
+    )
+
+
+@pytest.mark.parametrize("first", [0, 3])
+def test_jacobi_defect_keeps_a_nan(first):
+    # brackets of three frame vectors near the float64 limit: their products
+    # overflow and the cyclic sums hold inf - inf, while the slab of the
+    # fourth, central vector is 0; the max over the slabs keeps the NaN
+    # wherever the finite slab comes
+    c = np.zeros((4, 4, 4))
+    rest = [i for i in range(4) if i != first]
+    c[np.ix_(rest, rest, rest)] = 1e307 * np.random.default_rng(first).uniform(-1, 1, (3, 3, 3))
+    c -= c.swapaxes(0, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(jacobi_defect(c))
+
+
 def max_abs_cases():
     rng = np.random.default_rng(17)
     x = rng.normal(size=(5, 6, 7))

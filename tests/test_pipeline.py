@@ -84,26 +84,32 @@ class TestNothingIsBuiltTwice:
         }
 
     def test_conformal_builds_only_what_its_checks_read(self, monkeypatch, capsys, commands):
+        # both residuals come from curvature differences: one Weyl tensor, of
+        # the difference, and no curvature tensor of either metric on its own
         calls = record_calls(
-            monkeypatch, "levicivita.weyl_tensor", "natural.flat_D_report",
+            monkeypatch, "levicivita.weyl_tensor", "levicivita.curvature_tensor", "natural.flat_D_report",
             "natural.curvature_Rprime", "levicivita.cov_deriv_components",
-            "levicivita.levi_civita_coeffs", "conformal.deformed_geometry",
+            "levicivita.levi_civita_coeffs", "conformal.deformed_geometry", "conformal.conformal_checks",
         )
         assert main(commands["conformal"]) == 0
         assert '"pass": false' not in capsys.readouterr().out
+        analyses = calls.pop("conformal.conformal_checks")[0][0]
         assert {name: len(log) for name, log in calls.items()} == {
-            "levicivita.weyl_tensor": 2,
+            "levicivita.weyl_tensor": 1,
+            "levicivita.curvature_tensor": 0,
             "natural.flat_D_report": 0,
             "natural.curvature_Rprime": 0,
             "levicivita.cov_deriv_components": 0,
             "levicivita.levi_civita_coeffs": 2,
             "conformal.deformed_geometry": 1,
         }
+        for a in analyses:  # the base and the rescaled analysis keep no rank-4 tensor: no R, W or R'
+            assert not [key for key, value in vars(a).items() if np.ndim(value) == 4]
 
     def test_verify_paper_builds_one_base_and_five_rescaled_geometries(self, monkeypatch, capsys):
         calls = record_calls(
             monkeypatch, "levicivita.levi_civita_coeffs", "pipeline.analyze_instance",
-            "levicivita.weyl_tensor", "levicivita.curvature_components",
+            "levicivita.weyl_tensor", "levicivita.curvature_components", "liealg.derived_bases",
         )
         assert main(["verify-paper", "--lambda=1,2,3,4", "--json"]) == 0
         capsys.readouterr()
@@ -113,10 +119,13 @@ class TestNothingIsBuiltTwice:
         assert len(koszul) == 6
         assert sum(_argument(c, 2, "alpha") is not None for c in analyses) == 5
         assert len(analyses) == 6
+        # W and W' of the base, and the Weyl tensor of each sampled form's curvature difference
         assert len(calls["levicivita.weyl_tensor"]) == 7
-        # R and R' of the base, R of each rescaled metric, and each sampled
-        # form's transformed R' compared with the one base R' in (1,3) form
+        # R and R' of the base, and for each sampled form the curvature
+        # difference of the two Levi-Civita connections and that of D
         assert len(calls["levicivita.curvature_components"]) == 2 + 5 + 5
+        # the five forms are drawn from one closed-form basis: one SVD
+        assert len(calls["liealg.derived_bases"]) == 1
 
     @pytest.mark.parametrize("command", ["verify-paper", "analyze"])
     def test_no_flat_branch_residuals_are_built(self, monkeypatch, capsys, commands, command):

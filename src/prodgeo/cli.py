@@ -127,7 +127,7 @@ def _conformal_sweep(rep: Report, a: InstanceAnalysis, seed: int, samples: int =
         rep.add(name, defect)
 
 
-def cmd_verify_paper(args) -> tuple[Report | None, int]:
+def cmd_verify_paper(args) -> tuple[Report | None, int | None]:
     try:
         lam = _parse_tuple(args.lam, 4, "--lambda")
     except ParseError as exc:
@@ -185,7 +185,7 @@ def cmd_verify_paper(args) -> tuple[Report | None, int]:
                 "constant basis sectional curvature holds; the curvature tensor still has "
                 "parameter cross terms, so it is not proportional to the space-form tensor"
             )
-    return rep, rep.exit_status
+    return rep, None
 
 
 def _load(path: str, rep_kwargs: dict) -> tuple[LoadedInstance | None, Report | None, int]:
@@ -202,7 +202,7 @@ def _load(path: str, rep_kwargs: dict) -> tuple[LoadedInstance | None, Report | 
         return None, None, EXIT_PARSE_ERROR
 
 
-def cmd_analyze(args) -> tuple[Report | None, int]:
+def cmd_analyze(args) -> tuple[Report | None, int | None]:
     loaded, failure_rep, code = _load(args.file, {"epsilon": args.epsilon})
     if loaded is None:
         return failure_rep, code
@@ -220,10 +220,10 @@ def cmd_analyze(args) -> tuple[Report | None, int]:
             "instance is outside the conformally flat product class; "
             "the natural-connection identities are not expected to hold"
         )
-    return rep, EXIT_STRUCTURE_FAILURE if not a.structure.ok else rep.exit_status
+    return rep, EXIT_STRUCTURE_FAILURE if not a.structure.ok else None
 
 
-def cmd_conformal(args) -> tuple[Report | None, int]:
+def cmd_conformal(args) -> tuple[Report | None, int | None]:
     loaded, failure_rep, code = _load(args.file, {"epsilon": args.epsilon})
     if loaded is None:
         return failure_rep, code
@@ -248,7 +248,7 @@ def cmd_conformal(args) -> tuple[Report | None, int]:
     for name, defect in conformal_mod.conformal_checks(a, geo).items():
         rep.add(name, defect)
     rep.tables["lee_form_transformed"] = geo.lee.theta
-    return rep, rep.exit_status
+    return rep, None
 
 
 @functools.cache
@@ -325,7 +325,9 @@ def main(argv=None) -> int:
             return EXIT_STRUCTURE_FAILURE
     if rep is not None:
         rep.notes.extend(_warning_notes(caught))
-        print(rep.to_json() if args.json else rep.render_text())
+        finished = rep.finish()  # the one walk of the tables
+        print(rep.to_json(finished) if args.json else rep.render_text(finished))
+        code = finished[2] if code is None else code  # a command's None: the report's own status
     return code
 
 

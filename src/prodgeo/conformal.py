@@ -21,7 +21,7 @@ from .liealg import LieFrameAlgebra
 from .natural import NaturalConnection
 from .pipeline import InstanceAnalysis, analyze_instance
 from .structure import ProductStructure, RpmInstance
-from .tensors import DEFAULT_EPS, MetricTensor, max_abs
+from .tensors import DEFAULT_EPS, MetricTensor, blocks, max_abs
 
 
 def closedness_defect(alg: LieFrameAlgebra, alpha) -> float:
@@ -127,8 +127,8 @@ def conformal_weyl_residual(base: InstanceAnalysis, rescaled: InstanceAnalysis) 
     diff = curvature_components(rescaled.nabla, base.inst.c, metric.matrix, minus=base.nabla)
     ricci = ricci_and_scalar(diff, metric)
     # alpha is closed, so both Ricci tensors are symmetric: any asymmetry here is their roundoff
-    w = weyl_tensor(diff, ricci.rho, ricci.tau, metric, eps=np.inf)
-    return max_abs(np.matmul(w, metric.inverse, out=diff))
+    w = weyl_tensor(diff, ricci.rho, ricci.tau, metric, eps=np.inf, out=diff)
+    return float(np.maximum.reduce([max_abs(np.matmul(w[b], metric.inverse)) for b in blocks(metric.dim)]))
 
 
 def conformal_checks(base: InstanceAnalysis, rescaled: InstanceAnalysis) -> dict[str, float]:

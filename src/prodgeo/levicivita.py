@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DegeneratePlane, NonSymmetricInputWarning, SingularMetric
 from .liealg import LieFrameAlgebra
 from .structure import RpmInstance
-from .tensors import CO, DEFAULT_EPS, MetricTensor, max_abs
+from .tensors import CO, DEFAULT_EPS, MetricTensor, blocks, max_abs
 
 
 @dataclass(frozen=True)
@@ -154,26 +154,27 @@ def curvature_components(
 ) -> np.ndarray:
     """Frame curvature of constant connection coefficients, value slot last, lowered by ``g`` if given.
 
-    Both quadratic terms come from one batched matrix product,
-    t[i, j, k, l] = gamma[j, k, m] gamma[i, m, l]: the second term is t with
-    its first two slots swapped.  The bracket term then goes into t's buffer:
-    two dim**4 buffers in all.  With ``g`` the right factor of both products
-    is gamma g, so lowering costs a dim**3 product, not a dim**5 one.  With
-    ``minus``, the curvature of gamma minus that of ``minus`` in the same two buffers:
-    the products are differenced before the swap, the bracket term is that of gamma - minus.
+    Filled one third-slot block B at a time (``tensors.blocks``) into the one dim**4
+    buffer.  Both quadratic terms come from one batched matrix product, t[i, j, k, l] =
+    gamma[j, k, m] gamma[i, m, l] for k in B: the second term is t with its first two
+    slots swapped.  The bracket term then goes into t's buffer.  With ``g`` the right
+    factor of both products is gamma g, so lowering costs a dim**3 product, not a dim**5
+    one.  With ``minus``, the curvature of gamma minus that of ``minus``: the products
+    are differenced before the swap, the bracket term is that of gamma - minus.
     """
     d = gamma.shape[0]
-    right = gamma if g is None else gamma @ g
-    t = (gamma.reshape(d * d, d) @ right).reshape((d,) * 4)
-    if minus is None:
-        r = t - t.swapaxes(0, 1)
-    else:
-        r = (minus.reshape(d * d, d) @ (minus if g is None else minus @ g)).reshape((d,) * 4)
-        t -= r
-        np.subtract(t, t.swapaxes(0, 1), out=r)
-        right = gamma - minus if g is None else (gamma - minus) @ g
-    np.matmul(c.reshape(d * d, d), right.reshape(d, d * d), out=t.reshape(d * d, d * d))
-    r -= t
+    right = bracket = gamma if g is None else gamma @ g
+    if minus is not None:
+        minus_right = minus if g is None else minus @ g
+        bracket = gamma - minus if g is None else (gamma - minus) @ g
+    r = np.empty((d,) * 4, dtype=np.result_type(gamma, c))
+    for b in blocks(d):
+        t = (gamma[:, b].reshape(-1, d) @ right).reshape(d, d, -1, d)
+        if minus is not None:
+            t -= (minus[:, b].reshape(-1, d) @ minus_right).reshape(t.shape)
+        np.subtract(t, t.swapaxes(0, 1), out=r[:, :, b])
+        np.matmul(c.reshape(d * d, d), bracket[:, b].reshape(d, -1), out=t.reshape(d * d, -1))
+        r[:, :, b] -= t
     return r
 
 
@@ -206,31 +207,40 @@ def sectional_curvature(r: np.ndarray, metric: MetricTensor, u, v, eps: float = 
     return numer / float(area_sq)
 
 
-def psi1_operator(metric: MetricTensor, s, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Curvature-type extension of a 2-tensor by the metric.
+def psi1_blocks(metric: MetricTensor, s, eps: float = DEFAULT_EPS):
+    """Curvature-type extension of a 2-tensor by the metric: yields each first-slot block's
+    slice b and psi1(s)[b].
 
-    Warns (and still evaluates) when the input is not symmetric, in which
+    Warns once (and still evaluates) when the input is not symmetric, in which
     case the first-Bianchi property of the output is lost.
     """
     s = np.asarray(s, dtype=float)
     if max_abs(s - s.T) > eps * max(1.0, max_abs(s)):
         warnings.warn("extending a non-symmetric 2-tensor", NonSymmetricInputWarning)
-    # g(y, z) s(x, w) + s(y, z) g(x, w) at [x, y, z, w], one rank-2 product
-    # [vec g, vec s] [vec s; vec g], minus its (x, y) swap
-    u, d = np.array((metric.matrix.ravel(), s.ravel())), metric.dim
-    a = (u.T @ u[::-1]).reshape((d,) * 4).transpose(2, 0, 1, 3)
-    return a - a.swapaxes(0, 1)
+    # a = g(y, z) s(x, w) + s(y, z) g(x, w) at [x, y, z, w] is [vec g, vec s] [vec s; vec g] at
+    # [(y, z), (x, w)], and a with x, y swapped is that at [(x, z), (y, w)]: one rank-2 product each
+    g, d = metric.matrix, metric.dim
+    u = np.array((g.ravel(), s.ravel()))
+    for b in blocks(d):
+        rows = u[:, b.start * d : b.stop * d]  # [vec g[b], vec s[b]], a view
+        a = (u.T @ rows[::-1]).reshape(d, d, -1, d).transpose(2, 0, 1, 3)
+        swapped = (rows.T @ u[::-1]).reshape(-1, d, d, d).transpose(0, 2, 1, 3)
+        yield b, a - swapped
 
 
 def weyl_tensor(
-    r: np.ndarray, rho: np.ndarray, tau: float, metric: MetricTensor, eps: float = DEFAULT_EPS
+    r: np.ndarray, rho: np.ndarray, tau: float, metric: MetricTensor, eps: float = DEFAULT_EPS, out=None
 ) -> np.ndarray:
-    """Trace-free conformally invariant part of a curvature tensor.
+    """Trace-free conformally invariant part of a curvature tensor, into ``out`` (may be ``r``) if given.
 
     One extension, of rho - tau g / (2(2n - 1)): the metric's extension is
-    twice the space-form tensor, judged symmetric to ``eps`` (``psi1_operator``).
+    twice the space-form tensor, judged symmetric to ``eps`` (``psi1_blocks``).
+    Each of its blocks is subtracted as it is built: the result is the one dim**4 buffer.
     """
     n = metric.dim // 2
-    correction = psi1_operator(metric, rho - (tau / (2 * (2 * n - 1))) * metric.matrix, eps)
-    correction /= 2 * (n - 1)
-    return np.subtract(r, correction, out=correction)
+    w = np.empty(r.shape) if out is None else out
+    sigma = rho - (tau / (2 * (2 * n - 1))) * metric.matrix
+    for b, correction in psi1_blocks(metric, sigma, eps):
+        correction /= 2 * (n - 1)
+        np.subtract(r[b], correction, out=w[b])
+    return w

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadDimension, DimensionMismatch, GeometryError, ShapeMismatch
-from .tensors import freeze, max_abs
+from .tensors import blocks, freeze, max_abs
 
 DERIVED_PIVOT_TOL = 1e-9
 
@@ -71,18 +71,18 @@ def bracket(alg: LieFrameAlgebra, u, v) -> np.ndarray:
 
 
 def jacobi_defect(c: np.ndarray) -> float:
-    """Largest component of the cyclic bracket sum of the structure constants ``c``
-    over all basis triples, one first-slot slab at a time: no dim**4 array.
-    ``np.max`` of the slab maxima keeps a NaN, where ``max`` could drop it."""
+    """Largest component of the cyclic bracket sum of the structure constants ``c`` over all
+    basis triples, one first-slot block at a time (``tensors.blocks``): no dim**4 array.
+    ``np.maximum.reduce`` of the block maxima keeps a NaN, where ``max`` could drop it."""
     d = c.shape[0]
     rows = c.reshape(d, d * d)
-    slab_max = np.empty(d)
-    for i in range(d):
-        cyc = (c[i] @ rows).reshape(d, d, d)
-        cyc += (c.reshape(d * d, d) @ c[:, i]).reshape(d, d, d)
-        cyc += (c[:, i] @ rows).reshape(d, d, d).swapaxes(0, 1)
-        slab_max[i] = np.abs(cyc, out=cyc).max()
-    return float(np.max(slab_max))
+    maxima = []
+    for b in blocks(d):
+        cyc = (c[b].reshape(-1, d) @ rows).reshape(-1, d, d, d)
+        cyc += (c.reshape(d * d, d) @ c[:, b].reshape(d, -1)).reshape(d, d, -1, d).transpose(2, 0, 1, 3)
+        cyc += (c[:, b].reshape(-1, d) @ rows).reshape(d, -1, d, d).transpose(1, 2, 0, 3)
+        maxima.append(np.abs(cyc, out=cyc).max())
+    return float(np.maximum.reduce(maxima))
 
 
 def derived_bases(alg: LieFrameAlgebra, tol: float = DERIVED_PIVOT_TOL) -> tuple[np.ndarray, np.ndarray]:

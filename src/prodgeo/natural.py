@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import levicivita
-from .levicivita import LeeForm, cov_deriv_components, curvature_components, psi1_operator
+from .levicivita import LeeForm, cov_deriv_components, curvature_components, psi1_blocks
 from .liealg import jacobi_defect
 from .structure import RpmInstance, structure_pullback
-from .tensors import CO, CONTRA, DEFAULT_EPS, MetricTensor, max_abs
+from .tensors import CO, CONTRA, DEFAULT_EPS, MetricTensor, blocks, max_abs
 
 
 @dataclass(frozen=True)
@@ -157,11 +157,13 @@ def verify_curvature_relation(
     r: np.ndarray, r_prime: np.ndarray, s: STensor, metric: MetricTensor, n: int
 ) -> float:
     """Residual of the curvature relation between the two connections."""
-    residual = psi1_operator(metric, s.S)  # summed in place: no dim**4 difference
-    residual /= 2.0 * n
-    residual += r
-    residual -= r_prime
-    return max_abs(residual)
+    maxima = []
+    for b, residual in psi1_blocks(metric, s.S):  # summed in place: no dim**4 difference
+        residual /= 2.0 * n
+        residual += r[b]
+        residual -= r_prime[b]
+        maxima.append(max_abs(residual))
+    return float(np.maximum.reduce(maxima))
 
 
 @dataclass(frozen=True)
@@ -187,11 +189,14 @@ def ricci_scalar_relation(
 
 
 def bianchi_defect(components: np.ndarray) -> float:
-    """First-Bianchi defect: cyclic sum over the first three slots."""
-    cyc = components + np.einsum("jkil->ijkl", components)
-    # in place, the absolute value too: the sum is the one dim**4 temporary
-    cyc += np.einsum("kijl->ijkl", components)
-    return float(np.abs(cyc, out=cyc).max())
+    """First-Bianchi defect: the cyclic sum over the first three slots, by first-slot blocks."""
+    x, y, z = components, np.einsum("jkil->ijkl", components), np.einsum("kijl->ijkl", components)
+    maxima = []
+    for b in blocks(len(x)):
+        cyc = x[b] + y[b]
+        cyc += z[b]  # in place, the absolute value too
+        maxima.append(np.abs(cyc, out=cyc).max())
+    return float(np.maximum.reduce(maxima))
 
 
 @dataclass(frozen=True)
@@ -283,9 +288,9 @@ def has_parallel_torsion(
     """``t_sharp`` is the torsion of ``d`` with its last slot raised, ``lee``
     the Lee form, ``grad_theta`` and ``dtheta`` its derivatives along the
     Levi-Civita connection and along ``d``."""
-    # one direction at a time, as flat_D_report takes the curvature derivative
-    slabs = np.split(d.gamma, inst.dim)
-    dt_defect = max(max_abs(cov_deriv_components(x, t_sharp, (CO, CO, CONTRA))) for x in slabs)
+    # one block of directions at a time, as flat_D_report takes the curvature derivative
+    dt = [max_abs(cov_deriv_components(d.gamma[b], t_sharp, (CO, CO, CONTRA))) for b in blocks(inst.dim)]
+    dt_defect = float(np.maximum.reduce(dt))
     theta = lee.theta
     theta_p_omega = float(theta @ inst.p @ lee.omega)
     theta_p = theta @ inst.p
@@ -350,11 +355,9 @@ def flat_D_report(
             ricci.rho + (2.0 * n - 1.0) / (4.0 * n * n) * theta_norm_sq * metric.matrix
         )
         scalar_res = abs(tau + (2.0 * n - 1.0) / (2.0 * n) * theta_norm_sq)
-        # one direction at a time: the full derivative would hold dim^5 numbers
-        dr_defect = max(
-            max_abs(cov_deriv_components(slab, r, (CO, CO, CO, CO)))
-            for slab in np.split(d.gamma, inst.dim)
-        )
+        # one block of directions at a time: the full derivative would hold dim^5 numbers
+        dr = [max_abs(cov_deriv_components(d.gamma[b], r, (CO, CO, CO, CO))) for b in blocks(inst.dim, 5)]
+        dr_defect = float(np.maximum.reduce(dr))
         tau_negative = tau < 0.0 if theta_norm_sq > eps else None
 
     parallel_relation = None

@@ -26,7 +26,7 @@ from .natural import (
     TorsionIdentityDefects,
 )
 from .structure import RpmInstance, StructureReport, validate_structure
-from .tensors import CO, DEFAULT_EPS, max_abs
+from .tensors import CO, DEFAULT_EPS, blocks, max_abs
 
 
 class InstanceAnalysis:
@@ -153,7 +153,7 @@ class InstanceAnalysis:
     @cached_property
     def weyl_invariance_residual(self) -> float:
         """Largest component difference of the Weyl tensors of the two connections."""
-        return max_abs(self.W - self.Wprime)
+        return float(np.maximum.reduce([max_abs(self.W[b] - self.Wprime[b]) for b in blocks(self.inst.dim)]))
 
     @cached_property
     def p_criterion(self) -> PCurvatureCriterion:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from .tensors import blocks, max_abs
 
 INDICATOR_TOL = 0.5
 NON_FINITE = "non_finite"
@@ -63,40 +64,45 @@ class Report:
         self.checks.append(check)
         return check
 
-    @property
-    def all_checks(self) -> list[Check]:
-        """The checks, then a failing ``non_finite`` check if any number is NaN or infinite."""
-        count = sum(not math.isfinite(c.defect) for c in self.checks) + _nulled(self.tables)[1]
-        return self.checks + ([Check(NON_FINITE, float(count), 0.0)] if count else [])
+    def finish(self) -> tuple[list[Check], dict, int]:
+        """One walk of the tables: the checks, then a failing ``non_finite`` check if any number is
+        NaN or infinite; the tables with each such number nulled; the exit status.  ``to_dict``,
+        ``to_json`` and ``render_text`` take it as ``finished``, or walk the tables themselves."""
+        tables, count = _nulled(self.tables)
+        count += sum(not math.isfinite(c.defect) for c in self.checks)
+        checks = self.checks + ([Check(NON_FINITE, float(count), 0.0)] if count else [])
+        return checks, tables, 0 if all(c.passed for c in checks) else 1
 
     @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.all_checks)
+    def all_checks(self) -> list[Check]:
+        return self.finish()[0]
 
     @property
     def exit_status(self) -> int:
-        return 0 if self.all_passed else 1
+        return self.finish()[2]
 
-    def to_dict(self) -> dict:
+    def to_dict(self, finished=None) -> dict:
+        checks, tables, status = finished or self.finish()
         return {
             "version": __version__,
             "instance": self.instance,
             "epsilon": self.epsilon,
             "checks": [
                 {"name": c.name, "defect": _nulled(c.defect)[0], "tolerance": c.tolerance, "pass": c.passed}
-                for c in self.all_checks
+                for c in checks
             ],
             "flags": self.flags,
-            "tables": _nulled(self.tables)[0],
+            "tables": tables,
             "notes": self.notes,
-            "exit_status": self.exit_status,
+            "exit_status": status,
         }
 
-    def to_json(self) -> str:
+    def to_json(self, finished=None) -> str:
         # No indent: an indent makes json fall back to its pure-Python encoder.
-        return json.dumps(self.to_dict(), default=_jsonable, allow_nan=False)
+        return json.dumps(self.to_dict(finished), default=_jsonable, allow_nan=False)
 
-    def render_text(self) -> str:
+    def render_text(self, finished=None) -> str:
+        checks, _, status = finished or self.finish()
         lines = []
         desc = ", ".join(f"{k}={v}" for k, v in self.instance.items())
         lines.append(f"instance: {desc}")
@@ -104,7 +110,6 @@ class Report:
         for note in self.notes:
             lines.append(f"note: {note}")
         lines.append("checks:")
-        checks = self.all_checks
         width = max((len(c.name) for c in checks), default=0)
         for c in checks:
             verdict = "PASS" if c.passed else "FAIL"
@@ -119,7 +124,7 @@ class Report:
             lines.append("tables:")
             for key, value in self.tables.items():
                 lines.append(f"  {key} = {_format_table(value)}")
-        lines.append(f"exit: {self.exit_status}")
+        lines.append(f"exit: {status}")
         return "\n".join(lines)
 
 
@@ -154,17 +159,16 @@ def table_summary(arr, eps: float) -> dict:
     when the norm itself does.  A NaN or infinite entry makes max and norm
     non-finite, so the report writes both as null.
     """
-    a = np.abs(np.asarray(arr, dtype=float))  # the one copy, scaled in place below
-    top = float(a.max(initial=0.0))
-    nonzero = int(np.count_nonzero(a > eps))
-    if not math.isfinite(top):
-        norm = math.nan
-    elif top == 0.0:
-        norm = 0.0
-    else:
-        a /= top
-        norm = top * float(np.linalg.norm(a))
-    return {"max": top, "norm": norm, "nonzero": nonzero}
+    arr = np.asarray(arr, dtype=float)
+    top = max_abs(arr)
+    nonzero, norm_sq = 0, 0.0
+    for b in blocks(len(arr), arr.ndim):
+        a = np.abs(arr[b]).ravel()  # one first-slot block's copy, scaled in place below
+        nonzero += int(np.count_nonzero(a > eps))
+        if 0.0 < top < math.inf:
+            a /= top
+            norm_sq += a.dot(a)
+    return {"max": top, "norm": top * math.sqrt(norm_sq) if math.isfinite(top) else math.nan, "nonzero": nonzero}
 
 
 def _restored(value):

@@ -21,6 +21,11 @@ DEFAULT_EPS = 1e-9
 CO = "co"
 CONTRA = "contra"
 
+# Bytes of one block of a blocked rank-4 kernel.  A whole dim-10 array (80 KB)
+# fits, so dimensions up to 10 run unblocked; a dim-24 block (108 KiB) stays in
+# a core's L2 cache, and the allocator recycles it rather than mapping it afresh.
+BLOCK_BYTES = 128 * 1024
+
 
 def freeze(components) -> np.ndarray:
     """Return a read-only float64 copy of ``components``."""
@@ -33,6 +38,12 @@ def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[i, j, m] b[m, k, l] for two (dim, dim, dim) arrays, as one matrix product."""
     d = a.shape[0]
     return (a.reshape(d * d, d) @ b.reshape(d, d * d)).reshape((d,) * 4)
+
+
+def blocks(dim: int, rank: int = 4) -> list[slice]:
+    """Slices of a slot of a ``(dim,) * rank`` float64 array, one entry or a block within ``BLOCK_BYTES``."""
+    step = max(1, BLOCK_BYTES // (8 * max(dim, 1) ** (rank - 1)))
+    return [slice(i, min(i + step, dim)) for i in range(0, dim, step)]
 
 
 def max_abs(arr) -> float:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from prodgeo.example import ExampleParams, build_example, constant_curvature_flags, verify_against_tables
+from prodgeo.levicivita import psi1_blocks
 from prodgeo.pipeline import analyze_instance
 from prodgeo.liealg import LieFrameAlgebra
 from prodgeo.structure import ProductStructure, RpmInstance
-from prodgeo.tensors import MetricTensor
+from prodgeo.tensors import DEFAULT_EPS, MetricTensor
 
 
 @pytest.fixture
@@ -48,6 +49,14 @@ def instance_payload(inst: RpmInstance) -> dict:
     }
 
 
+def psi1(metric: MetricTensor, s, eps: float = DEFAULT_EPS) -> np.ndarray:
+    """The whole curvature-type extension of ``s``, put together from the blocks of ``psi1_blocks``."""
+    out = np.empty((metric.dim,) * 4)
+    for b, block in psi1_blocks(metric, s, eps):
+        out[b] = block
+    return out
+
+
 def random_lambdas(seed: int, count: int, low: float = -3.0, high: float = 3.0):
     rng = np.random.default_rng(seed)
     return [tuple(rng.uniform(low, high, 4)) for _ in range(count)]
@@ -86,20 +95,24 @@ def frame_changed_dim8(seed: int = 0) -> RpmInstance:
     return moved_frame(c, p, seed)
 
 
-@pytest.fixture
-def hyperbolic_dim8():
-    """Real hyperbolic space of curvature -a^2 as an instance, with its a.
+def hyperbolic(dim: int, a: float = 1.3) -> RpmInstance:
+    """Real hyperbolic space of curvature -a^2 as an instance.
 
-    [e_0, e_i] = a e_i for i >= 1 and P = Q diag(I_4, -I_4) Q^T with Q a random
+    [e_0, e_i] = a e_i for i >= 1 and P = Q diag(I_n, -I_n) Q^T with Q a random
     orthogonal matrix, moved by a random frame change.  The Levi-Civita
     connection is nabla_x y = a (g(x, y) e_0 - eta(y) x) with eta = e^0, so
     the instance is in the conformally flat product class, its natural
     connection is flat with parallel torsion, and tau = -d (d - 1) a^2.
     """
-    a, dim = 1.3, 8
     c = np.zeros((dim, dim, dim))
     for i in range(1, dim):
         c[0, i, i], c[i, 0, i] = a, -a
     q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(dim, dim)))
-    p = q @ np.diag([1.0] * 4 + [-1.0] * 4) @ q.T
-    return moved_frame(c, p, seed=8), a
+    p = q @ np.diag([1.0] * (dim // 2) + [-1.0] * (dim // 2)) @ q.T
+    return moved_frame(c, p, seed=8)
+
+
+@pytest.fixture
+def hyperbolic_dim8():
+    """The dim-8 ``hyperbolic`` instance, with its a."""
+    return hyperbolic(8), 1.3

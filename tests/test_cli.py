@@ -334,9 +334,9 @@ class TestJsonEncoding:
         reports = []
         to_json = Report.to_json
 
-        def capture(rep):
+        def capture(rep, *args):
             reports.append(rep)
-            return to_json(rep)
+            return to_json(rep, *args)
 
         monkeypatch.setattr(Report, "to_json", capture)
         dense, dense_alpha = dense_dim8_file(tmp_path)

@@ -17,7 +17,6 @@ from prodgeo.levicivita import (
     curvature_components,
     curvature_tensor,
     levi_civita_coeffs,
-    psi1_operator,
     ricci_and_scalar,
     weyl_tensor,
 )
@@ -27,7 +26,7 @@ from prodgeo.pipeline import analyze_instance
 from prodgeo.structure import ProductStructure, RpmInstance, nijenhuis_tensor, structure_pullback
 from prodgeo.tensors import CO, CONTRA, MetricTensor, compose, freeze, max_abs
 from prodgeo.example import ExampleParams, build_example
-from tests.conftest import frame_changed_dim8, moved_frame
+from tests.conftest import frame_changed_dim8, moved_frame, psi1
 
 EPS = np.finfo(float).eps
 VARIANCES = [v for rank in range(5) for v in itertools.product((CO, CONTRA), repeat=rank)]
@@ -271,7 +270,7 @@ def test_pi1_and_psi1(seed):
     s = s + s.T
     ab = np.abs(g.matrix), np.abs(s)
     assert_within_roundoff(
-        psi1_operator(g, s), psi1_terms(g.matrix, s), psi1_terms(*ab), 4
+        psi1(g, s), psi1_terms(g.matrix, s), psi1_terms(*ab), 4
     )
     half = psi1_terms(g.matrix, g.matrix)[:2]
     assert_within_roundoff(g.pi1, half, psi1_terms(ab[0], ab[0])[:2], 2)

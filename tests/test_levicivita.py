@@ -11,7 +11,6 @@ from prodgeo.levicivita import (
     curvature_tensor,
     lee_form,
     levi_civita_coeffs,
-    psi1_operator,
     ricci_and_scalar,
     sectional_curvature,
     structure_tensor_F,
@@ -21,7 +20,7 @@ from prodgeo.levicivita import (
 from prodgeo.liealg import LieFrameAlgebra
 from prodgeo.structure import ProductStructure, RpmInstance
 from prodgeo.tensors import CO, CONTRA, MetricTensor, max_abs
-from tests.conftest import frame_changed_dim8, random_lambdas
+from tests.conftest import frame_changed_dim8, psi1, random_lambdas
 
 E = np.eye(4)
 
@@ -346,16 +345,16 @@ class TestCurvatureTypeOperators:
 
     def test_metric_extension_is_twice_space_form(self, inst_1234):
         metric = inst_1234.metric
-        psi_g = psi1_operator(metric, metric.matrix)
+        psi_g = psi1(metric, metric.matrix)
         assert max_abs(psi_g - 2.0 * metric.pi1) <= 1e-12
 
     def test_zero_input(self, inst_1234):
-        assert max_abs(psi1_operator(inst_1234.metric, np.zeros((4, 4)))) == 0.0
+        assert max_abs(psi1(inst_1234.metric, np.zeros((4, 4)))) == 0.0
 
     def test_first_bianchi_for_symmetric_input(self, inst_1234):
         _, _, _, r = pipeline(inst_1234)
         rho = ricci_and_scalar(r, inst_1234.metric).rho
-        psi = psi1_operator(inst_1234.metric, rho)
+        psi = psi1(inst_1234.metric, rho)
         cyc = psi + np.einsum("jkil->ijkl", psi) + np.einsum("kijl->ijkl", psi)
         assert max_abs(cyc) <= 1e-9
 
@@ -363,7 +362,7 @@ class TestCurvatureTypeOperators:
         s = np.zeros((4, 4))
         s[0, 1] = 1.0
         with pytest.warns(errors.NonSymmetricInputWarning):
-            psi1_operator(inst_1234.metric, s)
+            psi1(inst_1234.metric, s)
 
 
 class TestWeyl:
@@ -391,7 +390,7 @@ class TestWeyl:
         _, _, _, r = pipeline(inst)
         s = rng.normal(size=(4, 4))
         s = s + s.T
-        bumped = r + psi1_operator(inst.metric, s)
+        bumped = r + psi1(inst.metric, s)
         ricci = ricci_and_scalar(bumped, inst.metric)
         w = weyl_tensor(bumped, ricci.rho, ricci.tau, inst.metric)
         g_inv = inst.g_inv

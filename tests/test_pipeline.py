@@ -18,6 +18,7 @@ from prodgeo.example import ExampleParams, build_example
 from prodgeo.liealg import derived_bases
 from prodgeo.pipeline import analyze_instance
 from prodgeo.report import Report
+from prodgeo.tensors import blocks
 from tests.conftest import instance_payload
 from tests.test_cli import write_json
 
@@ -140,14 +141,14 @@ class TestNothingIsBuiltTwice:
 
     @pytest.mark.parametrize("command", ["verify-paper", "analyze"])
     def test_torsion_derivative_is_taken_one_direction_at_a_time(self, monkeypatch, capsys, commands, command):
-        # the parallel-torsion defect takes the max over direction slabs, so no
-        # call holds the derivative in every direction at once
+        # the parallel-torsion defect takes the max over the direction blocks of
+        # tensors.blocks: one block, so one call, at dims 4 and 8
         calls = record_calls(monkeypatch, "levicivita.cov_deriv_components")
         assert main(commands[command]) == 0
         capsys.readouterr()
         torsion = [args[0].shape[0] for args, _ in calls["levicivita.cov_deriv_components"] if args[1].ndim == 3]
         dim = 4 if command == "verify-paper" else 8
-        assert torsion == [1] * dim
+        assert torsion == [b.stop - b.start for b in blocks(dim)] == [dim]
 
     @pytest.mark.parametrize("command, builds", [("verify-paper", 1), ("analyze", 1), ("conformal", 0)])
     def test_integrability_is_built_once_per_instance_and_only_where_read(

@@ -41,15 +41,20 @@ EXIT_STRUCTURE_FAILURE = 3
 EXIT_NOT_CLOSED = 4
 
 
-def _tolerance(text: str) -> float:
-    """A finite ``--epsilon``: every tolerance in a report must be valid JSON."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"tolerance must be a finite number, got {text!r}")
-    return value
+def _at_least_zero(cast):
+    """An argparse type: ``cast(text)``, finite and >= 0.  A report's tolerance must be
+    valid JSON and no defect is below 0; numpy's generators take only seeds >= 0."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = math.nan
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected a finite {cast.__name__} >= 0, got {text!r}")
+        return value
+
+    return parse
 
 
 def _parse_tuple(text: str, length: int, what: str) -> tuple[float, ...]:
@@ -262,13 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--epsilon", type=_tolerance, default=DEFAULT_EPS, help="check tolerance")
+        p.add_argument("--epsilon", type=_at_least_zero(float), default=DEFAULT_EPS, help="check tolerance")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
 
     p_verify = sub.add_parser("verify-paper", help="golden-table and theorem battery for the builtin family")
     p_verify.add_argument("--lambda", dest="lam", required=True, metavar="a,b,c,d",
                           help="four rational family parameters")
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled closed 1-forms")
+    p_verify.add_argument("--seed", type=_at_least_zero(int), default=0, help="seed for sampled closed 1-forms")
     common(p_verify)
 
     p_analyze = sub.add_parser("analyze", help="full geometric analysis of an instance file")

@@ -121,7 +121,7 @@ def instance_from_dict(data: dict) -> LoadedInstance:
         if not isinstance(entry, dict) or not {"i", "j", "coeffs"} <= set(entry):
             raise ParseError(f"bad bracket entry {entry!r}")
         i, j = entry["i"], entry["j"]
-        if not all(isinstance(k, int) and 1 <= k <= dim for k in (i, j)) or i == j:
+        if not all(type(k) is int and 1 <= k <= dim for k in (i, j)) or i == j:  # a JSON true is no index
             raise ParseError(f"bracket indices must be distinct and in 1..{dim}, got ({i}, {j})")
         if (i - 1, j - 1) in keys or (j - 1, i - 1) in keys:
             raise ParseError(f"duplicate bracket entry for ({i}, {j})")

@@ -58,12 +58,13 @@ def levi_civita_coeffs(inst: RpmInstance, dg: np.ndarray | None = None) -> np.nd
     """
     if not np.all(np.isfinite(inst.g_inv)):
         raise SingularMetric("metric inverse has non-finite entries")
-    b = np.einsum("ijm,mk->ijk", inst.c, inst.g)
+    b = inst.c @ inst.g
     terms = [b, np.einsum("kij->ijk", b), np.einsum("kji->ijk", b)]
     if dg is not None:
         terms = [dg, np.einsum("jik->ijk", dg), -np.einsum("kij->ijk", dg)] + terms
     low = 0.5 * sum(terms)
-    return np.einsum("ijk,kl->ijl", low, inst.g_inv)
+    with np.errstate(invalid="ignore"):  # NaN only from an inf of the sum, whose overflow has warned
+        return low @ inst.g_inv
 
 
 def cov_deriv_components(gamma: np.ndarray, components: np.ndarray, variance) -> np.ndarray:
@@ -92,8 +93,7 @@ def cov_deriv_components(gamma: np.ndarray, components: np.ndarray, variance) ->
 
 def structure_tensor_F(inst: RpmInstance, gamma: np.ndarray) -> np.ndarray:
     """Lowered covariant derivative of the product structure."""
-    dp = np.einsum("iml,mj->ijl", gamma, inst.p) - np.einsum("lm,ijm->ijl", inst.p, gamma)
-    return np.einsum("ijl,lk->ijk", dp, inst.g)
+    return (inst.p.T @ gamma - gamma @ inst.p.T) @ inst.g
 
 
 def lee_form(inst: RpmInstance, f: np.ndarray) -> LeeForm:
@@ -197,14 +197,16 @@ def ricci_and_scalar(r: np.ndarray, metric: MetricTensor) -> RicciScalar:
 
 
 def sectional_curvature(r: np.ndarray, metric: MetricTensor, u, v, eps: float = DEFAULT_EPS) -> float:
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    g = metric.matrix
-    area_sq = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
+    """R(u, v, v, u) over the squared area: one matrix-vector product reads R, then dim**3 and dim**2 vectors."""
+    uv = np.array((u, v), dtype=float)
+    (guu, guv), (_, gvv) = uv @ metric.matrix @ uv.T
+    area_sq = guu * gvv - guv**2
     if abs(area_sq) <= eps:
         raise DegeneratePlane("the two directions span a degenerate 2-plane")
-    numer = float(((r @ u) @ v) @ v @ u)
-    return numer / float(area_sq)
+    u, v = uv
+    d = len(u)
+    r_u = (u @ r.reshape(d, -1)).reshape(d, -1)  # R(u, ., ., .), its last two slots flat
+    return float(v @ (v @ r_u).reshape(d, d) @ u) / float(area_sq)
 
 
 def psi1_blocks(metric: MetricTensor, s, eps: float = DEFAULT_EPS):

@@ -100,9 +100,7 @@ def potential_from_torsion(t3: np.ndarray) -> np.ndarray:
 def connection_from_torsion(inst: RpmInstance, t: np.ndarray) -> NaturalConnection:
     """Build the metric connection whose lowered torsion is ``t``."""
     q3 = potential_from_torsion(t)
-    q_up = np.einsum("ijl,lk->ijk", q3, inst.g_inv)
-    gamma = levicivita.levi_civita_coeffs(inst) + q_up
-    return NaturalConnection(gamma=gamma, Q=q3, T=t)
+    return NaturalConnection(gamma=levicivita.levi_civita_coeffs(inst) + q3 @ inst.g_inv, Q=q3, T=t)
 
 
 def direct_potential(inst: RpmInstance, theta) -> np.ndarray:
@@ -117,15 +115,13 @@ def direct_potential(inst: RpmInstance, theta) -> np.ndarray:
 def connection_D_from(inst: RpmInstance, nabla: np.ndarray, theta) -> NaturalConnection:
     """Distinguished natural connection from the Levi-Civita coefficients ``nabla``."""
     q3 = direct_potential(inst, theta)
-    q_up = np.einsum("ijl,lk->ijk", q3, inst.g_inv)
     t3 = q3 - np.einsum("jik->ijk", q3)
-    return NaturalConnection(gamma=nabla + q_up, Q=q3, T=t3)
+    return NaturalConnection(gamma=nabla + q3 @ inst.g_inv, Q=q3, T=t3)
 
 
 def recomputed_torsion(gamma: np.ndarray, inst: RpmInstance) -> np.ndarray:
     """Lowered torsion read back from connection coefficients."""
-    t_up = gamma - np.swapaxes(gamma, 0, 1) - inst.c
-    return np.einsum("ijm,mk->ijk", t_up, inst.g)
+    return (gamma - np.swapaxes(gamma, 0, 1) - inst.c) @ inst.g
 
 
 def naturality_defects(d: NaturalConnection, inst: RpmInstance) -> tuple[float, float]:
@@ -291,10 +287,8 @@ def has_parallel_torsion(
     # one block of directions at a time, as flat_D_report takes the curvature derivative
     dt = [max_abs(cov_deriv_components(d.gamma[b], t_sharp, (CO, CO, CONTRA))) for b in blocks(inst.dim)]
     dt_defect = float(np.maximum.reduce(dt))
-    theta = lee.theta
-    theta_p_omega = float(theta @ inst.p @ lee.omega)
-    theta_p = theta @ inst.p
-    expected = (inst.g * theta_p_omega - np.einsum("j,i->ij", theta_p, theta)) / (2.0 * inst.n)
+    theta_p = lee.theta @ inst.p
+    expected = (inst.g * float(theta_p @ lee.omega) - np.outer(lee.theta, theta_p)) / (2.0 * inst.n)
 
     return ParallelTorsionReport(
         dt_defect=dt_defect,
@@ -406,7 +400,7 @@ def torsion_identity_defects(
     nested_cyclic = jacobi_defect(t_sharp)  # the cyclic sum of T#(T#(x, y), z) has the Jacobi form
 
     potential_transpose = max_abs(q3 - np.einsum("kji->ijk", t3))
-    lee_orthogonality = max_abs(np.einsum("m,ml,ijl->ij", theta, p, t_sharp))
+    lee_orthogonality = max_abs(t_sharp @ (theta @ p))
 
     return TorsionIdentityDefects(
         cyclic=cyclic,

@@ -93,7 +93,7 @@ class InstanceAnalysis:
     @cached_property
     def t_sharp(self) -> np.ndarray:
         """Torsion of D with its last slot raised."""
-        return np.einsum("ijl,lk->ijk", self.D.T, self.inst.g_inv)
+        return self.D.T @ self.inst.g_inv
 
     @cached_property
     def Rprime(self) -> np.ndarray:

@@ -127,17 +127,16 @@ def validate_structure(inst: RpmInstance, tolerance: float = DEFAULT_EPS) -> Str
 
 
 def structure_pullback(p: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """t(P x_i, P x_j) of a rank-3 array, as two two-operand contractions."""
-    return np.einsum("bj,ibk->ijk", p, np.einsum("ai,abk->ibk", p, t))
+    """t(P x_i, P x_j) of a rank-3 array, as two matrix products."""
+    return p.T @ (p.T @ t.reshape(len(p), -1)).reshape(t.shape)
 
 
 def nijenhuis_tensor(inst: RpmInstance) -> np.ndarray:
     """Integrability obstruction of the structure; zero on product manifolds."""
     c, p = inst.c, inst.p
-    n12 = structure_pullback(p, c)
-    n3 = np.einsum("km,ijm->ijk", p, np.einsum("ai,ajm->ijm", p, c))
-    n4 = np.einsum("km,ijm->ijk", p, np.einsum("bj,ibm->ijm", p, c))
-    return n12 + c - n3 - n4
+    first = (p.T @ c.reshape(inst.dim, -1)).reshape(c.shape)  # c(P x_i, x_j)
+    # [P x_i, P x_j] + [x_i, x_j] - P[P x_i, x_j] - P[x_i, P x_j]
+    return p.T @ first + c - first @ p.T - (p.T @ c) @ p.T
 
 
 def abelian_structure_defect(inst: RpmInstance) -> float:

@@ -470,6 +470,42 @@ class TestNonFiniteReport:
         assert capsys.readouterr().out == ""
 
 
+class TestOptionValues:
+    """--epsilon and --seed are checked by argparse: a bad value is a usage error, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-paper", "--lambda=1,2,3,4", "--seed", "-1"],
+            ["verify-paper", "--lambda=1,2,3,4", "--seed=-5"],
+            ["verify-paper", "--lambda=1,2,3,4", "--seed", "1.5"],
+            ["verify-paper", "--lambda=1,2,3,4", "--epsilon", "-1"],
+            ["verify-paper", "--lambda=1,2,3,4", "--epsilon=-1e-12"],
+            ["analyze", "--file", "unread.json", "--epsilon=-1"],
+            ["conformal", "--file", "unread.json", "--alpha=0,0,0,0", "--epsilon=-1"],
+        ],
+        ids=["seed_minus_1", "seed_minus_5", "seed_float", "epsilon_minus_1", "epsilon_tiny_negative",
+             "analyze_epsilon", "conformal_epsilon"],
+    )
+    def test_negative_or_malformed_value_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--json"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert ">= 0, got" in captured.err and "Traceback" not in captured.err
+
+    def test_zero_epsilon_is_accepted(self, capsys, tmp_path):
+        path = builtin_file(tmp_path, [1, 2, 3, 4])
+        code, data = run_json(capsys, ["analyze", "--file", path, "--epsilon", "0", "--json"])
+        assert data["epsilon"] == 0.0 and code == data["exit_status"]
+
+    @pytest.mark.parametrize("seed", ["0", str(2**70)])
+    def test_zero_and_large_seeds_are_accepted(self, capsys, seed):
+        code, data = run_json(capsys, ["verify-paper", "--lambda=1,2,3,4", f"--seed={seed}", "--json"])
+        assert code == data["exit_status"] == 0
+
+
 SUMMARIZED = ("levi_civita_gamma", "natural_gamma", "torsion", "curvature", "natural_curvature", "weyl")
 
 

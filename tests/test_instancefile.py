@@ -5,6 +5,7 @@ import pytest
 
 from prodgeo.instancefile import (
     ParseError,
+    instance_from_dict,
     parse_rational,
     parse_rational_matrix,
 )
@@ -75,3 +76,16 @@ def test_mixed_table_is_bitwise_the_per_entry_parse():
 def test_row_that_is_not_a_list_is_named():
     with pytest.raises(ParseError, match=r"^expected a list of rationals, got 'x'$"):
         parse_rational_matrix([[1, 2], "x"], 2, 2)
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, "1"], ids=["true", "false", "float", "string"])
+@pytest.mark.parametrize("slot", ["i", "j"])
+def test_bracket_index_that_is_not_a_json_integer_is_rejected(index, slot):
+    # a JSON true is a Python bool, an int subclass equal to 1: it is no index
+    entry = {"i": 1, "j": 2, "coeffs": [0, 0, 1, 0]}
+    entry[slot] = index
+    payload = {"dim": 4, "brackets": [entry], "metric": np.eye(4).tolist(), "P": np.diag([1, 1, -1, -1]).tolist()}
+    with pytest.raises(ParseError, match="bracket indices must be distinct and in 1..4"):
+        instance_from_dict(payload)
+    entry[slot] = 1 if slot == "i" else 2
+    assert instance_from_dict(payload).instance.c[0, 1, 2] == 1.0

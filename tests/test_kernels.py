@@ -12,21 +12,30 @@ import itertools
 import numpy as np
 import pytest
 
+from prodgeo.errors import DegeneratePlane
 from prodgeo.levicivita import (
     cov_deriv_components,
     curvature_components,
     curvature_tensor,
     levi_civita_coeffs,
     ricci_and_scalar,
+    sectional_curvature,
+    structure_tensor_F,
     weyl_tensor,
 )
 from prodgeo.liealg import LieFrameAlgebra, jacobi_defect
-from prodgeo.natural import NaturalConnection, bianchi_defect, torsion_identity_defects
+from prodgeo.natural import (
+    NaturalConnection,
+    bianchi_defect,
+    connection_D_from,
+    recomputed_torsion,
+    torsion_identity_defects,
+)
 from prodgeo.pipeline import analyze_instance
 from prodgeo.structure import ProductStructure, RpmInstance, nijenhuis_tensor, structure_pullback
 from prodgeo.tensors import CO, CONTRA, MetricTensor, compose, freeze, max_abs
 from prodgeo.example import ExampleParams, build_example
-from tests.conftest import frame_changed_dim8, moved_frame, psi1
+from tests.conftest import frame_changed_dim8, hyperbolic, moved_frame, psi1
 
 EPS = np.finfo(float).eps
 VARIANCES = [v for rank in range(5) for v in itertools.product((CO, CONTRA), repeat=rank)]
@@ -348,7 +357,9 @@ def test_ricci_and_scalar(seed):
 
 
 @pytest.mark.parametrize(
-    "inst", [frame_changed_dim8(), random_instance(3)], ids=["frame_changed_dim8", "random"]
+    "inst",
+    [frame_changed_dim8(), random_instance(3), moved_builtin(), hyperbolic(16)],
+    ids=["frame_changed_dim8", "random", "dim4", "dim16"],
 )
 def test_nijenhuis_tensor(inst):
     dim = inst.dim
@@ -361,7 +372,9 @@ def test_nijenhuis_tensor(inst):
 
 
 @pytest.mark.parametrize(
-    "inst", [frame_changed_dim8(), random_instance(4)], ids=["frame_changed_dim8", "random"]
+    "inst",
+    [frame_changed_dim8(), random_instance(4), moved_builtin(), hyperbolic(16)],
+    ids=["frame_changed_dim8", "random", "dim4", "dim16"],
 )
 def test_structure_pullback(inst):
     dim = inst.dim
@@ -371,6 +384,166 @@ def test_structure_pullback(inst):
         pullback_terms(np.abs(inst.p), np.abs(inst.c)),
         dim * dim,
     )
+
+
+# Instances with dense brackets, a dense P and a non-identity metric, at the
+# paper's dimension and at one where the rank-4 kernels take several blocks.
+NON_IDENTITY_METRIC = {"dim4": moved_builtin(), "dim8": frame_changed_dim8(), "dim16": hyperbolic(16)}
+DIMS_4_16 = ["dim4", "dim16"]
+
+
+def lowered_terms(t, m):
+    """t[i, j, l] m[l, k], the last slot contracted by ``m``."""
+    return [np.einsum("ijl,lk->ijk", t, m)]
+
+
+def koszul_terms(c, g, g_inv, dg):
+    """0.5 (dg + dg^jik - dg^kij + b + b^kij + b^kji) g^-1 with b = c g, as einsums."""
+    b = np.einsum("ijm,mk->ijk", c, g)
+    low = [dg, np.einsum("jik->ijk", dg), -np.einsum("kij->ijk", dg)]
+    low += [b, np.einsum("kij->ijk", b), np.einsum("kji->ijk", b)]
+    return [0.5 * np.einsum("ijk,kl->ijl", t, g_inv) for t in low]
+
+
+@pytest.mark.parametrize("name", DIMS_4_16)
+@pytest.mark.parametrize("rescaled", [False, True], ids=["base", "rescaled"])
+def test_levi_civita_coeffs(name, rescaled):
+    # with the frame derivatives of a conformally rescaled metric, as the conformal rebuild has them
+    inst = NON_IDENTITY_METRIC[name]
+    dim = inst.dim
+    alpha = np.random.default_rng(dim).normal(size=dim)
+    dg = 2.0 * alpha[:, None, None] * inst.g if rescaled else np.zeros((dim,) * 3)
+    ab = [np.abs(x) for x in (inst.c, inst.g, inst.g_inv, dg)]
+    assert_within_roundoff(
+        levi_civita_coeffs(inst, dg if rescaled else None),
+        koszul_terms(inst.c, inst.g, inst.g_inv, dg),
+        koszul_terms(*ab),
+        2 * dim + 6,
+    )
+
+
+def structure_F_terms(gamma, p, g):
+    return [
+        np.einsum("ijl,lk->ijk", np.einsum("iml,mj->ijl", gamma, p), g),
+        -np.einsum("ijl,lk->ijk", np.einsum("lm,ijm->ijl", p, gamma), g),
+    ]
+
+
+@pytest.mark.parametrize("name", DIMS_4_16)
+def test_structure_tensor_F(name):
+    inst = NON_IDENTITY_METRIC[name]
+    gamma = levi_civita_coeffs(inst)
+    assert max_abs(structure_tensor_F(inst, gamma)) > 1e-3  # not a product-parallel structure
+    assert_within_roundoff(
+        structure_tensor_F(inst, gamma),
+        structure_F_terms(gamma, inst.p, inst.g),
+        structure_F_terms(np.abs(gamma), np.abs(inst.p), np.abs(inst.g)),
+        2 * inst.dim + 1,
+    )
+
+
+@pytest.mark.parametrize("name", DIMS_4_16)
+def test_natural_connection_and_raised_torsion(name):
+    # D = nabla + Q g^-1 and T# = T g^-1; Q and T themselves are not contractions
+    inst = NON_IDENTITY_METRIC[name]
+    a = analyze_instance(inst)
+    theta = np.random.default_rng(inst.dim).normal(size=inst.dim)
+    d = connection_D_from(inst, a.nabla, theta)
+    abs_g_inv = np.abs(inst.g_inv)
+    assert_within_roundoff(
+        d.gamma,
+        [a.nabla] + lowered_terms(d.Q, inst.g_inv),
+        [np.abs(a.nabla)] + lowered_terms(np.abs(d.Q), abs_g_inv),
+        inst.dim + 1,
+    )
+    t = a.D.T
+    assert_within_roundoff(a.t_sharp, lowered_terms(t, inst.g_inv), lowered_terms(np.abs(t), abs_g_inv), inst.dim)
+
+
+@pytest.mark.parametrize("name", DIMS_4_16)
+def test_recomputed_torsion(name):
+    inst = NON_IDENTITY_METRIC[name]
+    gamma = np.random.default_rng(inst.dim).normal(size=(inst.dim,) * 3)
+    t_up = [gamma, -gamma.swapaxes(0, 1), -inst.c]
+    abs_up = sum(np.abs(t) for t in t_up)
+    assert_within_roundoff(
+        recomputed_torsion(gamma, inst),
+        [term for t in t_up for term in lowered_terms(t, inst.g)],
+        lowered_terms(abs_up, np.abs(inst.g)),
+        inst.dim + 2,
+    )
+
+
+@pytest.mark.parametrize("name", DIMS_4_16)
+def test_lee_orthogonality_defect(name):
+    # random theta and T#, so the defect is not a sum that cancels to roundoff
+    inst = NON_IDENTITY_METRIC[name]
+    rng = np.random.default_rng(inst.dim)
+    theta, t_sharp = rng.normal(size=inst.dim), rng.normal(size=(inst.dim,) * 3)
+    t = np.zeros_like(t_sharp)
+    ids = torsion_identity_defects(inst, NaturalConnection(gamma=t, Q=t, T=t), theta, t_sharp)
+    ref = np.einsum("m,ml,ijl->ij", theta, inst.p, t_sharp)
+    size = np.einsum("m,ml,ijl->ij", np.abs(theta), np.abs(inst.p), np.abs(t_sharp))
+    assert abs(ids.lee_orthogonality - max_abs(ref)) <= 2 * inst.dim * EPS * size.max()
+    assert ids.lee_orthogonality > 1.0
+
+
+def sectional_plane(r, g, u, v):
+    """The einsum value of k(u, v) and a float64 roundoff bound on any other summation order.
+
+    The numerator einsum sums dim**4 products in one chain, each g-quadratic
+    form dim**2; the bound on k is that of the numerator over |area| plus |k|
+    times that of the area over |area|.
+    """
+    area = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
+    k = np.einsum("ijkl,i,j,k,l->", r, u, v, v, u) / area
+    au, av, ag = np.abs(u), np.abs(v), np.abs(g)
+    numer_size = np.einsum("ijkl,i,j,k,l->", np.abs(r), au, av, av, au)
+    area_size = (au @ ag @ au) * (av @ ag @ av) + (au @ ag @ av) ** 2
+    dim = len(u)
+    bound = ((dim**4 + 4) * numer_size + abs(k) * (2 * dim * dim + 2) * area_size) * EPS / abs(area)
+    return k, bound
+
+
+def noisy_curvature(inst):
+    """The Levi-Civita curvature plus noise of its own size: no symmetry of R is assumed."""
+    r = analyze_instance(inst).R
+    return r + max_abs(r) * np.random.default_rng(inst.dim).normal(size=r.shape)
+
+
+@pytest.mark.parametrize("name", list(NON_IDENTITY_METRIC))
+def test_sectional_curvature_against_einsum(name):
+    inst = NON_IDENTITY_METRIC[name]
+    r, g = noisy_curvature(inst), inst.g
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        u, v = rng.normal(size=(2, inst.dim))
+        expected, bound = sectional_plane(r, g, u, v)
+        assert abs(sectional_curvature(r, inst.metric, u, v) - expected) <= bound
+        assert abs(sectional_curvature(r, inst.metric, list(u), tuple(v)) - expected) <= bound
+
+
+@pytest.mark.parametrize("name", list(NON_IDENTITY_METRIC))
+def test_sectional_curvature_on_basis_planes_is_exact(name):
+    # a unit vector picks entries out of R and g: no sum has two non-zero terms
+    inst = NON_IDENTITY_METRIC[name]
+    r, g, basis = noisy_curvature(inst), inst.g, np.eye(inst.dim)
+    for i, j in itertools.combinations(range(inst.dim), 2):
+        expected = r[i, j, j, i] / (g[i, i] * g[j, j] - g[i, j] ** 2)
+        assert sectional_curvature(r, inst.metric, basis[i], basis[j]) == expected
+        assert sectional_curvature(r, inst.metric, basis[j], basis[i]) == r[j, i, i, j] / (
+            g[j, j] * g[i, i] - g[j, i] ** 2
+        )
+
+
+@pytest.mark.parametrize("name", list(NON_IDENTITY_METRIC))
+def test_sectional_curvature_raises_on_a_degenerate_plane(name):
+    inst = NON_IDENTITY_METRIC[name]
+    r = noisy_curvature(inst)
+    u = np.random.default_rng(3).normal(size=inst.dim)
+    for v in (-3.0 * u, np.zeros(inst.dim), u + 1e-9 * np.eye(inst.dim)[0]):
+        with pytest.raises(DegeneratePlane):
+            sectional_curvature(r, inst.metric, u, v)
 
 
 def test_curvature_components_runs_on_sympy_arrays():

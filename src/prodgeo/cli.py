@@ -42,9 +42,7 @@ EXIT_NOT_CLOSED = 4
 
 
 def _at_least_zero(cast):
-    """An argparse type: ``cast(text)``, finite and >= 0.  A report's tolerance must be
-    valid JSON and no defect is below 0; numpy's generators take only seeds >= 0."""
-
+    """An argparse type: ``cast(text)``, finite and >= 0 (a JSON-valid tolerance, a numpy seed)."""
     def parse(text: str):
         try:
             value = cast(text)

@@ -204,9 +204,8 @@ def sectional_curvature(r: np.ndarray, metric: MetricTensor, u, v, eps: float = 
     if abs(area_sq) <= eps:
         raise DegeneratePlane("the two directions span a degenerate 2-plane")
     u, v = uv
-    d = len(u)
-    r_u = (u @ r.reshape(d, -1)).reshape(d, -1)  # R(u, ., ., .), its last two slots flat
-    return float(v @ (v @ r_u).reshape(d, d) @ u) / float(area_sq)
+    r_uv = v @ (u @ r.reshape(len(u), -1)).reshape(len(u), -1)  # R(u, v, ., .) from R(u, ., ., .), both flat
+    return float(v @ r_uv.reshape(len(u), -1) @ u) / float(area_sq)
 
 
 def psi1_blocks(metric: MetricTensor, s, eps: float = DEFAULT_EPS):

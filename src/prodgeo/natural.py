@@ -100,7 +100,9 @@ def potential_from_torsion(t3: np.ndarray) -> np.ndarray:
 def connection_from_torsion(inst: RpmInstance, t: np.ndarray) -> NaturalConnection:
     """Build the metric connection whose lowered torsion is ``t``."""
     q3 = potential_from_torsion(t)
-    return NaturalConnection(gamma=levicivita.levi_civita_coeffs(inst) + q3 @ inst.g_inv, Q=q3, T=t)
+    q_up = np.einsum("ijl,lk->ijk", q3, inst.g_inv)
+    gamma = levicivita.levi_civita_coeffs(inst) + q_up
+    return NaturalConnection(gamma=gamma, Q=q3, T=t)
 
 
 def direct_potential(inst: RpmInstance, theta) -> np.ndarray:
@@ -287,8 +289,10 @@ def has_parallel_torsion(
     # one block of directions at a time, as flat_D_report takes the curvature derivative
     dt = [max_abs(cov_deriv_components(d.gamma[b], t_sharp, (CO, CO, CONTRA))) for b in blocks(inst.dim)]
     dt_defect = float(np.maximum.reduce(dt))
-    theta_p = lee.theta @ inst.p
-    expected = (inst.g * float(theta_p @ lee.omega) - np.outer(lee.theta, theta_p)) / (2.0 * inst.n)
+    theta = lee.theta
+    theta_p_omega = float(theta @ inst.p @ lee.omega)
+    theta_p = theta @ inst.p
+    expected = (inst.g * theta_p_omega - np.einsum("j,i->ij", theta_p, theta)) / (2.0 * inst.n)
 
     return ParallelTorsionReport(
         dt_defect=dt_defect,

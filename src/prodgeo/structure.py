@@ -132,10 +132,9 @@ def structure_pullback(p: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def nijenhuis_tensor(inst: RpmInstance) -> np.ndarray:
-    """Integrability obstruction of the structure; zero on product manifolds."""
+    """Integrability obstruction [Px, Py] + [x, y] - P[Px, y] - P[x, Py]; zero on product manifolds."""
     c, p = inst.c, inst.p
     first = (p.T @ c.reshape(inst.dim, -1)).reshape(c.shape)  # c(P x_i, x_j)
-    # [P x_i, P x_j] + [x_i, x_j] - P[P x_i, x_j] - P[x_i, P x_j]
     return p.T @ first + c - first @ p.T - (p.T @ c) @ p.T
 
 

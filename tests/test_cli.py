@@ -623,6 +623,16 @@ class TestWarningsInNotes:
         assert rebuilt.exit_status == data["exit_status"] == code
         assert [c.passed for c in rebuilt.all_checks] == [c["pass"] for c in data["checks"]]
 
+    def test_overflowed_metric_gives_exactly_the_overflow_notes(self, capsys):
+        # an inf of the overflowed Koszul sum meeting a 0 of the inverse metric
+        # is no new fault: its "invalid value encountered in matmul" is no note
+        _, data = run_json(capsys, ["verify-paper", "--lambda=1e308,1e308,1e308,1e308", "--json"])
+        assert [n for n in data["notes"] if n.startswith("warning: ")] == [
+            "warning: RuntimeWarning: overflow encountered in matmul",
+            "warning: RuntimeWarning: invalid value encountered in add",
+            "warning: RuntimeWarning: overflow encountered in add",
+        ]
+
     def test_text_report_carries_the_note(self, capsys):
         main(["verify-paper", "--lambda=1e100,2,3,4"])
         captured = capsys.readouterr()

@@ -489,20 +489,16 @@ def test_lee_orthogonality_defect(name):
 
 
 def sectional_plane(r, g, u, v):
-    """The einsum value of k(u, v) and a float64 roundoff bound on any other summation order.
+    """The einsum value of k(u, v) and a bound of 64 ulps of the numerator's size over |area|.
 
-    The numerator einsum sums dim**4 products in one chain, each g-quadratic
-    form dim**2; the bound on k is that of the numerator over |area| plus |k|
-    times that of the area over |area|.
+    The bound does not grow with dim: a kernel that sums in another order is
+    off by a few ulps (under 10 over 2000 random planes at dims 4, 8 and 16,
+    the area's own roundoff included), a wrong term by far more.
     """
     area = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
     k = np.einsum("ijkl,i,j,k,l->", r, u, v, v, u) / area
-    au, av, ag = np.abs(u), np.abs(v), np.abs(g)
-    numer_size = np.einsum("ijkl,i,j,k,l->", np.abs(r), au, av, av, au)
-    area_size = (au @ ag @ au) * (av @ ag @ av) + (au @ ag @ av) ** 2
-    dim = len(u)
-    bound = ((dim**4 + 4) * numer_size + abs(k) * (2 * dim * dim + 2) * area_size) * EPS / abs(area)
-    return k, bound
+    numer_size = np.einsum("ijkl,i,j,k,l->", np.abs(r), *np.abs([u, v, v, u]))
+    return k, 64 * EPS * numer_size / abs(area)
 
 
 def noisy_curvature(inst):

@@ -20,7 +20,7 @@ from prodgeo.levicivita import (
 from prodgeo.liealg import LieFrameAlgebra
 from prodgeo.structure import ProductStructure, RpmInstance
 from prodgeo.tensors import CO, CONTRA, MetricTensor, max_abs
-from tests.conftest import psi1, random_lambdas
+from tests.conftest import frame_changed_dim8, psi1, random_lambdas
 
 E = np.eye(4)
 
@@ -301,6 +301,32 @@ class TestSectional:
         _, _, _, r = pipeline(inst_1234)
         with pytest.raises(errors.DegeneratePlane):
             sectional_curvature(r, inst_1234.metric, E[0], 2.0 * E[0])
+
+    def test_matches_einsum_reference_on_a_non_identity_metric(self):
+        inst = frame_changed_dim8()
+        _, _, _, r = pipeline(inst)
+        g = inst.metric.matrix
+
+        def reference(u, v):
+            area_sq = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
+            numer = float(np.einsum("ijkl,i,j,k,l->", r, u, v, v, u))
+            # Summation order differs from the reference: allow a few ulps
+            # per stage of the largest partial sum.
+            size = float(np.einsum("ijkl,i,j,k,l->", np.abs(r), *np.abs([u, v, v, u])))
+            return numer / float(area_sq), 64 * np.finfo(float).eps * size / abs(float(area_sq))
+
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            u, v = rng.normal(size=(2, 8))
+            expected, tol = reference(u, v)
+            assert abs(sectional_curvature(r, inst.metric, u, v) - expected) <= tol
+        basis = np.eye(8)
+        for i in range(8):
+            for j in range(i + 1, 8):
+                expected, _ = reference(basis[i], basis[j])
+                assert sectional_curvature(r, inst.metric, basis[i], basis[j]) == expected
+        with pytest.raises(errors.DegeneratePlane):
+            sectional_curvature(r, inst.metric, basis[3], -3.0 * basis[3])
 
 
 class TestCurvatureTypeOperators:

@@ -62,35 +62,6 @@ def _parse_tuple(text: str, length: int, what: str) -> tuple[float, ...]:
     return tuple(parse_rational(p) for p in parts)
 
 
-def _add_structure_checks(rep: Report, report) -> None:
-    for defect in report.checks:
-        rep.add(defect.name, defect.magnitude)
-
-
-def _add_analysis_checks(rep: Report, a: InstanceAnalysis) -> None:
-    rep.add("natural_connection_preserves_metric", a.naturality_metric_defect)
-    rep.add("natural_connection_preserves_structure", a.naturality_structure_defect)
-    rep.add("torsion_reconstruction", a.torsion_reconstruction_defect)
-    ids = a.torsion_identities
-    rep.add("torsion_cyclic_sum", ids.cyclic)
-    rep.add("torsion_structure_cyclic_sum", ids.structure_cyclic)
-    rep.add("torsion_nested_cyclic_sum", ids.nested_cyclic)
-    rep.add("potential_is_transposed_torsion", ids.potential_transpose)
-    rep.add("torsion_lee_orthogonality", ids.lee_orthogonality)
-    rep.add("curvature_relation", a.curvature_relation_residual)
-    rep.add("ricci_relation", a.ricci_relation.ricci_residual)
-    rep.add("scalar_relation", a.ricci_relation.scalar_residual)
-    rep.add("weyl_invariance", a.weyl_invariance_residual)
-    rep.add_indicator("curvature_type_criterion_agreement", a.p_criterion.equivalence_holds)
-    rep.add_indicator("curvature_type_closedness_agreement", a.p_criterion.closedness_agrees)
-    rep.add_indicator(
-        "parallel_torsion_equivalence",
-        (a.parallel.dt_defect <= rep.epsilon)
-        == (a.parallel.dtheta_defect <= rep.epsilon)
-        == (a.parallel.gradient_identity_defect <= rep.epsilon),
-    )
-
-
 def _flags_dict(a: InstanceAnalysis) -> dict:
     return {
         "is_w0": a.flags.is_w0,
@@ -118,16 +89,16 @@ def _tables_dict(a: InstanceAnalysis) -> dict:
     }
 
 
-def _conformal_sweep(rep: Report, a: InstanceAnalysis, seed: int, samples: int = 5) -> None:
+def _conformal_sweep(a: InstanceAnalysis, seed: int, samples: int = 5) -> dict[str, float]:
+    """The largest of each conformal defect over ``samples`` random closed 1-forms."""
     rng = np.random.default_rng(seed)
     worst: dict[str, float] = {}
     for _ in range(samples):
         alpha = conformal_mod.random_closed_form(a.inst.alg, rng)
-        geo = conformal_mod.deformed_geometry(a.inst, alpha, rep.epsilon)
+        geo = conformal_mod.deformed_geometry(a.inst, alpha, a.eps)
         for name, defect in conformal_mod.conformal_checks(a, geo).items():
             worst[name] = max(worst.get(name, 0.0), defect)
-    for name, defect in worst.items():
-        rep.add(name, defect)
+    return worst
 
 
 def cmd_verify_paper(args) -> tuple[Report | None, int | None]:
@@ -146,31 +117,26 @@ def cmd_verify_paper(args) -> tuple[Report | None, int | None]:
     )
 
     a = analyze_instance(inst, eps)
-    _add_structure_checks(rep, a.structure)
-    rep.add("conformal_class_membership", a.flags.conformal_class_residual)
-    rep.add("integrability", a.flags.nijenhuis_defect)
-
-    table_report = example.verify_against_tables(params, a)
-    for name, deviation in table_report.deviations.as_dict().items():
-        rep.add(f"table_{name}", deviation)
-
+    rep.add(a.structure.checks)
+    rep.add(
+        {"conformal_class_membership": a.flags.conformal_class_residual, "integrability": a.flags.nijenhuis_defect}
+    )
+    rep.add(example.verify_against_tables(params, a))
     if params.degenerate:
         rep.notes.append(
             "degenerate parameters: structure-parallel case, scalar curvature is 0, torsion vanishes"
         )
-    else:
-        rep.add_indicator("scalar_curvature_negative", table_report.tau < 0.0)
-        rep.add_indicator("torsion_not_parallel", not a.parallel.verdict)
-    rep.add("weyl_zero", table_report.weyl_max)
-    rep.add("natural_curvature_zero", table_report.rprime_max)
-
-    _add_analysis_checks(rep, a)
-    _conformal_sweep(rep, a, args.seed)
+    rep.add(a.theorem_checks)
+    rep.add(_conformal_sweep(a, args.seed))
 
     flags = example.constant_curvature_flags(params, a)
-    rep.add_indicator("constant_invariant_agreement", flags.invariant_agrees)
-    rep.add_indicator("constant_anti_invariant_agreement", flags.anti_invariant_agrees)
-    rep.add_indicator("constant_sectional_agreement", flags.sectional_agrees)
+    rep.add(
+        {
+            "constant_invariant_agreement": flags.invariant_agrees,
+            "constant_anti_invariant_agreement": flags.anti_invariant_agrees,
+            "constant_sectional_agreement": flags.sectional_agrees,
+        }
+    )
 
     rep.flags.update(_flags_dict(a))
     rep.flags.update(
@@ -183,7 +149,7 @@ def cmd_verify_paper(args) -> tuple[Report | None, int | None]:
     rep.tables.update(_tables_dict(a))
     if flags.space_form_residual is not None:
         rep.tables["space_form_residual"] = flags.space_form_residual
-        if flags.space_form_residual > eps:
+        if flags.cross_terms:
             rep.notes.append(
                 "constant basis sectional curvature holds; the curvature tensor still has "
                 "parameter cross terms, so it is not proportional to the space-form tensor"
@@ -198,7 +164,7 @@ def _load(path: str, rep_kwargs: dict) -> tuple[LoadedInstance | None, Report | 
     except InvalidInstance as exc:
         rep = Report(instance={"kind": "explicit", "path": path}, **rep_kwargs)
         rep.notes.append(f"instance cannot be built: {exc}")
-        _add_structure_checks(rep, structure_defects(exc.c, exc.g, exc.p, rep.epsilon))
+        rep.add(structure_defects(exc.c, exc.g, exc.p, rep.epsilon).checks)
         return None, rep, EXIT_STRUCTURE_FAILURE
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -214,8 +180,8 @@ def cmd_analyze(args) -> tuple[Report | None, int | None]:
     eps = args.epsilon
     rep = Report(instance=loaded.descriptor, epsilon=eps)
     a = analyze_instance(inst, eps)
-    _add_structure_checks(rep, a.structure)
-    _add_analysis_checks(rep, a)
+    rep.add(a.structure.checks)
+    rep.add(a.theorem_checks)
     rep.flags.update(_flags_dict(a))
     rep.tables.update(_tables_dict(a))
     if not a.flags.is_w1:
@@ -242,14 +208,13 @@ def cmd_conformal(args) -> tuple[Report | None, int | None]:
     a = analyze_instance(inst, eps)
     if not a.structure.ok:
         rep = Report(instance=loaded.descriptor, epsilon=eps)
-        _add_structure_checks(rep, a.structure)
+        rep.add(a.structure.checks)
         return rep, EXIT_STRUCTURE_FAILURE
 
     geo = conformal_mod.deformed_geometry(inst, alpha, eps)  # NotClosed exits 4 in main
     rep = Report(instance=loaded.descriptor, epsilon=eps)
     rep.tables["alpha"] = alpha
-    for name, defect in conformal_mod.conformal_checks(a, geo).items():
-        rep.add(name, defect)
+    rep.add(conformal_mod.conformal_checks(a, geo))
     rep.tables["lee_form_transformed"] = geo.lee.theta
     return rep, None
 

@@ -33,11 +33,13 @@ def require_closed(alg: LieFrameAlgebra, alpha, eps: float = DEFAULT_EPS) -> np.
     """``alpha`` as a float array; NotClosed, with the closed-form basis, if it is not closed.
 
     The tolerance is ``eps`` scaled by the size of the terms of the defect,
-    and ``eps`` itself at unit scale.
+    and ``eps`` itself at unit scale.  ``eps`` is floored at dim ulps, the
+    roundoff of one bracket sum, so a form taken from ``alg.closed_forms``
+    passes at ``eps`` = 0.
     """
     alpha = np.asarray(alpha, dtype=float)
     defect = closedness_defect(alg, alpha)
-    if defect > eps * max(1.0, max_abs(alg.c) * max_abs(alpha)):
+    if defect > max(eps, alg.dim * np.finfo(float).eps) * max(1.0, max_abs(alg.c) * max_abs(alpha)):
         raise NotClosed(
             f"the 1-form is not closed (bracket defect {defect:.3e}); "
             f"closed forms must annihilate the derived subalgebra.\n"

@@ -199,65 +199,28 @@ def golden_tables(params: ExampleParams) -> GoldenTables:
     )
 
 
-@dataclass(frozen=True)
-class TableDeviations:
-    """Per-table max deviation between the computed pipeline and the tables."""
-
-    nabla: float
-    R: float
-    rho: float
-    tau: float
-    theta: float
-    k_inv: float
-    k_anti: float
-    D: float
-    T_D: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "nabla": self.nabla, "R": self.R, "rho": self.rho, "tau": self.tau,
-            "theta": self.theta, "k_inv": self.k_inv, "k_anti": self.k_anti,
-            "D": self.D, "T_D": self.T_D,
-        }
-
-    @property
-    def max(self) -> float:
-        return max(self.as_dict().values())
-
-
-@dataclass(frozen=True)
-class ExampleReport:
-    """Golden-table deviations, tau and the largest W and R' entries at one parameter point."""
-
-    deviations: TableDeviations
-    tau: float
-    weyl_max: float
-    rprime_max: float
-
-
-def verify_against_tables(params: ExampleParams, a: InstanceAnalysis) -> ExampleReport:
-    """Compare the analysis ``a`` of the builtin instance for ``params`` with the tables."""
+def verify_against_tables(params: ExampleParams, a: InstanceAnalysis) -> dict[str, float | bool]:
+    """The builtin family's own checks on the analysis ``a`` of its instance for ``params``:
+    the deviation of each computed table from its golden one, that tau is negative and the
+    torsion not parallel (off the degenerate point), and the largest W and R' entries."""
     tables = golden_tables(params)
-    k_inv_dev = max(abs(a.sectional[i - 1, j - 1] - v) for (i, j), v in tables.k_inv.items())
-    k_anti_dev = max(abs(a.sectional[i - 1, j - 1] - v) for (i, j), v in tables.k_anti.items())
-
-    deviations = TableDeviations(
-        nabla=max_abs(a.nabla - tables.nabla),
-        R=max_abs(a.R - tables.R),
-        rho=max_abs(a.ricci.rho - tables.rho),
-        tau=abs(a.ricci.tau - tables.tau),
-        theta=max_abs(a.lee.theta - tables.theta),
-        k_inv=k_inv_dev,
-        k_anti=k_anti_dev,
-        D=max_abs(a.D.gamma - tables.D),
-        T_D=max_abs(a.t_sharp - tables.T_D),
-    )
-    return ExampleReport(
-        deviations=deviations,
-        tau=a.ricci.tau,
-        weyl_max=max_abs(a.W),
-        rprime_max=max_abs(a.Rprime),
-    )
+    checks = {
+        "table_nabla": max_abs(a.nabla - tables.nabla),
+        "table_R": max_abs(a.R - tables.R),
+        "table_rho": max_abs(a.ricci.rho - tables.rho),
+        "table_tau": abs(a.ricci.tau - tables.tau),
+        "table_theta": max_abs(a.lee.theta - tables.theta),
+        "table_k_inv": max(abs(a.sectional[i - 1, j - 1] - v) for (i, j), v in tables.k_inv.items()),
+        "table_k_anti": max(abs(a.sectional[i - 1, j - 1] - v) for (i, j), v in tables.k_anti.items()),
+        "table_D": max_abs(a.D.gamma - tables.D),
+        "table_T_D": max_abs(a.t_sharp - tables.T_D),
+    }
+    if not params.degenerate:
+        checks["scalar_curvature_negative"] = a.ricci.tau < 0.0
+        checks["torsion_not_parallel"] = not a.parallel.verdict
+    checks["weyl_zero"] = max_abs(a.W)
+    checks["natural_curvature_zero"] = max_abs(a.Rprime)
+    return checks
 
 
 @dataclass(frozen=True)
@@ -274,7 +237,8 @@ class ConstantCurvatureFlags:
     ``space_form_residual`` is the pointwise test of R = (tau/12) pi1, the
     largest component of the difference, reported only when the six basis
     curvatures agree.  It is zero only at lambda = 0: the curvature keeps
-    cross terms such as R_1213 = lambda1*lambda4 where pi1 vanishes.
+    cross terms such as R_1213 = lambda1*lambda4 where pi1 vanishes, and
+    ``cross_terms`` says the residual is above the tolerance.
     """
 
     const_invariant: bool
@@ -284,6 +248,7 @@ class ConstantCurvatureFlags:
     anti_invariant_agrees: bool
     sectional_agrees: bool
     space_form_residual: float | None
+    cross_terms: bool
 
 
 def constant_curvature_flags(params: ExampleParams, a: InstanceAnalysis) -> ConstantCurvatureFlags:
@@ -316,4 +281,5 @@ def constant_curvature_flags(params: ExampleParams, a: InstanceAnalysis) -> Cons
         anti_invariant_agrees=alg_anti == computed_anti,
         sectional_agrees=alg_const == computed_const,
         space_form_residual=space_form,
+        cross_terms=space_form is not None and space_form > eps,
     )

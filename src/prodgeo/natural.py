@@ -126,11 +126,14 @@ def recomputed_torsion(gamma: np.ndarray, inst: RpmInstance) -> np.ndarray:
     return (gamma - np.swapaxes(gamma, 0, 1) - inst.c) @ inst.g
 
 
-def naturality_defects(d: NaturalConnection, inst: RpmInstance) -> tuple[float, float]:
-    """(metric, structure) parallelism defects of a candidate natural connection."""
+def naturality_defects(d: NaturalConnection, inst: RpmInstance) -> dict[str, float]:
+    """The metric and structure parallelism defects of a candidate natural connection."""
     dg = cov_deriv_components(d.gamma, inst.g, (CO, CO))
     dp = cov_deriv_components(d.gamma, inst.p, (CONTRA, CO))
-    return max_abs(dg), max_abs(dp)
+    return {
+        "natural_connection_preserves_metric": max_abs(dg),
+        "natural_connection_preserves_structure": max_abs(dp),
+    }
 
 
 def curvature_Rprime(d: NaturalConnection, alg, metric: MetricTensor) -> np.ndarray:
@@ -164,12 +167,6 @@ def verify_curvature_relation(
     return float(np.maximum.reduce(maxima))
 
 
-@dataclass(frozen=True)
-class RicciRelation:
-    ricci_residual: float
-    scalar_residual: float
-
-
 def ricci_scalar_relation(
     rho: np.ndarray,
     rho_prime: np.ndarray,
@@ -178,12 +175,13 @@ def ricci_scalar_relation(
     s: STensor,
     metric: MetricTensor,
     n: int,
-) -> RicciRelation:
+) -> dict[str, float]:
     """Residuals of the contracted curvature relation."""
     ricci_corr = (metric.matrix * s.trace_S + 2.0 * (n - 1) * s.S) / (2.0 * n)
-    ricci_residual = max_abs(rho - rho_prime + ricci_corr)
-    scalar_residual = abs(tau - tau_prime + (2.0 * n - 1.0) / n * s.trace_S)
-    return RicciRelation(ricci_residual=ricci_residual, scalar_residual=scalar_residual)
+    return {
+        "ricci_relation": max_abs(rho - rho_prime + ricci_corr),
+        "scalar_relation": abs(tau - tau_prime + (2.0 * n - 1.0) / n * s.trace_S),
+    }
 
 
 def bianchi_defect(components: np.ndarray) -> float:
@@ -195,32 +193,6 @@ def bianchi_defect(components: np.ndarray) -> float:
         cyc += z[b]  # in place, the absolute value too
         maxima.append(np.abs(cyc, out=cyc).max())
     return float(np.maximum.reduce(maxima))
-
-
-@dataclass(frozen=True)
-class PTensorReport:
-    """Defects of the four curvature-type axioms for a rank-4 tensor."""
-
-    skew12: float
-    skew34: float
-    bianchi: float
-    p_invariance: float
-    verdict: bool
-
-
-def is_riemannian_P_tensor(comp: np.ndarray, p, eps: float = DEFAULT_EPS) -> PTensorReport:
-    p = np.asarray(p, dtype=float)
-    skew12 = max_abs(comp + np.einsum("jikl->ijkl", comp))
-    skew34 = max_abs(comp + np.einsum("ijlk->ijkl", comp))
-    bianchi = bianchi_defect(comp)
-    p_inv = max_abs(np.einsum("ijab,ak,bl->ijkl", comp, p, p) - comp)
-    return PTensorReport(
-        skew12=skew12,
-        skew34=skew34,
-        bianchi=bianchi,
-        p_invariance=p_inv,
-        verdict=max(skew12, skew34, bianchi, p_inv) <= eps,
-    )
 
 
 @dataclass(frozen=True)
@@ -247,7 +219,16 @@ def p_curvature_criterion(
     eps: float = DEFAULT_EPS,
 ) -> PCurvatureCriterion:
     """``grad_theta`` and ``dtheta`` are the derivatives of the Lee form along
-    the Levi-Civita connection and along D, ``r_prime`` the curvature of D."""
+    the Levi-Civita connection and along D, ``r_prime`` the curvature of D.
+
+    R' is a Riemannian P-tensor when it satisfies four axioms, and only the
+    first Bianchi identity is checked here.  The other three follow from checks
+    every report already makes: R' is skew in its first pair because it is the
+    curvature of a connection; Dg = 0 (``natural_connection_preserves_metric``)
+    makes it skew in its second pair; and DP = 0
+    (``natural_connection_preserves_structure``) with g(P., P.) = g gives
+    R'(x, y, Pz, Pw) = R'(x, y, z, w).
+    """
     dtheta_p = dtheta @ inst.p
     sym_defect = max_abs(dtheta_p - dtheta_p.T)
     bianchi = bianchi_defect(r_prime)
@@ -266,12 +247,16 @@ def p_curvature_criterion(
 
 @dataclass(frozen=True)
 class ParallelTorsionReport:
-    """Parallel-torsion verdict with the three equivalent defect measures."""
+    """Parallel-torsion verdict with the three equivalent defect measures.
+
+    ``equivalence_holds`` says the three measures agree: all vanish or none does.
+    """
 
     dt_defect: float
     dtheta_defect: float
     gradient_identity_defect: float
     verdict: bool
+    equivalence_holds: bool
 
 
 def has_parallel_torsion(
@@ -293,12 +278,15 @@ def has_parallel_torsion(
     theta_p_omega = float(theta @ inst.p @ lee.omega)
     theta_p = theta @ inst.p
     expected = (inst.g * theta_p_omega - np.einsum("j,i->ij", theta_p, theta)) / (2.0 * inst.n)
+    dtheta_defect = max_abs(dtheta)
+    gradient_defect = max_abs(grad_theta - expected)
 
     return ParallelTorsionReport(
         dt_defect=dt_defect,
-        dtheta_defect=max_abs(dtheta),
-        gradient_identity_defect=max_abs(grad_theta - expected),
+        dtheta_defect=dtheta_defect,
+        gradient_identity_defect=gradient_defect,
         verdict=dt_defect <= eps,
+        equivalence_holds=(dt_defect <= eps) == (dtheta_defect <= eps) == (gradient_defect <= eps),
     )
 
 
@@ -376,40 +364,20 @@ def flat_D_report(
     )
 
 
-@dataclass(frozen=True)
-class TorsionIdentityDefects:
-    """Structural identities satisfied by the distinguished torsion."""
-
-    cyclic: float
-    structure_cyclic: float
-    nested_cyclic: float
-    potential_transpose: float
-    lee_orthogonality: float
-
-
 def torsion_identity_defects(
     inst: RpmInstance, d: NaturalConnection, theta: np.ndarray, t_sharp: np.ndarray
-) -> TorsionIdentityDefects:
-    """``t_sharp`` is the torsion of ``d`` with its last slot raised."""
+) -> dict[str, float]:
+    """Defects of the structural identities of the distinguished torsion;
+    ``t_sharp`` is the torsion of ``d`` with its last slot raised."""
     t3 = d.T
-    q3 = d.Q
-    p = inst.p
-
-    cyclic = max_abs(t3 + np.einsum("jki->ijk", t3) + np.einsum("kij->ijk", t3))
-    t_pp = structure_pullback(p, t3)
-    structure_cyclic = max_abs(
-        t_pp + np.einsum("jki->ijk", t_pp) + np.einsum("kij->ijk", t_pp)
-    )
-
-    nested_cyclic = jacobi_defect(t_sharp)  # the cyclic sum of T#(T#(x, y), z) has the Jacobi form
-
-    potential_transpose = max_abs(q3 - np.einsum("kji->ijk", t3))
-    lee_orthogonality = max_abs(t_sharp @ (theta @ p))
-
-    return TorsionIdentityDefects(
-        cyclic=cyclic,
-        structure_cyclic=structure_cyclic,
-        nested_cyclic=nested_cyclic,
-        potential_transpose=potential_transpose,
-        lee_orthogonality=lee_orthogonality,
-    )
+    t_pp = structure_pullback(inst.p, t3)
+    return {
+        "torsion_cyclic_sum": max_abs(t3 + np.einsum("jki->ijk", t3) + np.einsum("kij->ijk", t3)),
+        "torsion_structure_cyclic_sum": max_abs(
+            t_pp + np.einsum("jki->ijk", t_pp) + np.einsum("kij->ijk", t_pp)
+        ),
+        # the cyclic sum of T#(T#(x, y), z) has the Jacobi form
+        "torsion_nested_cyclic_sum": jacobi_defect(t_sharp),
+        "potential_is_transposed_torsion": max_abs(d.Q - np.einsum("kji->ijk", t3)),
+        "torsion_lee_orthogonality": max_abs(t_sharp @ (theta @ inst.p)),
+    }

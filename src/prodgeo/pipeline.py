@@ -16,15 +16,7 @@ import numpy as np
 
 from . import levicivita, natural
 from .levicivita import ClassFlags, LeeForm, RicciScalar
-from .natural import (
-    FlatReport,
-    NaturalConnection,
-    ParallelTorsionReport,
-    PCurvatureCriterion,
-    RicciRelation,
-    STensor,
-    TorsionIdentityDefects,
-)
+from .natural import FlatReport, NaturalConnection, ParallelTorsionReport, PCurvatureCriterion, STensor
 from .structure import RpmInstance, StructureReport, validate_structure
 from .tensors import CO, DEFAULT_EPS, blocks, max_abs
 
@@ -118,23 +110,15 @@ class InstanceAnalysis:
         )
 
     @cached_property
-    def _naturality_defects(self) -> tuple[float, float]:
+    def naturality(self) -> dict[str, float]:
         return natural.naturality_defects(self.D, self.inst)
-
-    @property
-    def naturality_metric_defect(self) -> float:
-        return self._naturality_defects[0]
-
-    @property
-    def naturality_structure_defect(self) -> float:
-        return self._naturality_defects[1]
 
     @cached_property
     def torsion_reconstruction_defect(self) -> float:
         return max_abs(natural.recomputed_torsion(self.D.gamma, self.inst) - self.D.T)
 
     @cached_property
-    def torsion_identities(self) -> TorsionIdentityDefects:
+    def torsion_identities(self) -> dict[str, float]:
         return natural.torsion_identity_defects(self.inst, self.D, self.lee.theta, self.t_sharp)
 
     @cached_property
@@ -144,7 +128,7 @@ class InstanceAnalysis:
         )
 
     @cached_property
-    def ricci_relation(self) -> RicciRelation:
+    def ricci_relation(self) -> dict[str, float]:
         return natural.ricci_scalar_relation(
             self.ricci.rho, self.ricci_prime.rho, self.ricci.tau, self.ricci_prime.tau,
             self.S, self.inst.metric, self.inst.n,
@@ -166,6 +150,22 @@ class InstanceAnalysis:
         return natural.has_parallel_torsion(
             self.inst, self.D, self.t_sharp, self.lee, self.grad_theta, self.dtheta, self.eps
         )
+
+    @cached_property
+    def theorem_checks(self) -> dict[str, float | bool]:
+        """The identity battery of every report on this analysis, ``{check name: defect}`` in
+        report order; a bool is an indicator, true when its defects agree."""
+        return {
+            **self.naturality,
+            "torsion_reconstruction": self.torsion_reconstruction_defect,
+            **self.torsion_identities,
+            "curvature_relation": self.curvature_relation_residual,
+            **self.ricci_relation,
+            "weyl_invariance": self.weyl_invariance_residual,
+            "curvature_type_criterion_agreement": self.p_criterion.equivalence_holds,
+            "curvature_type_closedness_agreement": self.p_criterion.closedness_agrees,
+            "parallel_torsion_equivalence": self.parallel.equivalence_holds,
+        }
 
     @cached_property
     def is_flat(self) -> bool:

@@ -2,8 +2,9 @@
 
 A check passes exactly when its defect is at most its tolerance, so a
 report parsed back from JSON reproduces every verdict (and hence the exit
-status) from the numbers alone.  Indicator checks encode a boolean
-agreement as a 0/1 defect against tolerance 0.5.
+status) from the numbers alone.  Checks are added as ``{check name: defect}``
+dicts, in which a bool stands for an indicator: a boolean agreement, encoded
+as a 0/1 defect against tolerance 0.5.
 
 A table of rank 3 or more is reported by ``table_summary``: its max, its
 norm and its count of entries above the tolerance, a fixed size whatever
@@ -41,10 +42,6 @@ class Check:
         return self.defect <= self.tolerance
 
 
-def indicator(name: str, ok: bool) -> Check:
-    return Check(name=name, defect=0.0 if ok else 1.0, tolerance=INDICATOR_TOL)
-
-
 @dataclass
 class Report:
     instance: dict
@@ -54,15 +51,13 @@ class Report:
     tables: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
 
-    def add(self, name: str, defect: float, tolerance: float | None = None) -> Check:
-        check = Check(name=name, defect=float(defect), tolerance=self.epsilon if tolerance is None else tolerance)
-        self.checks.append(check)
-        return check
-
-    def add_indicator(self, name: str, ok: bool) -> Check:
-        check = indicator(name, ok)
-        self.checks.append(check)
-        return check
+    def add(self, checks: dict) -> None:
+        """Append ``{check name: defect}`` in order: a bool is an indicator, true when it agrees."""
+        for name, defect in checks.items():
+            if isinstance(defect, (bool, np.bool_)):
+                self.checks.append(Check(name, 0.0 if defect else 1.0, INDICATOR_TOL))
+            else:
+                self.checks.append(Check(name, float(defect), self.epsilon))
 
     def finish(self) -> tuple[list[Check], dict, int]:
         """One walk of the tables: the checks, then a failing ``non_finite`` check if any number is
@@ -72,10 +67,6 @@ class Report:
         count += sum(not math.isfinite(c.defect) for c in self.checks)
         checks = self.checks + ([Check(NON_FINITE, float(count), 0.0)] if count else [])
         return checks, tables, 0 if all(c.passed for c in checks) else 1
-
-    @property
-    def all_checks(self) -> list[Check]:
-        return self.finish()[0]
 
     @property
     def exit_status(self) -> int:

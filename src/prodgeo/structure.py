@@ -2,7 +2,7 @@
 
 The structure endomorphism is stored as a matrix ``P[i, j]`` acting on
 component columns, so ``P @ v`` gives the components of the image of v.
-Axiom failures are data (named defect magnitudes), not exceptions: the
+Axiom failures are data ({axiom name: defect}), not exceptions: the
 verification commands need to print full diagnostics for bad instances.
 """
 
@@ -82,25 +82,15 @@ class RpmInstance:
 
 
 @dataclass(frozen=True)
-class Defect:
-    name: str
-    magnitude: float
-
-
-@dataclass(frozen=True)
 class StructureReport:
-    """All structural axiom defects, plus the subset above tolerance."""
+    """All structural axiom defects, ``{axiom name: defect}``, and the tolerance they are judged by."""
 
-    checks: tuple[Defect, ...]
+    checks: dict[str, float]
     tolerance: float
 
     @property
-    def failures(self) -> tuple[Defect, ...]:
-        return tuple(d for d in self.checks if d.magnitude > self.tolerance)
-
-    @property
     def ok(self) -> bool:
-        return not self.failures
+        return not any(d > self.tolerance for d in self.checks.values())
 
 
 def structure_defects(c, g, p, tolerance: float = DEFAULT_EPS) -> StructureReport:
@@ -111,14 +101,14 @@ def structure_defects(c, g, p, tolerance: float = DEFAULT_EPS) -> StructureRepor
     dim = g.shape[0]
     eye = np.eye(dim)
     eigenvalues = np.linalg.eigvalsh((g + g.T) / 2.0)
-    checks = (
-        Defect("structure_squares_to_identity", max_abs(p @ p - eye)),
-        Defect("structure_metric_compatibility", max_abs(p.T @ g @ p - g)),
-        Defect("structure_trace", abs(float(np.trace(p)))),
-        Defect("jacobi_identity", liealg.jacobi_defect(c)),
-        Defect("metric_symmetry", max_abs(g - g.T)),
-        Defect("metric_positive_definite", max(0.0, -float(eigenvalues[0]))),
-    )
+    checks = {
+        "structure_squares_to_identity": max_abs(p @ p - eye),
+        "structure_metric_compatibility": max_abs(p.T @ g @ p - g),
+        "structure_trace": abs(float(np.trace(p))),
+        "jacobi_identity": liealg.jacobi_defect(c),
+        "metric_symmetry": max_abs(g - g.T),
+        "metric_positive_definite": max(0.0, -float(eigenvalues[0])),
+    }
     return StructureReport(checks=checks, tolerance=tolerance)
 
 

@@ -24,9 +24,14 @@ def inst_zero():
     return build_example(ExampleParams((0.0, 0.0, 0.0, 0.0)))
 
 
-def table_report(params: ExampleParams, eps: float = 1e-9):
+def table_report(params: ExampleParams, eps: float = 1e-9) -> dict:
     """``verify_against_tables`` on a fresh analysis of the builtin instance."""
     return verify_against_tables(params, analyze_instance(build_example(params), eps))
+
+
+def table_deviation(checks: dict) -> float:
+    """The largest golden-table deviation among the ``table_*`` checks of ``checks``."""
+    return max(defect for name, defect in checks.items() if name.startswith("table_"))
 
 
 def curvature_flags(params: ExampleParams, eps: float = 1e-9):

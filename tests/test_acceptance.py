@@ -36,7 +36,7 @@ from prodgeo.liealg import jacobi_defect
 from prodgeo.pipeline import analyze_instance
 from prodgeo.structure import abelian_structure_defect, nijenhuis_tensor
 from prodgeo.tensors import max_abs
-from tests.conftest import curvature_flags, random_lambdas, table_report
+from tests.conftest import curvature_flags, random_lambdas, table_deviation, table_report
 
 EPS = 1e-9
 SPOT = ExampleParams((1.0, 2.0, 3.0, 4.0))
@@ -58,14 +58,14 @@ def generated_instances(seed: int, count: int):
 
 def test_c01_golden_table_reproduction():
     report = table_report(SPOT, EPS)
-    ok = report.deviations.max <= EPS
+    ok = table_deviation(report) <= EPS
     a = analyze_instance(build_example(SPOT), EPS)
     ok &= a.ricci.tau == pytest.approx(-180.0, abs=EPS)
     ok &= np.allclose(a.lee.theta, [16, -12, -8, 4], atol=EPS)
     ok &= a.ricci.rho[0, 0] == pytest.approx(-42.0, abs=EPS)
     ok &= a.ricci.rho[0, 1] == pytest.approx(24.0, abs=EPS)
     for lam in random_lambdas(300, 200):
-        ok &= table_report(ExampleParams(lam), EPS).deviations.max <= EPS
+        ok &= table_deviation(table_report(ExampleParams(lam), EPS)) <= EPS
     conclude("1 golden-table reproduction (spot values and 200 random points)", ok)
 
 
@@ -90,14 +90,14 @@ def test_c04_curvature_relation():
     ok = a.S.trace_S == pytest.approx(120.0, abs=EPS)
     for inst, analysis, geo in generated_instances(330, 100):
         ok &= analysis.curvature_relation_residual <= EPS
-        ok &= analysis.ricci_relation.ricci_residual <= EPS
-        ok &= analysis.ricci_relation.scalar_residual <= EPS
+        ok &= analysis.ricci_relation["ricci_relation"] <= EPS
+        ok &= analysis.ricci_relation["scalar_relation"] <= EPS
         ok &= natural.verify_curvature_relation(geo.R, geo.Rprime, geo.S, inst.metric, inst.n) <= EPS
         rel = natural.ricci_scalar_relation(
             geo.ricci.rho, geo.ricci_prime.rho, geo.ricci.tau, geo.ricci_prime.tau, geo.S,
             inst.metric, inst.n,
         )
-        ok &= rel.ricci_residual <= EPS and rel.scalar_residual <= EPS
+        ok &= rel["ricci_relation"] <= EPS and rel["scalar_relation"] <= EPS
     conclude("4 curvature relation and its contractions (family and rescaled)", ok)
 
 
@@ -301,12 +301,12 @@ def test_c10_structural_property_suite():
         ok &= max_abs(nijenhuis_tensor(inst)) <= EPS
         ok &= abelian_structure_defect(inst) <= EPS
         ok &= a.flags.conformal_class_residual <= EPS
-        ok &= a.naturality_metric_defect <= EPS
-        ok &= a.naturality_structure_defect <= EPS
+        ok &= a.naturality["natural_connection_preserves_metric"] <= EPS
+        ok &= a.naturality["natural_connection_preserves_structure"] <= EPS
         ids = a.torsion_identities
-        ok &= ids.cyclic <= EPS and ids.structure_cyclic <= EPS
-        ok &= ids.nested_cyclic <= EPS
-        ok &= ids.potential_transpose <= EPS
+        ok &= ids["torsion_cyclic_sum"] <= EPS and ids["torsion_structure_cyclic_sum"] <= EPS
+        ok &= ids["torsion_nested_cyclic_sum"] <= EPS
+        ok &= ids["potential_is_transposed_torsion"] <= EPS
     conclude("10 structural property suite over 100 random instances", ok)
 
 

@@ -12,7 +12,7 @@ from prodgeo.liealg import derived_bases
 from prodgeo.pipeline import analyze_instance
 from prodgeo.report import Report, _jsonable, report_from_dict, table_summary
 from prodgeo.tensors import max_abs
-from tests.conftest import frame_changed_dim8, instance_payload
+from tests.conftest import frame_changed_dim8, hyperbolic, instance_payload
 
 ORTHO = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 SWAP_P = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
@@ -329,6 +329,92 @@ class TestConformal:
         assert main(["analyze", "--file", path]) == 2
 
 
+STRUCTURE_CHECKS = [
+    "structure_squares_to_identity",
+    "structure_metric_compatibility",
+    "structure_trace",
+    "jacobi_identity",
+    "metric_symmetry",
+    "metric_positive_definite",
+]
+ANALYSIS_CHECKS = [
+    "natural_connection_preserves_metric",
+    "natural_connection_preserves_structure",
+    "torsion_reconstruction",
+    "torsion_cyclic_sum",
+    "torsion_structure_cyclic_sum",
+    "torsion_nested_cyclic_sum",
+    "potential_is_transposed_torsion",
+    "torsion_lee_orthogonality",
+    "curvature_relation",
+    "ricci_relation",
+    "scalar_relation",
+    "weyl_invariance",
+    "curvature_type_criterion_agreement",
+    "curvature_type_closedness_agreement",
+    "parallel_torsion_equivalence",
+]
+CONFORMAL_CHECKS = [
+    "conformal_curvature_invariance",
+    "conformal_weyl_invariance",
+    "conformal_lee_reconstruction",
+    "conformal_connection_reconstruction",
+    "conformal_class_closure",
+]
+TABLE_CHECKS = [f"table_{t}" for t in ("nabla", "R", "rho", "tau", "theta", "k_inv", "k_anti", "D", "T_D")]
+
+
+def verify_paper_checks(signs: bool) -> list[str]:
+    return [
+        *STRUCTURE_CHECKS,
+        "conformal_class_membership",
+        "integrability",
+        *TABLE_CHECKS,
+        *(["scalar_curvature_negative", "torsion_not_parallel"] if signs else []),
+        "weyl_zero",
+        "natural_curvature_zero",
+        *ANALYSIS_CHECKS,
+        *CONFORMAL_CHECKS,
+        "constant_invariant_agreement",
+        "constant_anti_invariant_agreement",
+        "constant_sectional_agreement",
+    ]
+
+
+class TestCheckOrder:
+    """The exact ordered check names of each command; reports are compared byte for byte, so order is output."""
+
+    @staticmethod
+    def names(capsys, argv):
+        code = main([*argv, "--json"])
+        return code, [c["name"] for c in strict_loads(capsys.readouterr().out)["checks"]]
+
+    @pytest.mark.parametrize("lam, signs", [("1,2,3,4", True), ("0,0,0,0", False)])
+    def test_verify_paper(self, capsys, lam, signs):
+        assert self.names(capsys, ["verify-paper", f"--lambda={lam}"]) == (0, verify_paper_checks(signs))
+
+    def test_analyze(self, capsys, tmp_path):
+        path = write_json(tmp_path / "hyperbolic.json", instance_payload(hyperbolic(8)))
+        assert self.names(capsys, ["analyze", "--file", path]) == (0, STRUCTURE_CHECKS + ANALYSIS_CHECKS)
+
+    def test_conformal(self, capsys, tmp_path):
+        inst = hyperbolic(8)
+        path = write_json(tmp_path / "hyperbolic.json", instance_payload(inst))
+        alpha = ",".join(repr(x) for x in derived_bases(inst.alg)[1][0].tolist())
+        assert self.names(capsys, ["conformal", "--file", path, f"--alpha={alpha}"]) == (0, CONFORMAL_CHECKS)
+
+    def test_structure_failure_after_analysis(self, capsys, tmp_path):
+        path = write_json(tmp_path / "identity_p.json", {"dim": 4, "brackets": [], "metric": ORTHO, "P": ORTHO})
+        assert self.names(capsys, ["analyze", "--file", path]) == (3, STRUCTURE_CHECKS + ANALYSIS_CHECKS)
+        assert self.names(capsys, ["conformal", "--file", path, "--alpha=0,0,0,0"]) == (3, STRUCTURE_CHECKS)
+
+    def test_singular_metric_is_an_invalid_instance(self, capsys, tmp_path):
+        singular = np.diag([1.0, 1.0, 1.0, 0.0]).tolist()
+        path = write_json(tmp_path / "singular.json", {"dim": 4, "brackets": [], "metric": singular, "P": SWAP_P})
+        assert self.names(capsys, ["analyze", "--file", path]) == (3, STRUCTURE_CHECKS)
+        assert self.names(capsys, ["conformal", "--file", path, "--alpha=0,0,0,0"]) == (3, STRUCTURE_CHECKS)
+
+
 class TestJsonEncoding:
     def test_compact_report_parses_like_the_indented_one(self, capsys, monkeypatch, tmp_path):
         reports = []
@@ -438,13 +524,12 @@ class TestNonFiniteReport:
         assert code == data["exit_status"] == 1
         rebuilt = report_from_dict(data)
         assert rebuilt.exit_status == code
-        assert [c.passed for c in rebuilt.all_checks] == [c["pass"] for c in data["checks"]]
+        assert [c.passed for c in rebuilt.finish()[0]] == [c["pass"] for c in data["checks"]]
         assert rebuilt.to_json() + "\n" == out
 
     def test_counts_each_non_finite_number(self):
         rep = Report(instance={}, epsilon=1e-9)
-        rep.add("finite", 0.0)
-        rep.add("overflow", math.inf)
+        rep.add({"finite": 0.0, "overflow": math.inf})
         rep.tables.update(
             {"array": np.array([1.0, np.nan, -np.inf]), "dict": {"k": math.nan, "ok": 2.0}, "scalar": 3.0}
         )
@@ -499,6 +584,27 @@ class TestOptionValues:
         path = builtin_file(tmp_path, [1, 2, 3, 4])
         code, data = run_json(capsys, ["analyze", "--file", path, "--epsilon", "0", "--json"])
         assert data["epsilon"] == 0.0 and code == data["exit_status"]
+
+    @pytest.mark.parametrize(
+        "lam", ["1,2,3,4", "0,0,0,0", "1,1,1,1", "-1/2,3,0.25,-7", "1000,2000,3000,4000", "1e-7,2e-7,3e-7,4e-7"]
+    )
+    def test_zero_epsilon_sweep_writes_a_report(self, capsys, lam):
+        # the sampled forms come from an SVD basis, so their bracket defect is
+        # roundoff: closedness is judged against dim ulps, not against 0
+        for seed in range(10):
+            code = main(["verify-paper", f"--lambda={lam}", f"--seed={seed}", "--epsilon", "0", "--json"])
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            data = strict_loads(captured.out)
+            assert not [n for n in data["notes"] if n.startswith("warning: ")]
+            assert report_from_dict(data).exit_status == data["exit_status"] == code == 1
+
+    def test_zero_epsilon_still_rejects_a_form_that_is_not_closed(self, capsys, tmp_path):
+        path = builtin_file(tmp_path, [1, 0, 0, 0])
+        code = main(["conformal", "--file", path, "--alpha=1,0,0,0", "--epsilon", "0", "--json"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.startswith("error: the 1-form is not closed")
 
     @pytest.mark.parametrize("seed", ["0", str(2**70)])
     def test_zero_and_large_seeds_are_accepted(self, capsys, seed):
@@ -621,7 +727,7 @@ class TestWarningsInNotes:
         assert len(warned) == len(set(warned))
         rebuilt = report_from_dict(data)
         assert rebuilt.exit_status == data["exit_status"] == code
-        assert [c.passed for c in rebuilt.all_checks] == [c["pass"] for c in data["checks"]]
+        assert [c.passed for c in rebuilt.finish()[0]] == [c["pass"] for c in data["checks"]]
 
     def test_overflowed_metric_gives_exactly_the_overflow_notes(self, capsys):
         # an inf of the overflowed Koszul sum meeting a 0 of the inverse metric

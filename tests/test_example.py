@@ -12,7 +12,7 @@ from prodgeo.example import (
 from prodgeo.pipeline import analyze_instance
 from prodgeo.liealg import bracket, jacobi_defect
 from prodgeo.structure import abelian_structure_defect, validate_structure
-from tests.conftest import curvature_flags, random_lambdas, table_report
+from tests.conftest import curvature_flags, random_lambdas, table_deviation, table_report
 
 E = np.eye(4)
 
@@ -70,14 +70,14 @@ class TestVerifyAgainstTables:
     def test_generic_point_passes(self, capsys):
         assert verify_paper(capsys, (1, 2, 3, 4))[0] == 0
         report = table_report(ExampleParams((1, 2, 3, 4)))
-        assert report.deviations.max <= 1e-9
+        assert table_deviation(report) <= 1e-9
 
     def test_degenerate_point_passes_with_flag(self, capsys):
         # the report checks no torsion verdict at lambda = 0: assert the flag
         code, data = verify_paper(capsys, (0, 0, 0, 0))
         assert code == 0 and data["flags"]["torsion_parallel"] is True
         assert ExampleParams((0, 0, 0, 0)).degenerate
-        assert table_report(ExampleParams((0, 0, 0, 0))).tau == 0.0
+        assert analyze_instance(build_example(ExampleParams((0, 0, 0, 0)))).ricci.tau == 0.0
 
     def test_random_sweep(self, capsys):
         for lam in random_lambdas(241, 200):
@@ -85,9 +85,9 @@ class TestVerifyAgainstTables:
 
     def test_checklist_content(self):
         report = table_report(ExampleParams((1, 2, 3, 4)))
-        assert report.tau == pytest.approx(-180.0)
-        assert report.rprime_max <= 1e-9
-        assert report.weyl_max <= 1e-9
+        assert analyze_instance(build_example(ExampleParams((1, 2, 3, 4)))).ricci.tau == pytest.approx(-180.0)
+        assert report["natural_curvature_zero"] <= 1e-9
+        assert report["weyl_zero"] <= 1e-9
 
 
 class TestConstantCurvatureFlags:
@@ -131,3 +131,7 @@ class TestConstantCurvatureFlags:
         flags = curvature_flags(ExampleParams((1, 1, 1, 1)))
         assert flags.const_sectional
         assert flags.space_form_residual == pytest.approx(1.0)
+        assert flags.cross_terms
+        zero = curvature_flags(ExampleParams((0, 0, 0, 0)))
+        assert zero.space_form_residual == 0.0 and not zero.cross_terms
+        assert not curvature_flags(ExampleParams((1, 2, 3, 4))).cross_terms

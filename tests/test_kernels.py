@@ -332,7 +332,7 @@ def test_cyclic_sum_defects_are_those_of_the_plain_sum(seed):
     t, t_sharp = rng.normal(size=(2,) + (6,) * 3)
     d = NaturalConnection(gamma=t, Q=t, T=t)
     ids = torsion_identity_defects(random_instance(seed, 6), d, rng.normal(size=6), t_sharp)
-    assert ids.nested_cyclic == max_abs(sum(cyclic_terms(compose(t_sharp, t_sharp))))
+    assert ids["torsion_nested_cyclic_sum"] == max_abs(sum(cyclic_terms(compose(t_sharp, t_sharp))))
 
 
 @pytest.mark.parametrize("inst", [moved_builtin(), frame_changed_dim8()], ids=["dim4", "dim8"])
@@ -484,8 +484,8 @@ def test_lee_orthogonality_defect(name):
     ids = torsion_identity_defects(inst, NaturalConnection(gamma=t, Q=t, T=t), theta, t_sharp)
     ref = np.einsum("m,ml,ijl->ij", theta, inst.p, t_sharp)
     size = np.einsum("m,ml,ijl->ij", np.abs(theta), np.abs(inst.p), np.abs(t_sharp))
-    assert abs(ids.lee_orthogonality - max_abs(ref)) <= 2 * inst.dim * EPS * size.max()
-    assert ids.lee_orthogonality > 1.0
+    assert abs(ids["torsion_lee_orthogonality"] - max_abs(ref)) <= 2 * inst.dim * EPS * size.max()
+    assert ids["torsion_lee_orthogonality"] > 1.0
 
 
 def sectional_plane(r, g, u, v):

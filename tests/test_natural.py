@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ from prodgeo.natural import (
     direct_potential,
     flat_D_report,
     has_parallel_torsion,
-    is_riemannian_P_tensor,
     naturality_defects,
     p_curvature_criterion,
     potential_from_torsion,
@@ -32,9 +33,10 @@ from prodgeo.natural import (
     torsion_of_D,
     verify_curvature_relation,
 )
-from prodgeo.tensors import CO, max_abs
+from prodgeo.structure import RpmInstance
+from prodgeo.tensors import CO, DEFAULT_EPS, max_abs
 from prodgeo.pipeline import analyze_instance
-from tests.conftest import frame_changed_dim8, random_lambdas
+from tests.conftest import frame_changed_dim8, moved_frame, random_lambdas
 
 
 def full(inst):
@@ -69,7 +71,7 @@ class TestTorsionFamily:
         for _ in range(10):
             params = TorsionParams(*rng.uniform(-1, 1, 2))
             conn = connection_from_torsion(inst_1234, torsion_family(inst_1234, theta, params))
-            dg, dp = naturality_defects(conn, inst_1234)
+            dg, dp = naturality_defects(conn, inst_1234).values()
             assert dg <= 1e-9 and dp <= 1e-9
 
 
@@ -152,7 +154,7 @@ class TestConnectionD:
     def test_naturality(self):
         for lam in random_lambdas(89, 100):
             inst = build_example(ExampleParams(lam))
-            dg, dp = naturality_defects(analyze_instance(inst).D, inst)
+            dg, dp = naturality_defects(analyze_instance(inst).D, inst).values()
             assert dg <= 1e-9 and dp <= 1e-9
 
 
@@ -179,11 +181,11 @@ class TestTorsionOfD:
         for lam in random_lambdas(97, 100):
             inst = build_example(ExampleParams(lam))
             ids = analyze_instance(inst).torsion_identities
-            assert ids.cyclic <= 1e-9
-            assert ids.structure_cyclic <= 1e-9
-            assert ids.nested_cyclic <= 1e-9
-            assert ids.potential_transpose <= 1e-9
-            assert ids.lee_orthogonality <= 1e-9
+            assert ids["torsion_cyclic_sum"] <= 1e-9
+            assert ids["torsion_structure_cyclic_sum"] <= 1e-9
+            assert ids["torsion_nested_cyclic_sum"] <= 1e-9
+            assert ids["potential_is_transposed_torsion"] <= 1e-9
+            assert ids["torsion_lee_orthogonality"] <= 1e-9
 
 
 class TestCurvatureRelation:
@@ -193,8 +195,8 @@ class TestCurvatureRelation:
             a = analyze_instance(inst)
             assert max_abs(a.Rprime) <= 1e-9
             assert a.curvature_relation_residual <= 1e-9
-            assert a.ricci_relation.ricci_residual <= 1e-9
-            assert a.ricci_relation.scalar_residual <= 1e-9
+            assert a.ricci_relation["ricci_relation"] <= 1e-9
+            assert a.ricci_relation["scalar_relation"] <= 1e-9
 
     def test_degenerate_case_exact(self, inst_zero):
         a = analyze_instance(inst_zero)
@@ -213,7 +215,7 @@ class TestCurvatureRelation:
                 geo.ricci.rho, geo.ricci_prime.rho, geo.ricci.tau, geo.ricci_prime.tau, geo.S,
                 inst.metric, inst.n,
             )
-            assert rel.ricci_residual <= 1e-9 and rel.scalar_residual <= 1e-9
+            assert rel["ricci_relation"] <= 1e-9 and rel["scalar_relation"] <= 1e-9
 
     def test_trace_spot_value(self, inst_1234):
         a = analyze_instance(inst_1234)
@@ -262,6 +264,35 @@ class TestNaturalCurvature:
         assert max_abs(np.einsum("ijab,ak,bl->ijkl", rp, p, p) - rp) <= 1e-9
 
 
+def is_riemannian_P_tensor(comp, p, eps: float = DEFAULT_EPS) -> SimpleNamespace:
+    """The defects of the four curvature-type axioms of a rank-4 tensor, by plain einsums."""
+    skew12 = max_abs(comp + np.einsum("jikl->ijkl", comp))
+    skew34 = max_abs(comp + np.einsum("ijlk->ijkl", comp))
+    bianchi = max_abs(comp + np.einsum("jkil->ijkl", comp) + np.einsum("kijl->ijkl", comp))
+    p_invariance = max_abs(np.einsum("ijab,ak,bl->ijkl", comp, p, p) - comp)
+    return SimpleNamespace(
+        skew12=skew12,
+        skew34=skew34,
+        bianchi=bianchi,
+        p_invariance=p_invariance,
+        verdict=max(skew12, skew34, bianchi, p_invariance) <= eps,
+    )
+
+
+def hyp_product(dim: int, seed: int, a: float = 1.3, b: float = 0.7) -> RpmInstance:
+    """The product of two hyperbolic factors, of curvatures -a^2 and -b^2, moved by a random frame change.
+
+    P = diag(I_n, -I_n) in the orthonormal frame, so the instance is W0: D is the
+    Levi-Civita connection and R' = R, which is not zero.
+    """
+    n = dim // 2
+    c = np.zeros((dim,) * 3)
+    for first, last, coeff in ((0, n, a), (n, dim, b)):
+        for i in range(first + 1, last):
+            c[first, i, i], c[i, first, i] = coeff, -coeff
+    return moved_frame(c, np.diag([1.0] * n + [-1.0] * n), seed)
+
+
 class TestPTensorPredicate:
     def test_zero_tensor(self, inst_1234):
         report = is_riemannian_P_tensor(np.zeros((4,) * 4), inst_1234.p)
@@ -297,6 +328,19 @@ class TestPTensorPredicate:
         assert report.p_invariance == pytest.approx(2.0)
         assert not report.verdict
         assert report.skew12 <= 1e-12 and report.bianchi <= 1e-12
+
+    @pytest.mark.parametrize("dim, seed", [(4, 0), (4, 3), (6, 1), (6, 4)])
+    def test_naturality_implies_three_axioms(self, dim, seed):
+        # p_curvature_criterion checks only the Bianchi axiom: skew in the first
+        # pair holds for any curvature, and Dg = 0 and DP = 0 give the second skew
+        # and P-invariance, so they are at roundoff wherever both naturality checks pass
+        a = analyze_instance(hyp_product(dim, seed))
+        assert max(a.naturality.values()) <= DEFAULT_EPS
+        report = is_riemannian_P_tensor(a.Rprime, a.inst.p)
+        scale = max_abs(a.Rprime) * max(1.0, max_abs(a.inst.p)) ** 2
+        assert max_abs(a.Rprime) > 1.0
+        for defect in (report.skew12, report.skew34, report.p_invariance):
+            assert defect <= 16 * dim * np.finfo(float).eps * scale
 
 
 class TestCriterionAndParallelTorsion:
@@ -350,6 +394,15 @@ class TestCriterionAndParallelTorsion:
                 report.gradient_identity_defect <= 1e-9,
             }
             assert len(verdicts) == 1  # triple equivalence
+
+    def test_equivalence_is_judged_against_the_given_tolerance(self, inst_1234):
+        a = analyze_instance(inst_1234)
+        args = (a.inst, a.D, a.t_sharp, a.lee, a.grad_theta, a.dtheta)
+        low, high = sorted([a.parallel.dt_defect, a.parallel.dtheta_defect, a.parallel.gradient_identity_defect])[::2]
+        assert 1.0 < low < high
+        assert a.parallel.equivalence_holds
+        assert not has_parallel_torsion(*args, eps=(low + high) / 2).equivalence_holds
+        assert has_parallel_torsion(*args, eps=2 * high).equivalence_holds
 
     def test_generic_point_all_defects_positive(self, inst_1234):
         report = analyze_instance(inst_1234).parallel

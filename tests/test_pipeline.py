@@ -199,7 +199,7 @@ class TestNothingIsBuiltTwice:
         calls = record_calls(monkeypatch, "levicivita.cov_deriv_components")
         for a in (base, rescaled):
             # everything a report reads of an analysis
-            cli._add_analysis_checks(Report(instance={}, epsilon=EPS), a)
+            Report(instance={}, epsilon=EPS).add(a.theorem_checks)
             cli._flags_dict(a)
             cli._tables_dict(a)
             one_forms = [args[0] for args, _ in calls["levicivita.cov_deriv_components"] if args[1].ndim == 1]

@@ -90,15 +90,11 @@ def _tables_dict(a: InstanceAnalysis) -> dict:
 
 
 def _conformal_sweep(a: InstanceAnalysis, seed: int, samples: int = 5) -> dict[str, float]:
-    """The largest of each conformal defect over ``samples`` random closed 1-forms."""
-    rng = np.random.default_rng(seed)
-    worst: dict[str, float] = {}
-    for _ in range(samples):
-        alpha = conformal_mod.random_closed_form(a.inst.alg, rng)
-        geo = conformal_mod.deformed_geometry(a.inst, alpha, a.eps)
-        for name, defect in conformal_mod.conformal_checks(a, geo).items():
-            worst[name] = max(worst.get(name, 0.0), defect)
-    return worst
+    """The largest of each conformal defect over ``samples`` random closed 1-forms, rescaled as one stack."""
+    alphas = conformal_mod.random_closed_form(a.inst.alg, np.random.default_rng(seed), shape=(samples,))
+    for alpha in alphas:
+        conformal_mod.require_closed(a.inst.alg, alpha, a.eps)
+    return conformal_mod.conformal_checks(a, analyze_instance(a.inst, a.eps, alphas))
 
 
 def cmd_verify_paper(args) -> tuple[Report | None, int | None]:

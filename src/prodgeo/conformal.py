@@ -49,12 +49,13 @@ def require_closed(alg: LieFrameAlgebra, alpha, eps: float = DEFAULT_EPS) -> np.
     return alpha
 
 
-def random_closed_form(alg: LieFrameAlgebra, rng: np.random.Generator, scale: float = 2.0) -> np.ndarray:
-    """A random closed 1-form; zero when the algebra admits none but zero."""
+def random_closed_form(alg: LieFrameAlgebra, rng: np.random.Generator, scale: float = 2.0, shape: tuple = ()) -> np.ndarray:
+    """A random closed 1-form, or an array ``shape`` of the forms successive calls would draw;
+    zero when the algebra admits none but zero."""
     basis = alg.closed_forms
     if basis.shape[0] == 0:
-        return np.zeros(alg.dim)
-    return rng.uniform(-scale, scale, basis.shape[0]) @ basis
+        return np.zeros(shape + (alg.dim,))
+    return rng.uniform(-scale, scale, shape + basis.shape[:1]) @ basis
 
 
 def transform_levi_civita(gamma: np.ndarray, alpha, metric: MetricTensor) -> np.ndarray:
@@ -90,18 +91,18 @@ def transform_lee(
     alpha = np.asarray(alpha, dtype=float)
     p = structure.components
     n = metric.dim // 2
-    grad = metric.inverse @ alpha
+    grad = alpha @ metric.inverse.T
     return LeeTransform(
         theta_bar=theta + 2.0 * n * (alpha @ p),
-        omega_bar=omega + 2.0 * n * (p @ grad),
+        omega_bar=omega + 2.0 * n * (grad @ p.T),
     )
 
 
 def transform_D(d: NaturalConnection, alpha) -> np.ndarray:
-    """Natural-connection coefficients of the rescaled metric: du(x) stretches y."""
+    """Natural-connection coefficients of the rescaled metric: du(x) stretches y; one per form of a stack."""
     alpha = np.asarray(alpha, dtype=float)
-    dim = d.gamma.shape[0]
-    return d.gamma + np.einsum("i,jk->ijk", alpha, np.eye(dim))
+    dim = d.gamma.shape[-1]
+    return d.gamma + np.einsum("...i,jk->...ijk", alpha, np.eye(dim))
 
 
 def deformed_geometry(inst: RpmInstance, alpha, eps: float = DEFAULT_EPS) -> InstanceAnalysis:
@@ -109,8 +110,8 @@ def deformed_geometry(inst: RpmInstance, alpha, eps: float = DEFAULT_EPS) -> Ins
 
     Built through the Koszul assembly with the metric-derivative terms
     2 du(x) g(y, z), never through the closed-form transformation rules, so
-    it can serve as the independent oracle for them.  This is where ``alpha``
-    enters, and the only place it is checked for closedness (``require_closed``).
+    it can serve as the independent oracle for them.  ``alpha`` is checked for closedness
+    here (``require_closed``), as ``verify-paper`` checks each form of its sampled stack.
     """
     return analyze_instance(inst, eps, require_closed(inst.alg, alpha, eps))
 
@@ -130,11 +131,12 @@ def conformal_weyl_residual(base: InstanceAnalysis, rescaled: InstanceAnalysis) 
     ricci = ricci_and_scalar(diff, metric)
     # alpha is closed, so both Ricci tensors are symmetric: any asymmetry here is their roundoff
     w = weyl_tensor(diff, ricci.rho, ricci.tau, metric, eps=np.inf, out=diff)
-    return float(np.maximum.reduce([max_abs(np.matmul(w[b], metric.inverse)) for b in blocks(metric.dim)]))
+    return float(np.maximum.reduce([max_abs(w[..., b, :, :, :] @ metric.inverse) for b in blocks(metric.dim)]))
 
 
 def conformal_checks(base: InstanceAnalysis, rescaled: InstanceAnalysis) -> dict[str, float]:
-    """The five conformal defects of ``rescaled``, a ``deformed_geometry`` of ``base``."""
+    """The five conformal defects of ``rescaled``, a ``deformed_geometry`` of ``base``, or of a
+    stack of forms, each then the largest over the stack: a NaN of any form is kept."""
     inst, alpha = base.inst, rescaled.alpha
     lee = transform_lee(base.lee.theta, base.lee.omega, alpha, inst.structure, inst.metric)
     gamma_bar = transform_D(base.D, alpha)

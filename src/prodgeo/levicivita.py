@@ -12,6 +12,10 @@ Conventions (fixed by the golden component tables of the builtin example):
     lowered in the last slot, stored as R[i, j, k, l];
   * Ricci contracts the first and last slots of the lowered curvature;
   * sectional curvature k(u, v) = R(u, v, v, u) / (g(u,u)g(v,v) - g(u,v)^2).
+
+The kernels the conformal checks read (the Koszul terms of ``dg``, the Lee
+form, the class expression, the curvature, Ricci, psi1 and Weyl) take
+leading stack axes on their array arguments, one result per slice.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ def levi_civita_coeffs(inst: RpmInstance, dg: np.ndarray | None = None) -> np.nd
     b = inst.c @ inst.g
     terms = [b, np.einsum("kij->ijk", b), np.einsum("kji->ijk", b)]
     if dg is not None:
-        terms = [dg, np.einsum("jik->ijk", dg), -np.einsum("kij->ijk", dg)] + terms
+        terms = [dg, np.einsum("...jik->...ijk", dg), -np.einsum("...kij->...ijk", dg)] + terms
     low = 0.5 * sum(terms)
     with np.errstate(invalid="ignore"):  # NaN only from an inf of the sum, whose overflow has warned
         return low @ inst.g_inv
@@ -98,8 +102,8 @@ def structure_tensor_F(inst: RpmInstance, gamma: np.ndarray) -> np.ndarray:
 
 def lee_form(inst: RpmInstance, f: np.ndarray) -> LeeForm:
     """Metric trace of the structure tensor over its first two slots."""
-    theta = np.einsum("ij,ijk->k", inst.g_inv, f)
-    return LeeForm(theta=theta, omega=inst.g_inv @ theta)
+    theta = np.einsum("ij,...ijk->...k", inst.g_inv, f)
+    return LeeForm(theta=theta, omega=theta @ inst.g_inv.T)
 
 
 def conformal_class_rhs(inst: RpmInstance, theta: np.ndarray) -> np.ndarray:
@@ -108,10 +112,10 @@ def conformal_class_rhs(inst: RpmInstance, theta: np.ndarray) -> np.ndarray:
     theta_p = theta @ p
     g_p = g @ p
     return (
-        np.einsum("ij,k->ijk", g, theta)
-        + np.einsum("ik,j->ijk", g, theta)
-        - np.einsum("ij,k->ijk", g_p, theta_p)
-        - np.einsum("ik,j->ijk", g_p, theta_p)
+        np.einsum("ij,...k->...ijk", g, theta)
+        + np.einsum("ik,...j->...ijk", g, theta)
+        - np.einsum("ij,...k->...ijk", g_p, theta_p)
+        - np.einsum("ik,...j->...ijk", g_p, theta_p)
     ) / (2.0 * inst.n)
 
 
@@ -154,27 +158,30 @@ def curvature_components(
 ) -> np.ndarray:
     """Frame curvature of constant connection coefficients, value slot last, lowered by ``g`` if given.
 
-    Filled one third-slot block B at a time (``tensors.blocks``) into the one dim**4
-    buffer.  Both quadratic terms come from one batched matrix product, t[i, j, k, l] =
+    Filled one third-slot block B at a time (``tensors.blocks``) into the one buffer.
+    Both quadratic terms come from one batched matrix product, t[i, j, k, l] =
     gamma[j, k, m] gamma[i, m, l] for k in B: the second term is t with its first two
     slots swapped.  The bracket term then goes into t's buffer.  With ``g`` the right
     factor of both products is gamma g, so lowering costs a dim**3 product, not a dim**5
-    one.  With ``minus``, the curvature of gamma minus that of ``minus``: the products
-    are differenced before the swap, the bracket term is that of gamma - minus.
+    one.  With ``minus``, the curvature of gamma minus that of ``minus``, which has the
+    stack axes of gamma or none: the products are differenced before the swap, the
+    bracket term is that of gamma - minus.
     """
-    d = gamma.shape[0]
+    d = gamma.shape[-1]
+    lead = gamma.shape[:-3]
     right = bracket = gamma if g is None else gamma @ g
     if minus is not None:
         minus_right = minus if g is None else minus @ g
         bracket = gamma - minus if g is None else (gamma - minus) @ g
-    r = np.empty((d,) * 4, dtype=np.result_type(gamma, c))
+    r = np.empty(lead + (d,) * 4, dtype=np.result_type(gamma, c))
     for b in blocks(d):
-        t = (gamma[:, b].reshape(-1, d) @ right).reshape(d, d, -1, d)
+        t = (gamma[..., None, :, b, :].reshape(lead + (1, -1, d)) @ right).reshape(lead + (d, d, -1, d))
         if minus is not None:
-            t -= (minus[:, b].reshape(-1, d) @ minus_right).reshape(t.shape)
-        np.subtract(t, t.swapaxes(0, 1), out=r[:, :, b])
-        np.matmul(c.reshape(d * d, d), bracket[:, b].reshape(d, -1), out=t.reshape(d * d, -1))
-        r[:, :, b] -= t
+            low = minus.shape[:-3]
+            t -= (minus[..., None, :, b, :].reshape(low + (1, -1, d)) @ minus_right).reshape(low + (d, d, -1, d))
+        np.subtract(t, t.swapaxes(-4, -3), out=r[..., b, :])
+        np.matmul(c.reshape(d * d, d), bracket[..., b, :].reshape(lead + (d, -1)), out=t.reshape(lead + (d * d, -1)))
+        r[..., b, :] -= t
     return r
 
 
@@ -186,14 +193,14 @@ def curvature_tensor(gamma: np.ndarray, alg: LieFrameAlgebra, metric: MetricTens
 @dataclass(frozen=True)
 class RicciScalar:
     rho: np.ndarray
-    tau: float
+    tau: float | np.ndarray
 
 
 def ricci_and_scalar(r: np.ndarray, metric: MetricTensor) -> RicciScalar:
-    """Ricci tensor and scalar curvature by first/last-slot metric traces."""
-    rho = np.einsum("il,ijkl->jk", metric.inverse, r)
-    tau = float(np.einsum("jk,jk->", metric.inverse, rho))
-    return RicciScalar(rho=rho, tau=tau)
+    """Ricci tensor and scalar curvature by first/last-slot metric traces; tau is an array for a stack."""
+    rho = np.einsum("il,...ijkl->...jk", metric.inverse, r)
+    tau = np.einsum("jk,...jk->...", metric.inverse, rho)
+    return RicciScalar(rho=rho, tau=float(tau) if tau.ndim == 0 else tau)
 
 
 def sectional_curvature(r: np.ndarray, metric: MetricTensor, u, v, eps: float = DEFAULT_EPS) -> float:
@@ -210,22 +217,25 @@ def sectional_curvature(r: np.ndarray, metric: MetricTensor, u, v, eps: float = 
 
 def psi1_blocks(metric: MetricTensor, s, eps: float = DEFAULT_EPS):
     """Curvature-type extension of a 2-tensor by the metric: yields each first-slot block's
-    slice b and psi1(s)[b].
+    slice b and psi1(s)[..., b, :, :, :].
 
     Warns once (and still evaluates) when the input is not symmetric, in which
     case the first-Bianchi property of the output is lost.
     """
     s = np.asarray(s, dtype=float)
-    if max_abs(s - s.T) > eps * max(1.0, max_abs(s)):
+    if max_abs(s - s.swapaxes(-1, -2)) > eps * max(1.0, max_abs(s)):
         warnings.warn("extending a non-symmetric 2-tensor", NonSymmetricInputWarning)
     # a = g(y, z) s(x, w) + s(y, z) g(x, w) at [x, y, z, w] is [vec g, vec s] [vec s; vec g] at
     # [(y, z), (x, w)], and a with x, y swapped is that at [(x, z), (y, w)]: one rank-2 product each
-    g, d = metric.matrix, metric.dim
-    u = np.array((g.ravel(), s.ravel()))
+    g, d, lead = metric.matrix, metric.dim, s.shape[:-2]
+    u = np.empty(lead + (2, d * d))
+    u[..., 0, :], u[..., 1, :] = g.ravel(), s.reshape(lead + (-1,))
+    columns, flipped = u.swapaxes(-1, -2), u[..., ::-1, :]
+    x_first = (*range(len(lead)), -2, -4, -3, -1)  # [y, z, x, w] to [x, y, z, w]
     for b in blocks(d):
-        rows = u[:, b.start * d : b.stop * d]  # [vec g[b], vec s[b]], a view
-        a = (u.T @ rows[::-1]).reshape(d, d, -1, d).transpose(2, 0, 1, 3)
-        swapped = (rows.T @ u[::-1]).reshape(-1, d, d, d).transpose(0, 2, 1, 3)
+        rows = u[..., b.start * d : b.stop * d]  # [vec g[b], vec s[b]], a view
+        a = (columns @ rows[..., ::-1, :]).reshape(lead + (d, d, -1, d)).transpose(x_first)
+        swapped = (rows.swapaxes(-1, -2) @ flipped).reshape(lead + (-1, d, d, d)).swapaxes(-3, -2)
         yield b, a - swapped
 
 
@@ -240,8 +250,8 @@ def weyl_tensor(
     """
     n = metric.dim // 2
     w = np.empty(r.shape) if out is None else out
-    sigma = rho - (tau / (2 * (2 * n - 1))) * metric.matrix
+    sigma = rho - np.multiply.outer(tau / (2 * (2 * n - 1)), metric.matrix)
     for b, correction in psi1_blocks(metric, sigma, eps):
         correction /= 2 * (n - 1)
-        np.subtract(r[b], correction, out=w[b])
+        np.subtract(r[..., b, :, :, :], correction, out=w[..., b, :, :, :])
     return w

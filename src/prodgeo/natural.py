@@ -110,14 +110,14 @@ def direct_potential(inst: RpmInstance, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     theta_p = theta @ inst.p
     return (
-        np.einsum("ij,k->ijk", inst.g, theta_p) - np.einsum("ik,j->ijk", inst.g, theta_p)
+        np.einsum("ij,...k->...ijk", inst.g, theta_p) - np.einsum("ik,...j->...ijk", inst.g, theta_p)
     ) / (2.0 * inst.n)
 
 
 def connection_D_from(inst: RpmInstance, nabla: np.ndarray, theta) -> NaturalConnection:
-    """Distinguished natural connection from the Levi-Civita coefficients ``nabla``."""
+    """Distinguished natural connection from the Levi-Civita coefficients ``nabla``, or a stack of them."""
     q3 = direct_potential(inst, theta)
-    t3 = q3 - np.einsum("jik->ijk", q3)
+    t3 = q3 - np.einsum("...jik->...ijk", q3)
     return NaturalConnection(gamma=nabla + q3 @ inst.g_inv, Q=q3, T=t3)
 
 

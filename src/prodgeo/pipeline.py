@@ -6,6 +6,8 @@ reads it.  With ``alpha`` the analysis is that of the conformally rescaled
 metric at the base point (see ``conformal``): only the Koszul assembly sees
 the rescaling, through the metric derivatives 2 du(x) g(y, z); everything
 else is built from the rescaled Levi-Civita connection as for the base.
+A stack of forms, shape (k, dim), stacks what the conformal checks read:
+the connections, the Lee form and the class defects, maxima over the stack.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class InstanceAnalysis:
 
     @cached_property
     def nabla(self) -> np.ndarray:
-        dg = None if self.alpha is None else 2.0 * self.alpha[:, None, None] * self.inst.g
+        dg = None if self.alpha is None else 2.0 * self.alpha[..., :, None, None] * self.inst.g
         return levicivita.levi_civita_coeffs(self.inst, dg)
 
     @cached_property

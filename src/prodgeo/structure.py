@@ -90,7 +90,8 @@ class StructureReport:
 
     @property
     def ok(self) -> bool:
-        return not any(d > self.tolerance for d in self.checks.values())
+        """Every defect within tolerance; a NaN defect is a failure."""
+        return all(d <= self.tolerance for d in self.checks.values())
 
 
 def structure_defects(c, g, p, tolerance: float = DEFAULT_EPS) -> StructureReport:

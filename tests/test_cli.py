@@ -527,6 +527,42 @@ class TestNonFiniteReport:
         assert [c.passed for c in rebuilt.finish()[0]] == [c["pass"] for c in data["checks"]]
         assert rebuilt.to_json() + "\n" == out
 
+    def test_overflowed_conformal_defects_are_null_and_fail(self, capsys):
+        # every sampled form gives NaN defects; the largest over the stack keeps them
+        code, data = run_json(capsys, ["verify-paper", "--lambda=1e308,1e308,1e308,1e308", "--json"])
+        names = (
+            "conformal_curvature_invariance",
+            "conformal_weyl_invariance",
+            "conformal_lee_reconstruction",
+            "conformal_connection_reconstruction",
+            "conformal_class_closure",
+        )
+        conformal = [c for c in data["checks"] if c["name"] in names]
+        assert [c["name"] for c in conformal] == list(names)
+        assert all(c["defect"] is None and not c["pass"] for c in conformal)
+        assert code == data["exit_status"] == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "conformal"])
+    def test_overflowed_structure_fails_the_gate(self, capsys, tmp_path, command):
+        # the Jacobi defect of the overflowed brackets is NaN: a structure failure, exit 3
+        argv = [command, "--file", builtin_file(tmp_path, [1e308] * 4), "--json"]
+        code, data = run_json(capsys, argv + (["--alpha=0,0,0,0"] if command == "conformal" else []))
+        assert code == 3
+        checks = {c["name"]: c for c in data["checks"]}
+        assert checks["jacobi_identity"]["defect"] is None and not checks["jacobi_identity"]["pass"]
+        names = [c["name"] for c in data["checks"]]
+        structure = [
+            "structure_squares_to_identity",
+            "structure_metric_compatibility",
+            "structure_trace",
+            "jacobi_identity",
+            "metric_symmetry",
+            "metric_positive_definite",
+        ]
+        assert names[:6] == structure
+        if command == "conformal":  # the gate reports the structure checks only, and the NaN count
+            assert names == structure + ["non_finite"]
+
     def test_counts_each_non_finite_number(self):
         rep = Report(instance={}, epsilon=1e-9)
         rep.add({"finite": 0.0, "overflow": math.inf})

@@ -114,17 +114,18 @@ class TestNothingIsBuiltTwice:
         )
         assert main(["verify-paper", "--lambda=1,2,3,4", "--json"]) == 0
         capsys.readouterr()
-        koszul = calls["levicivita.levi_civita_coeffs"]
-        analyses = calls["pipeline.analyze_instance"]
-        assert sum(_argument(c, 1, "dg") is None for c in koszul) == 1
-        assert len(koszul) == 6
-        assert sum(_argument(c, 2, "alpha") is not None for c in analyses) == 5
-        assert len(analyses) == 6
-        # W and W' of the base, and the Weyl tensor of each sampled form's curvature difference
-        assert len(calls["levicivita.weyl_tensor"]) == 7
-        # R and R' of the base, and for each sampled form the curvature
-        # difference of the two Levi-Civita connections and that of D
-        assert len(calls["levicivita.curvature_components"]) == 2 + 5 + 5
+        koszul = [_argument(c, 1, "dg") for c in calls["levicivita.levi_civita_coeffs"]]
+        analyses = [_argument(c, 2, "alpha") for c in calls["pipeline.analyze_instance"]]
+        # the base, and one Koszul build for the stack of the five sampled forms
+        assert len(koszul) == 2 and [dg.shape for dg in koszul if dg is not None] == [(5, 4, 4, 4)]
+        assert len(analyses) == 2 and [alpha.shape for alpha in analyses if alpha is not None] == [(5, 4)]
+        # W and W' of the base, and the Weyl tensor of the stacked curvature difference
+        weyl = sorted(args[0].shape for args, _ in calls["levicivita.weyl_tensor"])
+        assert weyl == [(4, 4, 4, 4)] * 2 + [(5, 4, 4, 4, 4)]
+        # R and R' of the base, and for the stack the curvature difference
+        # of the two Levi-Civita connections and that of D
+        curvatures = sorted(args[0].shape for args, _ in calls["levicivita.curvature_components"])
+        assert curvatures == [(4, 4, 4)] * 2 + [(5, 4, 4, 4)] * 2
         # the five forms are drawn from one closed-form basis: one SVD
         assert len(calls["liealg.derived_bases"]) == 1
 
@@ -211,13 +212,16 @@ class TestNothingIsBuiltTwice:
     def test_each_conformal_sample_transforms_D_and_checks_closedness_once(
         self, monkeypatch, capsys, commands, command, samples
     ):
+        # each form is judged closed on its own; verify-paper transforms D once, for its stack
         calls = record_calls(monkeypatch, "conformal.transform_D", "conformal.closedness_defect")
         assert main(commands[command]) == 0
         capsys.readouterr()
         assert {name: len(log) for name, log in calls.items()} == {
-            "conformal.transform_D": samples,
+            "conformal.transform_D": 1,
             "conformal.closedness_defect": samples,
         }
+        alpha = _argument(calls["conformal.transform_D"][0], 1, "alpha")
+        assert np.shape(alpha) == ((samples, 4) if command == "verify-paper" else (8,))
 
 
 class TestRescaledAnalysisUsesItsOwnConnection:

@@ -91,9 +91,10 @@ def _tables_dict(a: InstanceAnalysis) -> dict:
 
 def _conformal_sweep(a: InstanceAnalysis, seed: int, samples: int = 5) -> dict[str, float]:
     """The largest of each conformal defect over ``samples`` random closed 1-forms, rescaled as one stack."""
-    alphas = conformal_mod.random_closed_form(a.inst.alg, np.random.default_rng(seed), shape=(samples,))
-    for alpha in alphas:
-        conformal_mod.require_closed(a.inst.alg, alpha, a.eps)
+    alg, rng = a.inst.alg, np.random.default_rng(seed)
+    alphas = np.array(
+        [conformal_mod.require_closed(alg, conformal_mod.random_closed_form(alg, rng), a.eps) for _ in range(samples)]
+    )
     return conformal_mod.conformal_checks(a, analyze_instance(a.inst, a.eps, alphas))
 
 

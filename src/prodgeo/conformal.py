@@ -49,13 +49,12 @@ def require_closed(alg: LieFrameAlgebra, alpha, eps: float = DEFAULT_EPS) -> np.
     return alpha
 
 
-def random_closed_form(alg: LieFrameAlgebra, rng: np.random.Generator, scale: float = 2.0, shape: tuple = ()) -> np.ndarray:
-    """A random closed 1-form, or an array ``shape`` of the forms successive calls would draw;
-    zero when the algebra admits none but zero."""
+def random_closed_form(alg: LieFrameAlgebra, rng: np.random.Generator, scale: float = 2.0) -> np.ndarray:
+    """A random closed 1-form; zero when the algebra admits none but zero."""
     basis = alg.closed_forms
     if basis.shape[0] == 0:
-        return np.zeros(shape + (alg.dim,))
-    return rng.uniform(-scale, scale, shape + basis.shape[:1]) @ basis
+        return np.zeros(alg.dim)
+    return rng.uniform(-scale, scale, basis.shape[0]) @ basis
 
 
 def transform_levi_civita(gamma: np.ndarray, alpha, metric: MetricTensor) -> np.ndarray:

@@ -167,17 +167,16 @@ def curvature_components(
     stack axes of gamma or none: the products are differenced before the swap, the
     bracket term is that of gamma - minus.
     """
-    d = gamma.shape[-1]
-    lead = gamma.shape[:-3]
+    d, lead = gamma.shape[-1], gamma.shape[:-3]
     right = bracket = gamma if g is None else gamma @ g
     if minus is not None:
         minus_right = minus if g is None else minus @ g
         bracket = gamma - minus if g is None else (gamma - minus) @ g
+        low = minus.shape[:-3]
     r = np.empty(lead + (d,) * 4, dtype=np.result_type(gamma, c))
     for b in blocks(d):
         t = (gamma[..., None, :, b, :].reshape(lead + (1, -1, d)) @ right).reshape(lead + (d, d, -1, d))
         if minus is not None:
-            low = minus.shape[:-3]
             t -= (minus[..., None, :, b, :].reshape(low + (1, -1, d)) @ minus_right).reshape(low + (d, d, -1, d))
         np.subtract(t, t.swapaxes(-4, -3), out=r[..., b, :])
         np.matmul(c.reshape(d * d, d), bracket[..., b, :].reshape(lead + (d, -1)), out=t.reshape(lead + (d * d, -1)))
@@ -231,11 +230,12 @@ def psi1_blocks(metric: MetricTensor, s, eps: float = DEFAULT_EPS):
     u = np.empty(lead + (2, d * d))
     u[..., 0, :], u[..., 1, :] = g.ravel(), s.reshape(lead + (-1,))
     columns, flipped = u.swapaxes(-1, -2), u[..., ::-1, :]
+    a_shape, swapped_shape = lead + (d, d, -1, d), lead + (-1, d, d, d)
     x_first = (*range(len(lead)), -2, -4, -3, -1)  # [y, z, x, w] to [x, y, z, w]
     for b in blocks(d):
         rows = u[..., b.start * d : b.stop * d]  # [vec g[b], vec s[b]], a view
-        a = (columns @ rows[..., ::-1, :]).reshape(lead + (d, d, -1, d)).transpose(x_first)
-        swapped = (rows.swapaxes(-1, -2) @ flipped).reshape(lead + (-1, d, d, d)).swapaxes(-3, -2)
+        a = (columns @ rows[..., ::-1, :]).reshape(a_shape).transpose(x_first)
+        swapped = (rows.swapaxes(-1, -2) @ flipped).reshape(swapped_shape).swapaxes(-3, -2)
         yield b, a - swapped
 
 

@@ -140,15 +140,9 @@ LAMBDAS = [(1.0, 2.0, 3.0, 4.0), (0.0, 0.0, 0.0, 0.0), (-0.5, 3.0, 0.25, -7.0), 
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("lam", LAMBDAS)
 class TestStackedSweep:
-    def test_forms_are_those_of_successive_draws(self, lam, seed):
-        alg = build_example(ExampleParams(lam)).alg
-        assert alg.closed_forms.shape[0] == (4 if lam == (0.0, 0.0, 0.0, 0.0) else 2)
-        rng = np.random.default_rng(seed)
-        singles = [random_closed_form(alg, rng) for _ in range(5)]
-        assert_slices(random_closed_form(alg, np.random.default_rng(seed), shape=(5,)), singles)
-
     def test_sweep_is_the_worst_of_the_forms_one_at_a_time(self, lam, seed):
         inst = build_example(ExampleParams(lam))
+        assert inst.alg.closed_forms.shape[0] == (4 if lam == (0.0, 0.0, 0.0, 0.0) else 2)
         a = analyze_instance(inst, EPS)
         rng = np.random.default_rng(seed)
         forms = [random_closed_form(inst.alg, rng) for _ in range(5)]

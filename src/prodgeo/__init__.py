@@ -12,7 +12,7 @@ from .conformal import deformed_geometry
 from .example import ExampleParams, build_example, golden_tables
 from .levicivita import LeeForm, levi_civita_coeffs
 from .liealg import LieFrameAlgebra
-from .natural import NaturalConnection, STensor, TorsionParams
+from .natural import NaturalConnection, STensor
 from .pipeline import InstanceAnalysis, analyze_instance
 from .structure import ProductStructure, RpmInstance
 from .tensors import MetricTensor, invert_metric
@@ -27,7 +27,6 @@ __all__ = [
     "ProductStructure",
     "RpmInstance",
     "STensor",
-    "TorsionParams",
     "analyze_instance",
     "build_example",
     "deformed_geometry",

@@ -155,13 +155,18 @@ def cmd_verify_paper(args) -> tuple[Report | None, int | None]:
 
 
 def _load(path: str, rep_kwargs: dict) -> tuple[LoadedInstance | None, Report | None, int]:
-    """Load an instance; on failure return a diagnostic report and exit code."""
+    """Load an instance; on failure return a diagnostic report and exit code.
+
+    The structure defects of an instance that cannot be built may all pass (a
+    singular metric has no negative eigenvalue), so its report ends with a failing
+    ``instance_buildable`` indicator."""
     try:
         return load_instance(path), None, EXIT_PASS
     except InvalidInstance as exc:
         rep = Report(instance={"kind": "explicit", "path": path}, **rep_kwargs)
         rep.notes.append(f"instance cannot be built: {exc}")
         rep.add(structure_defects(exc.c, exc.g, exc.p, rep.epsilon).checks)
+        rep.add({"instance_buildable": False})
         return None, rep, EXIT_STRUCTURE_FAILURE
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

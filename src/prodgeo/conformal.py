@@ -11,8 +11,6 @@ comparisons are made in (1,3) variance where the scale factors cancel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NotClosed
@@ -21,7 +19,7 @@ from .liealg import LieFrameAlgebra
 from .natural import NaturalConnection
 from .pipeline import InstanceAnalysis, analyze_instance
 from .structure import ProductStructure, RpmInstance
-from .tensors import DEFAULT_EPS, MetricTensor, blocks, max_abs
+from .tensors import DEFAULT_EPS, blocks, max_abs
 
 
 def closedness_defect(alg: LieFrameAlgebra, alpha) -> float:
@@ -57,44 +55,13 @@ def random_closed_form(alg: LieFrameAlgebra, rng: np.random.Generator, scale: fl
     return rng.uniform(-scale, scale, basis.shape[0]) @ basis
 
 
-def transform_levi_civita(gamma: np.ndarray, alpha, metric: MetricTensor) -> np.ndarray:
-    """Levi-Civita coefficients of the rescaled metric at the base point."""
-    alpha = np.asarray(alpha, dtype=float)
-    dim = metric.dim
-    eye = np.eye(dim)
-    grad = metric.inverse @ alpha
-    return (
-        gamma
-        + np.einsum("i,jk->ijk", alpha, eye)
-        + np.einsum("j,ik->ijk", alpha, eye)
-        - np.einsum("ij,k->ijk", metric.matrix, grad)
-    )
-
-
-@dataclass(frozen=True)
-class LeeTransform:
-    theta_bar: np.ndarray
-    omega_bar: np.ndarray
-
-
-def transform_lee(
-    theta, omega, alpha, structure: ProductStructure, metric: MetricTensor
-) -> LeeTransform:
-    """Lee form and dual of the rescaled metric at the base point.
-
-    The form picks up 2n times du composed with the structure; the dual
-    vector correspondingly picks up 2n times the structure image of grad u.
-    """
+def transform_lee(theta, alpha, structure: ProductStructure) -> np.ndarray:
+    """Lee form of the rescaled metric at the base point, one per form of a stack:
+    it picks up 2n times du composed with the structure."""
     theta = np.asarray(theta, dtype=float)
-    omega = np.asarray(omega, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    p = structure.components
-    n = metric.dim // 2
-    grad = alpha @ metric.inverse.T
-    return LeeTransform(
-        theta_bar=theta + 2.0 * n * (alpha @ p),
-        omega_bar=omega + 2.0 * n * (grad @ p.T),
-    )
+    n = structure.dim // 2
+    return theta + 2.0 * n * (alpha @ structure.components)
 
 
 def transform_D(d: NaturalConnection, alpha) -> np.ndarray:
@@ -137,12 +104,12 @@ def conformal_checks(base: InstanceAnalysis, rescaled: InstanceAnalysis) -> dict
     """The five conformal defects of ``rescaled``, a ``deformed_geometry`` of ``base``, or of a
     stack of forms, each then the largest over the stack: a NaN of any form is kept."""
     inst, alpha = base.inst, rescaled.alpha
-    lee = transform_lee(base.lee.theta, base.lee.omega, alpha, inst.structure, inst.metric)
+    theta_bar = transform_lee(base.lee.theta, alpha, inst.structure)
     gamma_bar = transform_D(base.D, alpha)
     return {
         "conformal_curvature_invariance": conformal_curvature_residual(base, gamma_bar),
         "conformal_weyl_invariance": conformal_weyl_residual(base, rescaled),
-        "conformal_lee_reconstruction": max_abs(lee.theta_bar - rescaled.lee.theta),
+        "conformal_lee_reconstruction": max_abs(theta_bar - rescaled.lee.theta),
         "conformal_connection_reconstruction": max_abs(gamma_bar - rescaled.D.gamma),
         "conformal_class_closure": rescaled.flags.conformal_class_residual,
     }

@@ -45,15 +45,6 @@ class LeeForm:
         return float(self.theta @ self.omega)
 
 
-def torsion_defect(gamma: np.ndarray, alg: LieFrameAlgebra) -> float:
-    return max_abs(gamma - np.swapaxes(gamma, 0, 1) - alg.c)
-
-
-def compatibility_defect(gamma: np.ndarray, metric: MetricTensor) -> float:
-    low = np.einsum("ijm,mk->ijk", gamma, metric.matrix)
-    return max_abs(low + np.swapaxes(low, 1, 2))
-
-
 def levi_civita_coeffs(inst: RpmInstance, dg: np.ndarray | None = None) -> np.ndarray:
     """Koszul assembly of gamma at a point where the metric equals ``inst.g``.
 

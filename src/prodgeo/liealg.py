@@ -43,10 +43,6 @@ class LieFrameAlgebra:
         return basis
 
     @classmethod
-    def abelian(cls, dim: int) -> "LieFrameAlgebra":
-        return cls(dim=dim, c=np.zeros((dim, dim, dim)))
-
-    @classmethod
     def from_brackets(cls, dim: int, entries: dict[tuple[int, int], object]) -> "LieFrameAlgebra":
         """Build from a sparse table ``{(i, j): coefficients of [X_i, X_j]}`` (0-based, i < j)."""
         c = np.zeros((dim, dim, dim))
@@ -59,15 +55,6 @@ class LieFrameAlgebra:
             c[i, j] = vec
             c[j, i] = -vec
         return cls(dim=dim, c=c)
-
-
-def bracket(alg: LieFrameAlgebra, u, v) -> np.ndarray:
-    """Components of the bracket of two frame-constant vector fields."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (alg.dim,) or v.shape != (alg.dim,):
-        raise DimensionMismatch(f"vectors must have {alg.dim} components")
-    return np.einsum("i,j,ijk->k", u, v, alg.c)
 
 
 def jacobi_defect(c: np.ndarray) -> float:

@@ -1,12 +1,10 @@
-"""The natural connection with torsion built from the metric and Lee form.
+"""The natural connection D, with torsion built from the metric and the Lee form.
 
-On a manifold of the conformally flat product class, every natural
-connection's torsion lies in a two-parameter family of g-and-Lee-form
-expressions.  The distinguished member used throughout (both parameters
-zero) has a metric potential recoverable from its torsion by the classic
-half-coefficient antisymmetrization; its curvature differs from the
-Levi-Civita curvature by a curvature-type extension of a single 2-tensor
-built from the derivative of the Lee form.
+D is the Levi-Civita connection plus a closed-form potential linear in the
+Lee form composed with the structure; on the conformally flat product class
+it preserves both the metric and the structure (Dg = DP = 0).  Its
+curvature differs from the Levi-Civita curvature by a curvature-type
+extension of a single 2-tensor built from the derivative of the Lee form.
 """
 
 from __future__ import annotations
@@ -20,19 +18,6 @@ from .levicivita import LeeForm, cov_deriv_components, curvature_components, psi
 from .liealg import jacobi_defect
 from .structure import RpmInstance, structure_pullback
 from .tensors import CO, CONTRA, DEFAULT_EPS, MetricTensor, blocks, max_abs
-
-
-@dataclass(frozen=True)
-class TorsionParams:
-    """Coefficients selecting a member of the natural-torsion family."""
-
-    lambda_p: float = 0.0
-    mu_p: float = 0.0
-
-
-def canonical_params(n: int) -> TorsionParams:
-    """Parameters of the canonical natural connection in dimension 2n."""
-    return TorsionParams(lambda_p=0.0, mu_p=-1.0 / (4 * n))
 
 
 @dataclass(frozen=True)
@@ -52,61 +37,8 @@ class STensor:
     trace_S: float
 
 
-def torsion_family(inst: RpmInstance, theta, params: TorsionParams) -> np.ndarray:
-    """Lowered torsion of the natural-connection family member for ``params``.
-
-    The family is natural only on the conformally flat product class, which
-    is not checked here.
-    """
-    theta = np.asarray(theta, dtype=float)
-    g, p, n = inst.g, inst.p, inst.n
-    theta_p = theta @ p
-    g_p = g @ p
-
-    base = (np.einsum("jk,i->ijk", g, theta_p) - np.einsum("ik,j->ijk", g, theta_p)) / (2.0 * n)
-    lam_block = (
-        np.einsum("jk,i->ijk", g, theta)
-        - np.einsum("ik,j->ijk", g, theta)
-        + np.einsum("jk,i->ijk", g_p, theta_p)
-        - np.einsum("ik,j->ijk", g_p, theta_p)
-    )
-    mu_block = (
-        np.einsum("jk,i->ijk", g_p, theta)
-        - np.einsum("ik,j->ijk", g_p, theta)
-        + np.einsum("jk,i->ijk", g, theta_p)
-        - np.einsum("ik,j->ijk", g, theta_p)
-    )
-    return base + params.lambda_p * lam_block + params.mu_p * mu_block
-
-
-def torsion_of_D(inst: RpmInstance, theta) -> np.ndarray:
-    """Lowered torsion of the distinguished natural connection."""
-    theta = np.asarray(theta, dtype=float)
-    theta_p = theta @ inst.p
-    return (
-        np.einsum("jk,i->ijk", inst.g, theta_p) - np.einsum("ik,j->ijk", inst.g, theta_p)
-    ) / (2.0 * inst.n)
-
-
-def potential_from_torsion(t3: np.ndarray) -> np.ndarray:
-    """Metric-compatible transformation potential of a prescribed torsion.
-
-    The half coefficient is forced: lowering the distinguished torsion and
-    antisymmetrizing with 1/2 reproduces its closed-form potential exactly.
-    """
-    return 0.5 * (t3 - np.einsum("jki->ijk", t3) + np.einsum("kij->ijk", t3))
-
-
-def connection_from_torsion(inst: RpmInstance, t: np.ndarray) -> NaturalConnection:
-    """Build the metric connection whose lowered torsion is ``t``."""
-    q3 = potential_from_torsion(t)
-    q_up = np.einsum("ijl,lk->ijk", q3, inst.g_inv)
-    gamma = levicivita.levi_civita_coeffs(inst) + q_up
-    return NaturalConnection(gamma=gamma, Q=q3, T=t)
-
-
 def direct_potential(inst: RpmInstance, theta) -> np.ndarray:
-    """Closed-form potential of the distinguished connection (independent route)."""
+    """Closed-form potential of the distinguished connection, or of a stack of Lee forms."""
     theta = np.asarray(theta, dtype=float)
     theta_p = theta @ inst.p
     return (

@@ -127,8 +127,3 @@ def nijenhuis_tensor(inst: RpmInstance) -> np.ndarray:
     c, p = inst.c, inst.p
     first = (p.T @ c.reshape(inst.dim, -1)).reshape(c.shape)  # c(P x_i, x_j)
     return p.T @ first + c - first @ p.T - (p.T @ c) @ p.T
-
-
-def abelian_structure_defect(inst: RpmInstance) -> float:
-    """Largest component of [P·, P·] + [·, ·] over all frame pairs."""
-    return max_abs(structure_pullback(inst.p, inst.c) + inst.c)

@@ -34,12 +34,6 @@ def freeze(components) -> np.ndarray:
     return arr
 
 
-def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[i, j, m] b[m, k, l] for two (dim, dim, dim) arrays, as one matrix product."""
-    d = a.shape[0]
-    return (a.reshape(d * d, d) @ b.reshape(d, d * d)).reshape((d,) * 4)
-
-
 def blocks(dim: int, rank: int = 4) -> list[slice]:
     """Slices of a slot of a ``(dim,) * rank`` float64 array, one entry or a block within ``BLOCK_BYTES``."""
     step = max(1, BLOCK_BYTES // (8 * max(dim, 1) ** (rank - 1)))

@@ -34,9 +34,15 @@ from prodgeo.example import (
 )
 from prodgeo.liealg import jacobi_defect
 from prodgeo.pipeline import analyze_instance
-from prodgeo.structure import abelian_structure_defect, nijenhuis_tensor
+from prodgeo.structure import nijenhuis_tensor
 from prodgeo.tensors import max_abs
 from tests.conftest import curvature_flags, random_lambdas, table_deviation, table_report
+from tests.reference import (
+    abelian_structure_defect,
+    connection_from_torsion,
+    torsion_of_D,
+    transform_lee_dual,
+)
 
 EPS = 1e-9
 SPOT = ExampleParams((1.0, 2.0, 3.0, 4.0))
@@ -320,14 +326,13 @@ def test_c11_typo_resolution_oracles():
         lee = levicivita.lee_form(inst, f)
         theta = lee.theta
 
-        built = natural.connection_from_torsion(inst, natural.torsion_of_D(inst, theta))
+        built = connection_from_torsion(inst, torsion_of_D(inst, theta))
         ok &= max_abs(built.Q - natural.direct_potential(inst, theta)) <= EPS
 
         alpha = random_closed_form(inst.alg, rng)
         geo = deformed_geometry(inst, alpha, EPS)
-        rule = transform_lee(
-            theta, lee.omega, alpha, inst.structure, inst.metric
-        )
-        ok &= max_abs(rule.theta_bar - geo.lee.theta) <= EPS
-        ok &= max_abs(rule.omega_bar - geo.lee.omega) <= EPS
+        theta_bar = transform_lee(theta, alpha, inst.structure)
+        omega_bar = transform_lee_dual(lee.omega, alpha, inst.structure, inst.metric)
+        ok &= max_abs(theta_bar - geo.lee.theta) <= EPS
+        ok &= max_abs(omega_bar - geo.lee.omega) <= EPS
     conclude("11 torsion-potential and Lee-transform resolution oracles", ok)

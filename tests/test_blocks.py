@@ -25,8 +25,9 @@ from prodgeo.natural import (
 )
 from prodgeo.pipeline import analyze_instance
 from prodgeo.report import table_summary
-from prodgeo.tensors import BLOCK_BYTES, CO, CONTRA, MetricTensor, blocks, compose, max_abs
+from prodgeo.tensors import BLOCK_BYTES, CO, CONTRA, MetricTensor, blocks, max_abs
 from tests.conftest import hyperbolic, psi1
+from tests.reference import compose
 from tests.test_kernels import (
     EPS,
     assert_within_roundoff,

@@ -12,6 +12,7 @@ from prodgeo.liealg import derived_bases
 from prodgeo.pipeline import analyze_instance
 from prodgeo.report import Report, _jsonable, report_from_dict, table_summary
 from prodgeo.tensors import max_abs
+from tests import check_report
 from tests.conftest import frame_changed_dim8, hyperbolic, instance_payload
 
 ORTHO = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -408,11 +409,27 @@ class TestCheckOrder:
         assert self.names(capsys, ["analyze", "--file", path]) == (3, STRUCTURE_CHECKS + ANALYSIS_CHECKS)
         assert self.names(capsys, ["conformal", "--file", path, "--alpha=0,0,0,0"]) == (3, STRUCTURE_CHECKS)
 
+    @staticmethod
+    def assert_invalid_instance(capsys, path, *options):
+        """Both commands exit 3 with the structure checks and a failing ``instance_buildable``."""
+        for argv in (["analyze", "--file", path], ["conformal", "--file", path, "--alpha=0,0,0,0"]):
+            code = main([*argv, *options, "--json"])
+            data = strict_loads(capsys.readouterr().out)
+            assert (code, [c["name"] for c in data["checks"]]) == (3, STRUCTURE_CHECKS + ["instance_buildable"])
+            assert data["exit_status"] != 0 and report_from_dict(data).exit_status != 0
+
     def test_singular_metric_is_an_invalid_instance(self, capsys, tmp_path):
         singular = np.diag([1.0, 1.0, 1.0, 0.0]).tolist()
         path = write_json(tmp_path / "singular.json", {"dim": 4, "brackets": [], "metric": singular, "P": SWAP_P})
-        assert self.names(capsys, ["analyze", "--file", path]) == (3, STRUCTURE_CHECKS)
-        assert self.names(capsys, ["conformal", "--file", path, "--alpha=0,0,0,0"]) == (3, STRUCTURE_CHECKS)
+        self.assert_invalid_instance(capsys, path)
+
+    def test_slightly_asymmetric_metric_is_an_invalid_instance_at_a_loose_tolerance(self, capsys, tmp_path):
+        # metric_symmetry passes at 1e-3, but the metric is inverted only when symmetric to 1e-9
+        metric = np.eye(4)
+        metric[0, 1] = 1e-6
+        payload = {"dim": 4, "brackets": [{"i": 1, "j": 2, "coeffs": [0, 0, 1, 0]}], "metric": metric.tolist(),
+                   "P": np.diag([1.0, 1.0, -1.0, -1.0]).tolist()}
+        self.assert_invalid_instance(capsys, write_json(tmp_path / "asymmetric.json", payload), "--epsilon", "1e-3")
 
 
 class TestJsonEncoding:
@@ -814,3 +831,33 @@ class TestNegativeListValues:
         assert code_sep == code_eq == 0
         assert data_sep == data_eq
         assert data_sep["tables"]["alpha"] == [0.0, -1.0, 0.0, 0.0]
+
+
+class TestReportChecker:
+    """``tests/check_report.py``, which the CI steps run on each report of the installed command."""
+
+    @staticmethod
+    def report(capsys, tmp_path, lam):
+        capsys.readouterr()  # drop what an earlier check printed
+        code = main(["verify-paper", f"--lambda={lam}", "--json"])
+        path = tmp_path / f"{lam}.json"
+        path.write_text(capsys.readouterr().out)
+        return str(path), str(code)
+
+    def test_accepts_a_report_that_re_derives_its_exit_code(self, capsys, tmp_path):
+        path, code = self.report(capsys, tmp_path, "1,2,3,4")
+        check_report.main([path, code, "0"])
+        check_report.main([path, code])
+        with pytest.raises(SystemExit, match="expected 1"):
+            check_report.main([path, code, "1"])
+        with pytest.raises(SystemExit, match="stated 0"):
+            check_report.main([path, "3"])
+
+    def test_overflow_report_has_null_conformal_checks_and_warning_notes(self, capsys, tmp_path):
+        path, code = self.report(capsys, tmp_path, "1e308,1e308,1e308,1e308")
+        check_report.main([path, code, "1", "--conformal-null", "--warnings-allowed"])
+        with pytest.raises(SystemExit, match="warning: RuntimeWarning"):
+            check_report.main([path, code, "1", "--conformal-null"])
+        finite, code = self.report(capsys, tmp_path, "1,2,3,4")
+        with pytest.raises(SystemExit):
+            check_report.main([finite, code, "0", "--conformal-null"])

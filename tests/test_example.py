@@ -10,9 +10,10 @@ from prodgeo.example import (
     golden_tables,
 )
 from prodgeo.pipeline import analyze_instance
-from prodgeo.liealg import bracket, jacobi_defect
-from prodgeo.structure import abelian_structure_defect, validate_structure
+from prodgeo.liealg import jacobi_defect
+from prodgeo.structure import validate_structure
 from tests.conftest import curvature_flags, random_lambdas, table_deviation, table_report
+from tests.reference import abelian_structure_defect, bracket
 
 E = np.eye(4)
 

@@ -33,9 +33,10 @@ from prodgeo.natural import (
 )
 from prodgeo.pipeline import analyze_instance
 from prodgeo.structure import ProductStructure, RpmInstance, nijenhuis_tensor, structure_pullback
-from prodgeo.tensors import CO, CONTRA, MetricTensor, compose, freeze, max_abs
+from prodgeo.tensors import CO, CONTRA, MetricTensor, freeze, max_abs
 from prodgeo.example import ExampleParams, build_example
 from tests.conftest import frame_changed_dim8, hyperbolic, moved_frame, psi1
+from tests.reference import compose
 
 EPS = np.finfo(float).eps
 VARIANCES = [v for rank in range(5) for v in itertools.product((CO, CONTRA), repeat=rank)]

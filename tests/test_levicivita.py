@@ -5,7 +5,6 @@ from prodgeo import errors
 from prodgeo.example import ExampleParams, build_example
 from prodgeo.levicivita import (
     class_flags,
-    compatibility_defect,
     conformal_class_rhs,
     cov_deriv_components,
     curvature_tensor,
@@ -14,13 +13,13 @@ from prodgeo.levicivita import (
     ricci_and_scalar,
     sectional_curvature,
     structure_tensor_F,
-    torsion_defect,
     weyl_tensor,
 )
 from prodgeo.liealg import LieFrameAlgebra
 from prodgeo.structure import ProductStructure, RpmInstance
 from prodgeo.tensors import CO, CONTRA, MetricTensor, max_abs
 from tests.conftest import frame_changed_dim8, psi1, random_lambdas
+from tests.reference import abelian, compatibility_defect, torsion_defect
 
 E = np.eye(4)
 
@@ -32,7 +31,7 @@ def flags_of(inst):
 
 def abelian_orthonormal():
     return RpmInstance(
-        alg=LieFrameAlgebra.abelian(4),
+        alg=abelian(4),
         metric=MetricTensor.from_matrix(np.eye(4)),
         structure=ProductStructure(np.diag([1.0, 1.0, -1.0, -1.0])),
     )

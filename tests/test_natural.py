@@ -6,7 +6,6 @@ import pytest
 from prodgeo.conformal import deformed_geometry, random_closed_form
 from prodgeo.example import ExampleParams, build_example
 from prodgeo.levicivita import (
-    compatibility_defect,
     cov_deriv_components,
     levi_civita_coeffs,
     lee_form,
@@ -16,27 +15,30 @@ from prodgeo.levicivita import (
 )
 from prodgeo.natural import (
     NaturalConnection,
-    TorsionParams,
-    canonical_params,
-    connection_from_torsion,
     curvature_Rprime,
     direct_potential,
     flat_D_report,
     has_parallel_torsion,
     naturality_defects,
     p_curvature_criterion,
-    potential_from_torsion,
     recomputed_torsion,
     ricci_scalar_relation,
     s_tensor,
-    torsion_family,
-    torsion_of_D,
     verify_curvature_relation,
 )
 from prodgeo.structure import RpmInstance
 from prodgeo.tensors import CO, DEFAULT_EPS, max_abs
 from prodgeo.pipeline import analyze_instance
 from tests.conftest import frame_changed_dim8, moved_frame, random_lambdas
+from tests.reference import (
+    TorsionParams,
+    canonical_params,
+    compatibility_defect,
+    connection_from_torsion,
+    potential_from_torsion,
+    torsion_family,
+    torsion_of_D,
+)
 
 
 def full(inst):

@@ -32,6 +32,7 @@ from prodgeo.natural import connection_D_from
 from prodgeo.pipeline import analyze_instance
 from prodgeo.tensors import max_abs
 from tests.conftest import moved_frame, psi1
+from tests.reference import transform_lee_dual
 
 EPS = 1e-9
 DIMS = [4, 8]
@@ -86,11 +87,11 @@ class TestKernelsOnAStack:
         inst = random_moved(dim)
         a = analyze_instance(inst, EPS)
         alpha = stack(dim, 1, 3)
-        args = (a.lee.theta, a.lee.omega)
-        out = transform_lee(*args, alpha, inst.structure, inst.metric)
-        singles = [transform_lee(*args, x, inst.structure, inst.metric) for x in alpha]
-        assert_slices(out.theta_bar, [x.theta_bar for x in singles])
-        assert_slices(out.omega_bar, [x.omega_bar for x in singles])
+        theta_bar = transform_lee(a.lee.theta, alpha, inst.structure)
+        assert_slices(theta_bar, [transform_lee(a.lee.theta, x, inst.structure) for x in alpha])
+        args = (a.lee.omega, alpha, inst.structure, inst.metric)
+        omega_bar = transform_lee_dual(*args)
+        assert_slices(omega_bar, [transform_lee_dual(*args[:1], x, *args[2:]) for x in alpha])
         assert_slices(transform_D(a.D, alpha), [transform_D(a.D, x) for x in alpha])
 
     @pytest.mark.parametrize("lowered", [False, True])

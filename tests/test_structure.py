@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from prodgeo.example import ExampleParams, build_example
-from prodgeo.liealg import LieFrameAlgebra, bracket
+from prodgeo.liealg import LieFrameAlgebra
 from prodgeo.structure import (
     ProductStructure,
     RpmInstance,
-    abelian_structure_defect,
     nijenhuis_tensor,
     structure_defects,
     validate_structure,
 )
 from prodgeo.tensors import MetricTensor, max_abs
 from tests.conftest import random_lambdas
+from tests.reference import abelian, abelian_structure_defect, bracket
 
 E = np.eye(4)
 BLOCK_P = np.diag([1.0, 1.0, -1.0, -1.0])
@@ -20,7 +20,7 @@ BLOCK_P = np.diag([1.0, 1.0, -1.0, -1.0])
 
 def block_instance(alg=None):
     return RpmInstance(
-        alg=alg if alg is not None else LieFrameAlgebra.abelian(4),
+        alg=alg if alg is not None else abelian(4),
         metric=MetricTensor.from_matrix(np.eye(4)),
         structure=ProductStructure(BLOCK_P),
     )
@@ -34,7 +34,7 @@ class TestValidateStructure:
 
     def test_identity_structure_fails_trace(self):
         inst = RpmInstance(
-            alg=LieFrameAlgebra.abelian(4),
+            alg=abelian(4),
             metric=MetricTensor.from_matrix(np.eye(4)),
             structure=ProductStructure(np.eye(4)),
         )

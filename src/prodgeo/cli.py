@@ -6,7 +6,10 @@ instance file, ``conformal`` checks the conformal-invariance statements
 for a given closed 1-form.  Reports are plain text or JSON (--json).
 
 Exit codes: 0 all checks pass, 1 check failure, 2 parse/argument error,
-3 structural validation failure, 4 closedness violation.
+3 structural validation failure, 4 closedness violation.  A printed report
+states the code the process exits with (see ``report``); codes 2 and 4, and
+3 from a ``GeometryError`` raised before any report, print only an
+``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -22,23 +25,11 @@ import numpy as np
 from . import conformal as conformal_mod
 from . import example
 from .errors import GeometryError, NotClosed
-from .instancefile import (
-    InvalidInstance,
-    LoadedInstance,
-    ParseError,
-    load_instance,
-    parse_rational,
-)
+from .instancefile import InvalidInstance, ParseError, load_instance, parse_rational
 from .pipeline import InstanceAnalysis, analyze_instance
-from .report import Report, table_summary
-from .structure import structure_defects
+from .report import EXIT_NOT_CLOSED, EXIT_PARSE_ERROR, EXIT_STRUCTURE_FAILURE, Report, table_summary
+from .structure import INSTANCE_BUILDABLE, structure_defects
 from .tensors import DEFAULT_EPS
-
-EXIT_PASS = 0
-EXIT_CHECK_FAILURE = 1
-EXIT_PARSE_ERROR = 2
-EXIT_STRUCTURE_FAILURE = 3
-EXIT_NOT_CLOSED = 4
 
 
 def _at_least_zero(cast):
@@ -98,13 +89,8 @@ def _conformal_sweep(a: InstanceAnalysis, seed: int, samples: int = 5) -> dict[s
     return conformal_mod.conformal_checks(a, analyze_instance(a.inst, a.eps, alphas))
 
 
-def cmd_verify_paper(args) -> tuple[Report | None, int | None]:
-    try:
-        lam = _parse_tuple(args.lam, 4, "--lambda")
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_PARSE_ERROR
-
+def cmd_verify_paper(args) -> Report:
+    lam = _parse_tuple(args.lam, 4, "--lambda")
     eps = args.epsilon
     params = example.ExampleParams(lam)
     inst = example.build_example(params)
@@ -151,33 +137,23 @@ def cmd_verify_paper(args) -> tuple[Report | None, int | None]:
                 "constant basis sectional curvature holds; the curvature tensor still has "
                 "parameter cross terms, so it is not proportional to the space-form tensor"
             )
-    return rep, None
+    return rep
 
 
-def _load(path: str, rep_kwargs: dict) -> tuple[LoadedInstance | None, Report | None, int]:
-    """Load an instance; on failure return a diagnostic report and exit code.
+def _unbuildable_report(args, exc: InvalidInstance) -> Report:
+    """The report of an instance file that parses but cannot be built.
 
-    The structure defects of an instance that cannot be built may all pass (a
-    singular metric has no negative eigenvalue), so its report ends with a failing
-    ``instance_buildable`` indicator."""
-    try:
-        return load_instance(path), None, EXIT_PASS
-    except InvalidInstance as exc:
-        rep = Report(instance={"kind": "explicit", "path": path}, **rep_kwargs)
-        rep.notes.append(f"instance cannot be built: {exc}")
-        rep.add(structure_defects(exc.c, exc.g, exc.p, rep.epsilon).checks)
-        rep.add({"instance_buildable": False})
-        return None, rep, EXIT_STRUCTURE_FAILURE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, None, EXIT_PARSE_ERROR
+    Its structure defects may all pass (a singular metric has no negative
+    eigenvalue), so it ends with a failing ``instance_buildable`` indicator."""
+    rep = Report(instance={"kind": "explicit", "path": args.file}, epsilon=args.epsilon)
+    rep.notes.append(f"instance cannot be built: {exc}")
+    rep.add(structure_defects(exc.c, exc.g, exc.p, rep.epsilon).checks)
+    rep.add({INSTANCE_BUILDABLE: False})
+    return rep
 
 
-def cmd_analyze(args) -> tuple[Report | None, int | None]:
-    loaded, failure_rep, code = _load(args.file, {"epsilon": args.epsilon})
-    if loaded is None:
-        return failure_rep, code
-
+def cmd_analyze(args) -> Report:
+    loaded = load_instance(args.file)
     inst = loaded.instance
     eps = args.epsilon
     rep = Report(instance=loaded.descriptor, epsilon=eps)
@@ -191,34 +167,26 @@ def cmd_analyze(args) -> tuple[Report | None, int | None]:
             "instance is outside the conformally flat product class; "
             "the natural-connection identities are not expected to hold"
         )
-    return rep, EXIT_STRUCTURE_FAILURE if not a.structure.ok else None
+    return rep
 
 
-def cmd_conformal(args) -> tuple[Report | None, int | None]:
-    loaded, failure_rep, code = _load(args.file, {"epsilon": args.epsilon})
-    if loaded is None:
-        return failure_rep, code
-
+def cmd_conformal(args) -> Report:
+    loaded = load_instance(args.file)
     inst = loaded.instance
     eps = args.epsilon
-    try:
-        alpha = np.array(_parse_tuple(args.alpha, inst.dim, "--alpha"))
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_PARSE_ERROR
+    alpha = np.array(_parse_tuple(args.alpha, inst.dim, "--alpha"))
 
     a = analyze_instance(inst, eps)
-    if not a.structure.ok:
-        rep = Report(instance=loaded.descriptor, epsilon=eps)
+    rep = Report(instance=loaded.descriptor, epsilon=eps)
+    if not a.structure.ok:  # the structure gate: its checks alone
         rep.add(a.structure.checks)
-        return rep, EXIT_STRUCTURE_FAILURE
+        return rep
 
     geo = conformal_mod.deformed_geometry(inst, alpha, eps)  # NotClosed exits 4 in main
-    rep = Report(instance=loaded.descriptor, epsilon=eps)
     rep.tables["alpha"] = alpha
     rep.add(conformal_mod.conformal_checks(a, geo))
     rep.tables["lee_form_transformed"] = geo.lee.theta
-    return rep, None
+    return rep
 
 
 @functools.cache
@@ -270,6 +238,10 @@ def _join_list_options(argv: list[str]) -> list[str]:
 
 _COMMANDS = {"verify-paper": cmd_verify_paper, "analyze": cmd_analyze, "conformal": cmd_conformal}
 
+# The exit code of a run that ends in one of these errors, with no report; a
+# subclass takes the code of its nearest listed base (NotClosed is a GeometryError).
+_ERROR_EXITS = {ParseError: EXIT_PARSE_ERROR, NotClosed: EXIT_NOT_CLOSED, GeometryError: EXIT_STRUCTURE_FAILURE}
+
 
 def _warning_notes(caught) -> list[str]:
     """One note per distinct category and message, in the order first raised."""
@@ -277,7 +249,8 @@ def _warning_notes(caught) -> list[str]:
 
 
 def main(argv=None) -> int:
-    """Run a command; its report goes to stdout with the warnings it raised as notes.
+    """Run a command; its report goes to stdout with the warnings it raised as notes,
+    and the process exits with the status the report states.
 
     stderr carries only ``error:`` lines, for runs that end without a report.
     """
@@ -286,19 +259,16 @@ def main(argv=None) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            rep, code = _COMMANDS[args.command](args)
-        except NotClosed as exc:
+            rep = _COMMANDS[args.command](args)
+        except InvalidInstance as exc:
+            rep = _unbuildable_report(args, exc)
+        except tuple(_ERROR_EXITS) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NOT_CLOSED
-        except GeometryError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_STRUCTURE_FAILURE
-    if rep is not None:
-        rep.notes.extend(_warning_notes(caught))
-        finished = rep.finish()  # the one walk of the tables
-        print(rep.to_json(finished) if args.json else rep.render_text(finished))
-        code = finished[2] if code is None else code  # a command's None: the report's own status
-    return code
+            return next(_ERROR_EXITS[kind] for kind in type(exc).__mro__ if kind in _ERROR_EXITS)
+    rep.notes.extend(_warning_notes(caught))
+    finished = rep.finish()  # the one walk of the tables
+    print(rep.to_json(finished) if args.json else rep.render_text(finished))
+    return finished[2]
 
 
 if __name__ == "__main__":

@@ -116,7 +116,6 @@ class ClassFlags:
 
     is_w0: bool
     is_w1: bool
-    structure_tensor_defect: float
     conformal_class_residual: float
     inst: RpmInstance = field(repr=False)
     eps: float
@@ -132,12 +131,10 @@ class ClassFlags:
 
 def class_flags(inst: RpmInstance, f: np.ndarray, theta, eps: float = DEFAULT_EPS) -> ClassFlags:
     """Class membership from the structure tensor ``f`` and its Lee form ``theta``."""
-    w0_defect = max_abs(f)
     w1_residual = max_abs(f - conformal_class_rhs(inst, theta))
     return ClassFlags(
-        is_w0=w0_defect <= eps,
+        is_w0=max_abs(f) <= eps,
         is_w1=w1_residual <= eps,
-        structure_tensor_defect=w0_defect,
         conformal_class_residual=w1_residual,
         inst=inst,
         eps=eps,

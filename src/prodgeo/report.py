@@ -2,7 +2,10 @@
 
 A check passes exactly when its defect is at most its tolerance, so a
 report parsed back from JSON reproduces every verdict (and hence the exit
-status) from the numbers alone.  Checks are added as ``{check name: defect}``
+status) from the numbers alone.  The exit status is 0 when every check
+passes, 3 when a failing check belongs to the structure gate
+(``structure.GATE``) and 1 otherwise; the commands print a report's status
+and exit with it.  Checks are added as ``{check name: defect}``
 dicts, in which a bool stands for an indicator: a boolean agreement, encoded
 as a 0/1 defect against tolerance 0.5.
 
@@ -25,7 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from .structure import GATE
 from .tensors import blocks, max_abs
+
+EXIT_PASS = 0
+EXIT_CHECK_FAILURE = 1
+EXIT_PARSE_ERROR = 2
+EXIT_STRUCTURE_FAILURE = 3
+EXIT_NOT_CLOSED = 4
 
 INDICATOR_TOL = 0.5
 NON_FINITE = "non_finite"
@@ -66,7 +76,9 @@ class Report:
         tables, count = _nulled(self.tables)
         count += sum(not math.isfinite(c.defect) for c in self.checks)
         checks = self.checks + ([Check(NON_FINITE, float(count), 0.0)] if count else [])
-        return checks, tables, 0 if all(c.passed for c in checks) else 1
+        failed = {c.name for c in checks if not c.passed}
+        status = EXIT_STRUCTURE_FAILURE if failed & GATE else EXIT_CHECK_FAILURE if failed else EXIT_PASS
+        return checks, tables, status
 
     @property
     def exit_status(self) -> int:

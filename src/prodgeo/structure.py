@@ -81,6 +81,19 @@ class RpmInstance:
         return max_abs(nijenhuis_tensor(self))
 
 
+# The structure gate: a failing check of one of these names makes a report exit 3.
+AXIOMS = (
+    "structure_squares_to_identity",
+    "structure_metric_compatibility",
+    "structure_trace",
+    "jacobi_identity",
+    "metric_symmetry",
+    "metric_positive_definite",
+)
+INSTANCE_BUILDABLE = "instance_buildable"  # the indicator of an instance that cannot be built
+GATE = frozenset((*AXIOMS, INSTANCE_BUILDABLE))
+
+
 @dataclass(frozen=True)
 class StructureReport:
     """All structural axiom defects, ``{axiom name: defect}``, and the tolerance they are judged by."""
@@ -102,15 +115,15 @@ def structure_defects(c, g, p, tolerance: float = DEFAULT_EPS) -> StructureRepor
     dim = g.shape[0]
     eye = np.eye(dim)
     eigenvalues = np.linalg.eigvalsh((g + g.T) / 2.0)
-    checks = {
-        "structure_squares_to_identity": max_abs(p @ p - eye),
-        "structure_metric_compatibility": max_abs(p.T @ g @ p - g),
-        "structure_trace": abs(float(np.trace(p))),
-        "jacobi_identity": liealg.jacobi_defect(c),
-        "metric_symmetry": max_abs(g - g.T),
-        "metric_positive_definite": max(0.0, -float(eigenvalues[0])),
-    }
-    return StructureReport(checks=checks, tolerance=tolerance)
+    defects = (  # in the order of AXIOMS
+        max_abs(p @ p - eye),
+        max_abs(p.T @ g @ p - g),
+        abs(float(np.trace(p))),
+        liealg.jacobi_defect(c),
+        max_abs(g - g.T),
+        max(0.0, -float(eigenvalues[0])),
+    )
+    return StructureReport(checks=dict(zip(AXIOMS, defects)), tolerance=tolerance)
 
 
 def validate_structure(inst: RpmInstance, tolerance: float = DEFAULT_EPS) -> StructureReport:

@@ -94,8 +94,12 @@ class TestVerifyPaper:
         assert data["instance"]["lambda"] == [0.5, 0.0, 0.0, -0.75]
 
     def test_malformed_lambda(self, capsys):
-        assert main(["verify-paper", "--lambda", "1,2,3"]) == 2
-        assert main(["verify-paper", "--lambda", "1,2,3,x"]) == 2
+        # the command raises, and main prints one error line and no report
+        for lam, message in (("1,2,3", "--lambda needs 4"), ("1,2,3,x", "bad rational 'x'")):
+            assert main(["verify-paper", "--lambda", lam, "--json"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and message in captured.err
 
     def test_json_round_trip_reproduces_exit_status(self, capsys):
         code, data = run_json(capsys, ["verify-paper", "--lambda", "2,-1,0.5,3", "--json"])
@@ -173,7 +177,7 @@ class TestAnalyze:
         payload = {"dim": 4, "brackets": [], "metric": ORTHO, "P": ORTHO}
         path = write_json(tmp_path / "identity_p.json", payload)
         code, data = run_json(capsys, ["analyze", "--file", path, "--json"])
-        assert code == 3
+        assert data["exit_status"] == report_from_dict(data).exit_status == code == 3
         by_name = {c["name"]: c for c in data["checks"]}
         assert by_name["structure_trace"]["defect"] == pytest.approx(4.0)
         assert not by_name["structure_trace"]["pass"]
@@ -187,7 +191,7 @@ class TestAnalyze:
         }
         path = write_json(tmp_path / "bad_metric.json", payload)
         code, data = run_json(capsys, ["analyze", "--file", path, "--json"])
-        assert code == 3
+        assert data["exit_status"] == report_from_dict(data).exit_status == code == 3
         by_name = {c["name"]: c for c in data["checks"]}
         assert by_name["metric_positive_definite"]["defect"] == pytest.approx(1.0)
 
@@ -310,12 +314,17 @@ class TestConformal:
 
     def test_wrong_length_alpha(self, capsys, tmp_path):
         path = builtin_file(tmp_path, [1, 0, 0, 0])
-        assert main(["conformal", "--file", path, "--alpha", "0,1"]) == 2
+        for alpha, message in (("0,1", "--alpha needs 4"), ("0,1,0,x", "bad rational 'x'")):
+            assert main(["conformal", "--file", path, "--alpha", alpha, "--json"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and message in captured.err
 
     def test_structurally_invalid_instance_exits_3(self, capsys, tmp_path):
         payload = {"dim": 4, "brackets": [], "metric": ORTHO, "P": ORTHO}
         path = write_json(tmp_path / "identity_p.json", payload)
-        assert main(["conformal", "--file", path, "--alpha", "0,0,0,0"]) == 3
+        code, data = run_json(capsys, ["conformal", "--file", path, "--alpha", "0,0,0,0", "--json"])
+        assert data["exit_status"] == report_from_dict(data).exit_status == code == 3
 
     def test_unknown_builtin_name(self, capsys, tmp_path):
         path = write_json(
@@ -415,8 +424,8 @@ class TestCheckOrder:
         for argv in (["analyze", "--file", path], ["conformal", "--file", path, "--alpha=0,0,0,0"]):
             code = main([*argv, *options, "--json"])
             data = strict_loads(capsys.readouterr().out)
-            assert (code, [c["name"] for c in data["checks"]]) == (3, STRUCTURE_CHECKS + ["instance_buildable"])
-            assert data["exit_status"] != 0 and report_from_dict(data).exit_status != 0
+            assert [c["name"] for c in data["checks"]] == STRUCTURE_CHECKS + ["instance_buildable"]
+            assert data["exit_status"] == report_from_dict(data).exit_status == code == 3
 
     def test_singular_metric_is_an_invalid_instance(self, capsys, tmp_path):
         singular = np.diag([1.0, 1.0, 1.0, 0.0]).tolist()
@@ -538,7 +547,7 @@ class TestNonFiniteReport:
         last = data["checks"][-1]
         assert last["name"] == "non_finite" and not last["pass"]
         assert last["defect"] == out.count("null") > 0
-        assert code == data["exit_status"] == 1
+        assert code == data["exit_status"] == 3  # the NaN Jacobi defect fails the structure gate
         rebuilt = report_from_dict(data)
         assert rebuilt.exit_status == code
         assert [c.passed for c in rebuilt.finish()[0]] == [c["pass"] for c in data["checks"]]
@@ -557,14 +566,14 @@ class TestNonFiniteReport:
         conformal = [c for c in data["checks"] if c["name"] in names]
         assert [c["name"] for c in conformal] == list(names)
         assert all(c["defect"] is None and not c["pass"] for c in conformal)
-        assert code == data["exit_status"] == 1
+        assert code == data["exit_status"] == 3
 
     @pytest.mark.parametrize("command", ["analyze", "conformal"])
     def test_overflowed_structure_fails_the_gate(self, capsys, tmp_path, command):
         # the Jacobi defect of the overflowed brackets is NaN: a structure failure, exit 3
         argv = [command, "--file", builtin_file(tmp_path, [1e308] * 4), "--json"]
         code, data = run_json(capsys, argv + (["--alpha=0,0,0,0"] if command == "conformal" else []))
-        assert code == 3
+        assert data["exit_status"] == report_from_dict(data).exit_status == code == 3
         checks = {c["name"]: c for c in data["checks"]}
         assert checks["jacobi_identity"]["defect"] is None and not checks["jacobi_identity"]["pass"]
         names = [c["name"] for c in data["checks"]]
@@ -643,14 +652,16 @@ class TestOptionValues:
     )
     def test_zero_epsilon_sweep_writes_a_report(self, capsys, lam):
         # the sampled forms come from an SVD basis, so their bracket defect is
-        # roundoff: closedness is judged against dim ulps, not against 0
+        # roundoff: closedness is judged against dim ulps, not against 0; at
+        # 1e-7 the Jacobi defect is roundoff too, which fails the structure gate
+        expected = 3 if lam == "1e-7,2e-7,3e-7,4e-7" else 1
         for seed in range(10):
             code = main(["verify-paper", f"--lambda={lam}", f"--seed={seed}", "--epsilon", "0", "--json"])
             captured = capsys.readouterr()
             assert captured.err == ""
             data = strict_loads(captured.out)
             assert not [n for n in data["notes"] if n.startswith("warning: ")]
-            assert report_from_dict(data).exit_status == data["exit_status"] == code == 1
+            assert report_from_dict(data).exit_status == data["exit_status"] == code == expected
 
     def test_zero_epsilon_still_rejects_a_form_that_is_not_closed(self, capsys, tmp_path):
         path = builtin_file(tmp_path, [1, 0, 0, 0])
@@ -855,9 +866,9 @@ class TestReportChecker:
 
     def test_overflow_report_has_null_conformal_checks_and_warning_notes(self, capsys, tmp_path):
         path, code = self.report(capsys, tmp_path, "1e308,1e308,1e308,1e308")
-        check_report.main([path, code, "1", "--conformal-null", "--warnings-allowed"])
+        check_report.main([path, code, "3", "--conformal-null", "--warnings-allowed"])
         with pytest.raises(SystemExit, match="warning: RuntimeWarning"):
-            check_report.main([path, code, "1", "--conformal-null"])
+            check_report.main([path, code, "3", "--conformal-null"])
         finite, code = self.report(capsys, tmp_path, "1,2,3,4")
         with pytest.raises(SystemExit):
             check_report.main([finite, code, "0", "--conformal-null"])

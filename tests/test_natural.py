@@ -385,6 +385,20 @@ class TestCriterionAndParallelTorsion:
         assert crit.bianchi_defect_rprime > 1e-3
         assert crit.equivalence_holds
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_moved_frame_criterion_holds_with_non_identity_metric(self, seed):
+        # g != I and D theta != 0 here, so dtheta P and dtheta P^T differ: a P/P^T
+        # slip in the symmetry defect reads 49-178 on these seeds
+        b = build_example(ExampleParams((1.0, 2.0, 3.0, 4.0)))
+        inst = moved_frame(b.alg.c, b.p, seed)
+        a = analyze_instance(inst)
+        crit = a.p_criterion
+        assert max_abs(a.dtheta) > 10 and not np.allclose(inst.g, np.eye(4))
+        assert crit.dtheta_symmetry_defect <= 1e-12
+        assert crit.bianchi_defect_rprime <= 1e-12
+        assert crit.closedness_defect <= 1e-12
+        assert crit.equivalence_holds and crit.closedness_agrees
+
     def test_parallel_torsion_only_in_degenerate_case(self):
         for lam in random_lambdas(131, 50):
             a = analyze_instance(build_example(ExampleParams(lam)))

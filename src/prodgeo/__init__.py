@@ -14,17 +14,15 @@ from .levicivita import LeeForm, levi_civita_coeffs
 from .liealg import LieFrameAlgebra
 from .natural import NaturalConnection, STensor
 from .pipeline import InstanceAnalysis, analyze_instance
-from .structure import ProductStructure, RpmInstance
-from .tensors import MetricTensor, invert_metric
+from .structure import RpmInstance
+from .tensors import invert_metric
 
 __all__ = [
     "ExampleParams",
     "InstanceAnalysis",
     "LeeForm",
     "LieFrameAlgebra",
-    "MetricTensor",
     "NaturalConnection",
-    "ProductStructure",
     "RpmInstance",
     "STensor",
     "analyze_instance",

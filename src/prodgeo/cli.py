@@ -83,8 +83,8 @@ def _tables_dict(a: InstanceAnalysis) -> dict:
 def _conformal_sweep(a: InstanceAnalysis, seed: int, samples: int = 5) -> dict[str, float]:
     """The largest of each conformal defect over ``samples`` random closed 1-forms, rescaled as one stack."""
     alg, rng = a.inst.alg, np.random.default_rng(seed)
-    alphas = np.array(
-        [conformal_mod.require_closed(alg, conformal_mod.random_closed_form(alg, rng), a.eps) for _ in range(samples)]
+    alphas = conformal_mod.require_closed(
+        alg, [conformal_mod.random_closed_form(alg, rng) for _ in range(samples)], a.eps
     )
     return conformal_mod.conformal_checks(a, analyze_instance(a.inst, a.eps, alphas))
 

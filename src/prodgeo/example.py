@@ -15,8 +15,8 @@ import numpy as np
 
 from .liealg import LieFrameAlgebra
 from .pipeline import InstanceAnalysis
-from .structure import ProductStructure, RpmInstance
-from .tensors import MetricTensor, max_abs
+from .structure import RpmInstance
+from .tensors import max_abs
 
 DIM = 4
 
@@ -60,11 +60,7 @@ def build_example(params: ExampleParams) -> RpmInstance:
             (1, 3): v13,
         },
     )
-    return RpmInstance(
-        alg=alg,
-        metric=MetricTensor.from_matrix(np.eye(DIM)),
-        structure=ProductStructure(P_MATRIX),
-    )
+    return RpmInstance(alg, np.eye(DIM), P_MATRIX)
 
 
 @dataclass(frozen=True)
@@ -271,7 +267,7 @@ def constant_curvature_flags(params: ExampleParams, a: InstanceAnalysis) -> Cons
 
     space_form = None
     if computed_const:
-        space_form = max_abs(a.R - (a.ricci.tau / 12.0) * a.inst.metric.pi1)
+        space_form = max_abs(a.R - (a.ricci.tau / 12.0) * a.inst.pi1)
 
     return ConstantCurvatureFlags(
         const_invariant=alg_inv,

@@ -19,8 +19,7 @@ import numpy as np
 from .errors import GeometryError
 from .example import ExampleParams, build_example
 from .liealg import LieFrameAlgebra
-from .structure import ProductStructure, RpmInstance
-from .tensors import MetricTensor
+from .structure import RpmInstance
 
 BUILTIN_NAME = "w1-example"
 
@@ -135,11 +134,7 @@ def instance_from_dict(data: dict) -> LoadedInstance:
     c[first, second] = coeffs
     c[second, first] = -coeffs
     try:
-        inst = RpmInstance(
-            alg=LieFrameAlgebra(dim, c),
-            metric=MetricTensor.from_matrix(metric),
-            structure=ProductStructure(p),
-        )
+        inst = RpmInstance(LieFrameAlgebra(dim, c), metric, p)
     except GeometryError as exc:
         raise InvalidInstance(str(exc), c=c, g=metric, p=p) from exc
     return LoadedInstance(instance=inst, descriptor={"kind": "explicit", "dim": dim})

@@ -27,9 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegeneratePlane, NonSymmetricInputWarning, SingularMetric
-from .liealg import LieFrameAlgebra
 from .structure import RpmInstance
-from .tensors import CO, DEFAULT_EPS, MetricTensor, blocks, max_abs
+from .tensors import CO, DEFAULT_EPS, blocks, max_abs
 
 
 @dataclass(frozen=True)
@@ -172,9 +171,9 @@ def curvature_components(
     return r
 
 
-def curvature_tensor(gamma: np.ndarray, alg: LieFrameAlgebra, metric: MetricTensor) -> np.ndarray:
+def curvature_tensor(gamma: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Lowered curvature tensor of a frame-constant connection."""
-    return curvature_components(gamma, alg.c, metric.matrix)
+    return curvature_components(gamma, c, g)
 
 
 @dataclass(frozen=True)
@@ -183,17 +182,18 @@ class RicciScalar:
     tau: float | np.ndarray
 
 
-def ricci_and_scalar(r: np.ndarray, metric: MetricTensor) -> RicciScalar:
-    """Ricci tensor and scalar curvature by first/last-slot metric traces; tau is an array for a stack."""
-    rho = np.einsum("il,...ijkl->...jk", metric.inverse, r)
-    tau = np.einsum("jk,...jk->...", metric.inverse, rho)
+def ricci_and_scalar(r: np.ndarray, g_inv: np.ndarray) -> RicciScalar:
+    """Ricci tensor and scalar curvature by first/last-slot traces with the inverse metric ``g_inv``;
+    tau is an array for a stack."""
+    rho = np.einsum("il,...ijkl->...jk", g_inv, r)
+    tau = np.einsum("jk,...jk->...", g_inv, rho)
     return RicciScalar(rho=rho, tau=float(tau) if tau.ndim == 0 else tau)
 
 
-def sectional_curvature(r: np.ndarray, metric: MetricTensor, u, v, eps: float = DEFAULT_EPS) -> float:
+def sectional_curvature(r: np.ndarray, g: np.ndarray, u, v, eps: float = DEFAULT_EPS) -> float:
     """R(u, v, v, u) over the squared area: one matrix-vector product reads R, then dim**3 and dim**2 vectors."""
     uv = np.array((u, v), dtype=float)
-    (guu, guv), (_, gvv) = uv @ metric.matrix @ uv.T
+    (guu, guv), (_, gvv) = uv @ g @ uv.T
     area_sq = guu * gvv - guv**2
     if abs(area_sq) <= eps:
         raise DegeneratePlane("the two directions span a degenerate 2-plane")
@@ -202,8 +202,8 @@ def sectional_curvature(r: np.ndarray, metric: MetricTensor, u, v, eps: float = 
     return float(v @ r_uv.reshape(len(u), -1) @ u) / float(area_sq)
 
 
-def psi1_blocks(metric: MetricTensor, s, eps: float = DEFAULT_EPS):
-    """Curvature-type extension of a 2-tensor by the metric: yields each first-slot block's
+def psi1_blocks(g: np.ndarray, s, eps: float = DEFAULT_EPS):
+    """Curvature-type extension of a 2-tensor by the metric ``g``: yields each first-slot block's
     slice b and psi1(s)[..., b, :, :, :].
 
     Warns once (and still evaluates) when the input is not symmetric, in which
@@ -214,7 +214,7 @@ def psi1_blocks(metric: MetricTensor, s, eps: float = DEFAULT_EPS):
         warnings.warn("extending a non-symmetric 2-tensor", NonSymmetricInputWarning)
     # a = g(y, z) s(x, w) + s(y, z) g(x, w) at [x, y, z, w] is [vec g, vec s] [vec s; vec g] at
     # [(y, z), (x, w)], and a with x, y swapped is that at [(x, z), (y, w)]: one rank-2 product each
-    g, d, lead = metric.matrix, metric.dim, s.shape[:-2]
+    d, lead = len(g), s.shape[:-2]
     u = np.empty(lead + (2, d * d))
     u[..., 0, :], u[..., 1, :] = g.ravel(), s.reshape(lead + (-1,))
     columns, flipped = u.swapaxes(-1, -2), u[..., ::-1, :]
@@ -228,7 +228,7 @@ def psi1_blocks(metric: MetricTensor, s, eps: float = DEFAULT_EPS):
 
 
 def weyl_tensor(
-    r: np.ndarray, rho: np.ndarray, tau: float, metric: MetricTensor, eps: float = DEFAULT_EPS, out=None
+    r: np.ndarray, rho: np.ndarray, tau: float, g: np.ndarray, eps: float = DEFAULT_EPS, out=None
 ) -> np.ndarray:
     """Trace-free conformally invariant part of a curvature tensor, into ``out`` (may be ``r``) if given.
 
@@ -236,10 +236,10 @@ def weyl_tensor(
     twice the space-form tensor, judged symmetric to ``eps`` (``psi1_blocks``).
     Each of its blocks is subtracted as it is built: the result is the one dim**4 buffer.
     """
-    n = metric.dim // 2
+    n = len(g) // 2
     w = np.empty(r.shape) if out is None else out
-    sigma = rho - np.multiply.outer(tau / (2 * (2 * n - 1)), metric.matrix)
-    for b, correction in psi1_blocks(metric, sigma, eps):
+    sigma = rho - np.multiply.outer(tau / (2 * (2 * n - 1)), g)
+    for b, correction in psi1_blocks(g, sigma, eps):
         correction /= 2 * (n - 1)
         np.subtract(r[..., b, :, :, :], correction, out=w[..., b, :, :, :])
     return w

@@ -17,7 +17,7 @@ from . import levicivita
 from .levicivita import LeeForm, cov_deriv_components, curvature_components, psi1_blocks
 from .liealg import jacobi_defect
 from .structure import RpmInstance, structure_pullback
-from .tensors import CO, CONTRA, DEFAULT_EPS, MetricTensor, blocks, max_abs
+from .tensors import CO, CONTRA, DEFAULT_EPS, blocks, max_abs
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,9 @@ def naturality_defects(d: NaturalConnection, inst: RpmInstance) -> dict[str, flo
     }
 
 
-def curvature_Rprime(d: NaturalConnection, alg, metric: MetricTensor) -> np.ndarray:
+def curvature_Rprime(d: NaturalConnection, c: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Lowered curvature tensor of the natural connection."""
-    return curvature_components(d.gamma, alg.c, metric.matrix)
+    return curvature_components(d.gamma, c, g)
 
 
 def s_tensor(inst: RpmInstance, dtheta: np.ndarray, theta_norm_sq: float) -> STensor:
@@ -87,11 +87,12 @@ def s_tensor(inst: RpmInstance, dtheta: np.ndarray, theta_norm_sq: float) -> STe
 
 
 def verify_curvature_relation(
-    r: np.ndarray, r_prime: np.ndarray, s: STensor, metric: MetricTensor, n: int
+    r: np.ndarray, r_prime: np.ndarray, s: STensor, g: np.ndarray
 ) -> float:
-    """Residual of the curvature relation between the two connections."""
+    """Residual of the curvature relation between the two connections, in dimension 2n = len(g)."""
+    n = len(g) // 2
     maxima = []
-    for b, residual in psi1_blocks(metric, s.S):  # summed in place: no dim**4 difference
+    for b, residual in psi1_blocks(g, s.S):  # summed in place: no dim**4 difference
         residual /= 2.0 * n
         residual += r[b]
         residual -= r_prime[b]
@@ -105,11 +106,11 @@ def ricci_scalar_relation(
     tau: float,
     tau_prime: float,
     s: STensor,
-    metric: MetricTensor,
-    n: int,
+    g: np.ndarray,
 ) -> dict[str, float]:
-    """Residuals of the contracted curvature relation."""
-    ricci_corr = (metric.matrix * s.trace_S + 2.0 * (n - 1) * s.S) / (2.0 * n)
+    """Residuals of the contracted curvature relation, in dimension 2n = len(g)."""
+    n = len(g) // 2
+    ricci_corr = (g * s.trace_S + 2.0 * (n - 1) * s.S) / (2.0 * n)
     return {
         "ricci_relation": max_abs(rho - rho_prime + ricci_corr),
         "scalar_relation": abs(tau - tau_prime + (2.0 * n - 1.0) / n * s.trace_S),
@@ -260,7 +261,6 @@ def flat_D_report(
     connection, ``r_prime``, its flatness ``is_flat`` and ``parallel`` to
     ``d``; ``theta_norm_sq`` is the squared norm of the Lee form."""
     n = inst.n
-    metric = inst.metric
     tau = ricci.tau
 
     weyl_max = max_abs(w) if is_flat else None
@@ -268,9 +268,9 @@ def flat_D_report(
     space_form = ricci_res = scalar_res = dr_defect = None
     tau_negative = None
     if is_flat and parallel.verdict:
-        space_form = max_abs(r + (theta_norm_sq / (4.0 * n * n)) * metric.pi1)
+        space_form = max_abs(r + (theta_norm_sq / (4.0 * n * n)) * inst.pi1)
         ricci_res = max_abs(
-            ricci.rho + (2.0 * n - 1.0) / (4.0 * n * n) * theta_norm_sq * metric.matrix
+            ricci.rho + (2.0 * n - 1.0) / (4.0 * n * n) * theta_norm_sq * inst.g
         )
         scalar_res = abs(tau + (2.0 * n - 1.0) / (2.0 * n) * theta_norm_sq)
         # one block of directions at a time: the full derivative would hold dim^5 numbers
@@ -280,7 +280,7 @@ def flat_D_report(
 
     parallel_relation = None
     if parallel.verdict:
-        parallel_relation = max_abs(r - r_prime + (theta_norm_sq / (4.0 * n * n)) * metric.pi1)
+        parallel_relation = max_abs(r - r_prime + (theta_norm_sq / (4.0 * n * n)) * inst.pi1)
 
     return FlatReport(
         is_flat=is_flat,

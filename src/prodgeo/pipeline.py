@@ -54,18 +54,18 @@ class InstanceAnalysis:
 
     @cached_property
     def R(self) -> np.ndarray:
-        return levicivita.curvature_tensor(self.nabla, self.inst.alg, self.inst.metric)
+        return levicivita.curvature_tensor(self.nabla, self.inst.c, self.inst.g)
 
     @cached_property
     def ricci(self) -> RicciScalar:
-        return levicivita.ricci_and_scalar(self.R, self.inst.metric)
+        return levicivita.ricci_and_scalar(self.R, self.inst.g_inv)
 
     @cached_property
     def sectional(self) -> dict[tuple[int, int], float]:
         """Sectional curvatures of the basis planes, keyed by 0-based (i, j), i < j."""
         basis = np.eye(self.inst.dim)
         return {
-            (i, j): levicivita.sectional_curvature(self.R, self.inst.metric, basis[i], basis[j])
+            (i, j): levicivita.sectional_curvature(self.R, self.inst.g, basis[i], basis[j])
             for i in range(self.inst.dim)
             for j in range(i + 1, self.inst.dim)
         }
@@ -91,11 +91,11 @@ class InstanceAnalysis:
 
     @cached_property
     def Rprime(self) -> np.ndarray:
-        return natural.curvature_Rprime(self.D, self.inst.alg, self.inst.metric)
+        return natural.curvature_Rprime(self.D, self.inst.c, self.inst.g)
 
     @cached_property
     def ricci_prime(self) -> RicciScalar:
-        return levicivita.ricci_and_scalar(self.Rprime, self.inst.metric)
+        return levicivita.ricci_and_scalar(self.Rprime, self.inst.g_inv)
 
     @cached_property
     def S(self) -> STensor:
@@ -103,12 +103,12 @@ class InstanceAnalysis:
 
     @cached_property
     def W(self) -> np.ndarray:
-        return levicivita.weyl_tensor(self.R, self.ricci.rho, self.ricci.tau, self.inst.metric)
+        return levicivita.weyl_tensor(self.R, self.ricci.rho, self.ricci.tau, self.inst.g)
 
     @cached_property
     def Wprime(self) -> np.ndarray:
         return levicivita.weyl_tensor(
-            self.Rprime, self.ricci_prime.rho, self.ricci_prime.tau, self.inst.metric
+            self.Rprime, self.ricci_prime.rho, self.ricci_prime.tau, self.inst.g
         )
 
     @cached_property
@@ -125,15 +125,13 @@ class InstanceAnalysis:
 
     @cached_property
     def curvature_relation_residual(self) -> float:
-        return natural.verify_curvature_relation(
-            self.R, self.Rprime, self.S, self.inst.metric, self.inst.n
-        )
+        return natural.verify_curvature_relation(self.R, self.Rprime, self.S, self.inst.g)
 
     @cached_property
     def ricci_relation(self) -> dict[str, float]:
         return natural.ricci_scalar_relation(
             self.ricci.rho, self.ricci_prime.rho, self.ricci.tau, self.ricci_prime.tau,
-            self.S, self.inst.metric, self.inst.n,
+            self.S, self.inst.g,
         )
 
     @cached_property

@@ -8,7 +8,7 @@ verification commands need to print full diagnostics for bad instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -16,39 +16,32 @@ import numpy as np
 from . import liealg
 from .errors import ShapeMismatch
 from .liealg import LieFrameAlgebra
-from .tensors import DEFAULT_EPS, MetricTensor, freeze, max_abs
-
-
-@dataclass(frozen=True, eq=False)
-class ProductStructure:
-    """Components of an almost product endomorphism; compared and hashed by identity."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", freeze(self.components))
-        m = self.components
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ShapeMismatch(f"structure components have shape {m.shape}")
-
-    @property
-    def dim(self) -> int:
-        return self.components.shape[0]
+from .tensors import DEFAULT_EPS, freeze, invert_metric, max_abs, pi1_tensor
 
 
 @dataclass(frozen=True, eq=False)
 class RpmInstance:
-    """A left-invariant Riemannian almost product manifold datum; compared and hashed by identity."""
+    """A left-invariant Riemannian almost product manifold datum (M, P, g); compared and hashed by identity.
+
+    Holds read-only copies of the metric ``g``, its inverse ``g_inv`` (computed
+    once, by ``invert_metric`` at ``DEFAULT_EPS``) and the structure ``p``.
+    """
 
     alg: LieFrameAlgebra
-    metric: MetricTensor
-    structure: ProductStructure
+    g: np.ndarray
+    p: np.ndarray
+    g_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (self.alg.dim == self.metric.dim == self.structure.dim):
+        object.__setattr__(self, "g", freeze(self.g))
+        object.__setattr__(self, "g_inv", freeze(invert_metric(self.g)))
+        object.__setattr__(self, "p", freeze(self.p))
+        if self.p.ndim != 2 or self.p.shape[0] != self.p.shape[1]:
+            raise ShapeMismatch(f"structure components have shape {self.p.shape}")
+        if not (self.alg.dim == len(self.g) == len(self.p)):
             raise ShapeMismatch(
                 f"inconsistent dimensions: algebra {self.alg.dim}, "
-                f"metric {self.metric.dim}, structure {self.structure.dim}"
+                f"metric {len(self.g)}, structure {len(self.p)}"
             )
 
     @property
@@ -63,17 +56,12 @@ class RpmInstance:
     def c(self) -> np.ndarray:
         return self.alg.c
 
-    @property
-    def g(self) -> np.ndarray:
-        return self.metric.matrix
-
-    @property
-    def g_inv(self) -> np.ndarray:
-        return self.metric.inverse
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.structure.components
+    @cached_property
+    def pi1(self) -> np.ndarray:
+        """The space-form tensor of g, built on first read and shared by every reader, read-only."""
+        pi1 = pi1_tensor(self.g)
+        pi1.setflags(write=False)
+        return pi1
 
     @cached_property
     def nijenhuis_defect(self) -> float:

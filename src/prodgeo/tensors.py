@@ -1,4 +1,4 @@
-"""Dense arrays over a fixed finite frame, and the metric that weights them.
+"""Dense arrays over a fixed finite frame: copies, blocks, norms, and the metric's inverse.
 
 Tensor components are plain float64 arrays of shape ``(dim,) * rank``;
 which slots are covariant is fixed by the function that builds them.  Only
@@ -8,9 +8,6 @@ handed on as it is.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -58,37 +55,6 @@ def invert_metric(matrix, eps: float = DEFAULT_EPS) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("metric is not positive definite") from None
     return np.linalg.inv(mat)
-
-
-@dataclass(frozen=True, eq=False)
-class MetricTensor:
-    """A Riemannian metric together with its cached inverse, both read-only copies.
-
-    Compared and hashed by identity: two metrics built from equal matrices
-    are distinct objects, each with its own cached space-form tensor.
-    """
-
-    matrix: np.ndarray
-    inverse: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", freeze(self.matrix))
-        object.__setattr__(self, "inverse", freeze(self.inverse))
-
-    @classmethod
-    def from_matrix(cls, matrix, eps: float = DEFAULT_EPS) -> "MetricTensor":
-        return cls(matrix=matrix, inverse=invert_metric(matrix, eps))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @cached_property
-    def pi1(self) -> np.ndarray:
-        """The space-form tensor, built on first read and shared by every reader, read-only."""
-        pi1 = pi1_tensor(self.matrix)
-        pi1.setflags(write=False)
-        return pi1
 
 
 def pi1_tensor(g: np.ndarray) -> np.ndarray:

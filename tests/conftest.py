@@ -5,8 +5,8 @@ from prodgeo.example import ExampleParams, build_example, constant_curvature_fla
 from prodgeo.levicivita import psi1_blocks
 from prodgeo.pipeline import analyze_instance
 from prodgeo.liealg import LieFrameAlgebra
-from prodgeo.structure import ProductStructure, RpmInstance
-from prodgeo.tensors import DEFAULT_EPS, MetricTensor
+from prodgeo.structure import RpmInstance
+from prodgeo.tensors import DEFAULT_EPS
 
 
 @pytest.fixture
@@ -49,15 +49,15 @@ def instance_payload(inst: RpmInstance) -> dict:
             for i in range(dim)
             for j in range(i + 1, dim)
         ],
-        "metric": inst.metric.matrix.tolist(),
-        "P": inst.structure.components.tolist(),
+        "metric": inst.g.tolist(),
+        "P": inst.p.tolist(),
     }
 
 
-def psi1(metric: MetricTensor, s, eps: float = DEFAULT_EPS) -> np.ndarray:
+def psi1(g: np.ndarray, s, eps: float = DEFAULT_EPS) -> np.ndarray:
     """The whole curvature-type extension of ``s``, put together from the blocks of ``psi1_blocks``."""
-    out = np.empty((metric.dim,) * 4)
-    for b, block in psi1_blocks(metric, s, eps):
+    out = np.empty((len(g),) * 4)
+    for b, block in psi1_blocks(g, s, eps):
         out[b] = block
     return out
 
@@ -75,11 +75,7 @@ def moved_frame(c, p, seed: int) -> RpmInstance:
     dim = p.shape[0]
     a = np.eye(dim) + 0.3 * np.random.default_rng(seed).normal(size=(dim, dim))
     a_inv = np.linalg.inv(a)
-    return RpmInstance(
-        alg=LieFrameAlgebra(dim, np.einsum("ai,bj,abk,mk->ijm", a, a, c, a_inv)),
-        metric=MetricTensor.from_matrix(a.T @ a),
-        structure=ProductStructure(a_inv @ p @ a),
-    )
+    return RpmInstance(LieFrameAlgebra(dim, np.einsum("ai,bj,abk,mk->ijm", a, a, c, a_inv)), a.T @ a, a_inv @ p @ a)
 
 
 def frame_changed_dim8(seed: int = 0) -> RpmInstance:
@@ -95,7 +91,7 @@ def frame_changed_dim8(seed: int = 0) -> RpmInstance:
     for i in range(4, 7):
         c[7, i, i], c[i, 7, i] = 1.0, -1.0
     p = np.zeros((8, 8))
-    p[:4, :4] = family.structure.components
+    p[:4, :4] = family.p
     p[4:, 4:] = np.diag([1.0, 1.0, -1.0, -1.0])
     return moved_frame(c, p, seed)
 

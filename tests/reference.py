@@ -17,8 +17,8 @@ from prodgeo.errors import DimensionMismatch
 from prodgeo.levicivita import levi_civita_coeffs
 from prodgeo.liealg import LieFrameAlgebra
 from prodgeo.natural import NaturalConnection
-from prodgeo.structure import ProductStructure, RpmInstance, structure_pullback
-from prodgeo.tensors import MetricTensor, max_abs
+from prodgeo.structure import RpmInstance, structure_pullback
+from prodgeo.tensors import max_abs
 
 
 def abelian(dim: int) -> LieFrameAlgebra:
@@ -46,9 +46,9 @@ def torsion_defect(gamma: np.ndarray, alg: LieFrameAlgebra) -> float:
     return max_abs(gamma - np.swapaxes(gamma, 0, 1) - alg.c)
 
 
-def compatibility_defect(gamma: np.ndarray, metric: MetricTensor) -> float:
-    """Largest component of the covariant derivative of a frame-constant metric."""
-    low = np.einsum("ijm,mk->ijk", gamma, metric.matrix)
+def compatibility_defect(gamma: np.ndarray, g: np.ndarray) -> float:
+    """Largest component of the covariant derivative of the frame-constant metric ``g``."""
+    low = np.einsum("ijm,mk->ijk", gamma, g)
     return max_abs(low + np.swapaxes(low, 1, 2))
 
 
@@ -57,25 +57,26 @@ def abelian_structure_defect(inst: RpmInstance) -> float:
     return max_abs(structure_pullback(inst.p, inst.c) + inst.c)
 
 
-def transform_levi_civita(gamma: np.ndarray, alpha, metric: MetricTensor) -> np.ndarray:
-    """Levi-Civita coefficients of the metric rescaled by the closed form ``alpha``, at the base point."""
+def transform_levi_civita(gamma: np.ndarray, alpha, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+    """Levi-Civita coefficients of the metric ``g`` (inverse ``g_inv``) rescaled by the closed form
+    ``alpha``, at the base point."""
     alpha = np.asarray(alpha, dtype=float)
-    eye = np.eye(metric.dim)
-    grad = metric.inverse @ alpha
+    eye = np.eye(len(g))
+    grad = g_inv @ alpha
     return (
         gamma
         + np.einsum("i,jk->ijk", alpha, eye)
         + np.einsum("j,ik->ijk", alpha, eye)
-        - np.einsum("ij,k->ijk", metric.matrix, grad)
+        - np.einsum("ij,k->ijk", g, grad)
     )
 
 
-def transform_lee_dual(omega, alpha, structure: ProductStructure, metric: MetricTensor) -> np.ndarray:
+def transform_lee_dual(omega, alpha, p: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
     """Metric dual of the rescaled Lee form at the base point, one per form of a stack:
-    it picks up 2n times the structure image of grad u."""
+    it picks up 2n times the structure image ``p`` of grad u (``g_inv`` the inverse metric)."""
     omega = np.asarray(omega, dtype=float)
-    grad = np.asarray(alpha, dtype=float) @ metric.inverse.T
-    return omega + 2.0 * (metric.dim // 2) * (grad @ structure.components.T)
+    grad = np.asarray(alpha, dtype=float) @ g_inv.T
+    return omega + 2.0 * (len(p) // 2) * (grad @ p.T)
 
 
 @dataclass(frozen=True)

@@ -98,10 +98,10 @@ def test_c04_curvature_relation():
         ok &= analysis.curvature_relation_residual <= EPS
         ok &= analysis.ricci_relation["ricci_relation"] <= EPS
         ok &= analysis.ricci_relation["scalar_relation"] <= EPS
-        ok &= natural.verify_curvature_relation(geo.R, geo.Rprime, geo.S, inst.metric, inst.n) <= EPS
+        ok &= natural.verify_curvature_relation(geo.R, geo.Rprime, geo.S, inst.g) <= EPS
         rel = natural.ricci_scalar_relation(
             geo.ricci.rho, geo.ricci_prime.rho, geo.ricci.tau, geo.ricci_prime.tau, geo.S,
-            inst.metric, inst.n,
+            inst.g,
         )
         ok &= rel["ricci_relation"] <= EPS and rel["scalar_relation"] <= EPS
     conclude("4 curvature relation and its contractions (family and rescaled)", ok)
@@ -189,7 +189,7 @@ def test_c09_space_form_identity_at_unit_lambda():
     ok &= sorted(golden_k) == [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
     for (i, j), expected in golden_k.items():
         ok &= expected == tables.tau / 12.0
-        k = levicivita.sectional_curvature(a.R, inst.metric, basis[i - 1], basis[j - 1])
+        k = levicivita.sectional_curvature(a.R, inst.g, basis[i - 1], basis[j - 1])
         ok &= k == pytest.approx(expected, abs=EPS)
 
     # entries of the golden table on the planes {i, j} = {k, l} are the ones
@@ -197,7 +197,7 @@ def test_c09_space_form_identity_at_unit_lambda():
     same_plane = (np.einsum("ik,jl->ijkl", basis, basis) + np.einsum("il,jk->ijkl", basis, basis)) > 0
     cross = np.where(same_plane, 0.0, tables.R)
     ok &= cross[0, 1, 0, 2] == 1.0 and max_abs(cross) == 1.0
-    pi1 = inst.metric.pi1
+    pi1 = inst.pi1
     ok &= max_abs(a.R - (tables.tau / 12.0) * pi1 - cross) <= EPS
 
     off_diagonal = tables.rho - np.diag(np.diag(tables.rho))
@@ -331,8 +331,8 @@ def test_c11_typo_resolution_oracles():
 
         alpha = random_closed_form(inst.alg, rng)
         geo = deformed_geometry(inst, alpha, EPS)
-        theta_bar = transform_lee(theta, alpha, inst.structure)
-        omega_bar = transform_lee_dual(lee.omega, alpha, inst.structure, inst.metric)
+        theta_bar = transform_lee(theta, alpha, inst.p)
+        omega_bar = transform_lee_dual(lee.omega, alpha, inst.p, inst.g_inv)
         ok &= max_abs(theta_bar - geo.lee.theta) <= EPS
         ok &= max_abs(omega_bar - geo.lee.omega) <= EPS
     conclude("11 torsion-potential and Lee-transform resolution oracles", ok)

@@ -25,7 +25,7 @@ from prodgeo.natural import (
 )
 from prodgeo.pipeline import analyze_instance
 from prodgeo.report import table_summary
-from prodgeo.tensors import BLOCK_BYTES, CO, CONTRA, MetricTensor, blocks, max_abs
+from prodgeo.tensors import BLOCK_BYTES, CO, CONTRA, blocks, max_abs
 from tests.conftest import hyperbolic, psi1
 from tests.reference import compose
 from tests.test_kernels import (
@@ -45,7 +45,7 @@ def noise(dim: int):
     """A generator seeded by ``dim`` and a random non-diagonal metric."""
     rng = np.random.default_rng(dim)
     a = rng.normal(size=(dim, dim))
-    return rng, MetricTensor.from_matrix(a @ a.T / dim + np.eye(dim))
+    return rng, a @ a.T / dim + np.eye(dim)
 
 
 def symmetric(rng, dim: int) -> np.ndarray:
@@ -68,58 +68,57 @@ def test_block_rule():
 @pytest.mark.parametrize("lowered", [False, True], ids=["unlowered", "lowered"])
 @pytest.mark.parametrize("difference", [False, True], ids=["curvature", "difference"])
 def test_curvature_components(dim, lowered, difference):
-    rng, metric = noise(dim)
+    rng, g = noise(dim)
     c, gamma, minus = rng.normal(size=(3, dim, dim, dim))
-    g = np.abs(metric.matrix)
-    lower = (lambda t: t @ metric.matrix) if lowered else (lambda t: t)
-    abs_lower = (lambda t: t @ g) if lowered else (lambda t: t)
+    lower = (lambda t: t @ g) if lowered else (lambda t: t)
+    abs_lower = (lambda t: t @ np.abs(g)) if lowered else (lambda t: t)
     terms = [lower(t) for t in curvature_terms(gamma, c)]
     abs_terms = [abs_lower(t) for t in curvature_terms(np.abs(gamma), np.abs(c))]
     if difference:
         terms += [-lower(t) for t in curvature_terms(minus, c)]
         abs_terms += [abs_lower(t) for t in curvature_terms(np.abs(minus), np.abs(c))]
-    new = curvature_components(gamma, c, metric.matrix if lowered else None, minus if difference else None)
+    new = curvature_components(gamma, c, g if lowered else None, minus if difference else None)
     assert_within_roundoff(new, terms, abs_terms, 3 * ((2 if lowered else 1) * dim + 1))
 
 
 @pytest.mark.parametrize("dim", DIMS)
 def test_psi1_blocks(dim):
-    rng, metric = noise(dim)
+    rng, g = noise(dim)
     s = symmetric(rng, dim)
-    ab = np.abs(metric.matrix), np.abs(s)
-    assert_within_roundoff(psi1(metric, s), psi1_terms(metric.matrix, s), psi1_terms(*ab), 4)
+    ab = np.abs(g), np.abs(s)
+    assert_within_roundoff(psi1(g, s), psi1_terms(g, s), psi1_terms(*ab), 4)
 
 
 def test_psi1_blocks_test_symmetry_once_per_extension():
-    rng, metric = noise(16)
+    rng, g = noise(16)
     with pytest.warns(NonSymmetricInputWarning) as caught:
-        psi1(metric, rng.normal(size=(16, 16)))
+        psi1(g, rng.normal(size=(16, 16)))
     assert len(caught) == 1
 
 
 @pytest.mark.parametrize("dim", DIMS)
 def test_weyl_tensor_into_a_new_buffer_or_its_own(dim):
-    rng, metric = noise(dim)
+    rng, g = noise(dim)
     r, rho, tau, n = rng.normal(size=(dim,) * 4), symmetric(rng, dim), float(rng.normal()), dim // 2
-    w = weyl_tensor(r, rho, tau, metric)
+    w = weyl_tensor(r, rho, tau, g)
     assert_within_roundoff(
         w,
-        weyl_terms(r, rho, tau, metric.matrix, n),
-        weyl_terms(np.abs(r), np.abs(rho), abs(tau), np.abs(metric.matrix), n),
+        weyl_terms(r, rho, tau, g, n),
+        weyl_terms(np.abs(r), np.abs(rho), abs(tau), np.abs(g), n),
         8,
     )
     own = r.copy()
-    assert weyl_tensor(own, rho, tau, metric, out=own) is own
+    assert weyl_tensor(own, rho, tau, g, out=own) is own
     assert np.array_equal(own, w)
 
 
 @pytest.mark.parametrize("dim", DIMS)
 def test_curvature_relation_residual(dim):
-    rng, metric = noise(dim)
+    rng, g = noise(dim)
     r, r_prime, s, n = rng.normal(size=(dim,) * 4), rng.normal(size=(dim,) * 4), symmetric(rng, dim), dim // 2
-    terms = [t / (2 * n) for t in psi1_terms(metric.matrix, s)] + [r, -r_prime]
-    abs_terms = [t / (2 * n) for t in psi1_terms(np.abs(metric.matrix), np.abs(s))] + [np.abs(r), np.abs(r_prime)]
-    got = verify_curvature_relation(r, r_prime, STensor(S=s, trace_S=0.0), metric, n)
+    terms = [t / (2 * n) for t in psi1_terms(g, s)] + [r, -r_prime]
+    abs_terms = [t / (2 * n) for t in psi1_terms(np.abs(g), np.abs(s))] + [np.abs(r), np.abs(r_prime)]
+    got = verify_curvature_relation(r, r_prime, STensor(S=s, trace_S=0.0), g)
     assert abs(got - max_abs(sum(terms))) <= 8 * EPS * max_abs(sum(abs_terms))
 
 
@@ -189,10 +188,10 @@ class TestNanInABlock:
             assert np.isnan(jacobi_defect(c))
 
     def test_curvature_relation(self, k):
-        rng, metric = noise(16)
+        rng, g = noise(16)
         r = rng.normal(size=(16,) * 4)
         r[k, 1, 2, 3] = np.nan
-        assert np.isnan(verify_curvature_relation(r, r, STensor(S=symmetric(rng, 16), trace_S=0.0), metric, 8))
+        assert np.isnan(verify_curvature_relation(r, r, STensor(S=symmetric(rng, 16), trace_S=0.0), g))
 
     def test_table_summary(self, k):
         arr = np.random.default_rng(2).normal(size=(16,) * 4)

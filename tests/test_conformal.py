@@ -4,6 +4,7 @@ import pytest
 from prodgeo import errors
 from prodgeo.conformal import (
     closedness_defect,
+    conformal_checks,
     conformal_curvature_residual,
     conformal_weyl_residual,
     deformed_geometry,
@@ -23,7 +24,7 @@ from prodgeo.levicivita import (
 from prodgeo.pipeline import analyze_instance
 from prodgeo.liealg import derived_bases
 from prodgeo.tensors import CO, max_abs
-from tests.conftest import frame_changed_dim8, random_lambdas
+from tests.conftest import frame_changed_dim8, hyperbolic, random_lambdas
 from tests.reference import compatibility_defect, torsion_defect, transform_lee_dual, transform_levi_civita
 
 E = np.eye(4)
@@ -50,6 +51,19 @@ class TestClosedness:
         with pytest.raises(errors.NotClosed):
             require_closed(inst_1000.alg, [1, 0, 0, 0])
 
+    def test_each_form_of_a_stack_is_judged_against_its_own_tolerance(self, inst_1000):
+        # max|c| = 1: the large closed form alone would raise one tolerance for the
+        # whole stack to 1e-9 * 1e7 = 1e-2, above the second form's defect of 1e-3
+        stack = [[0, 1e7, 0, 0], [1e-3, 0, 0, 0]]
+        assert closedness_defect(inst_1000.alg, stack).tolist() == [0.0, 1e-3]
+        with pytest.raises(errors.NotClosed, match=r"bracket defect 1\.000e-03"):
+            require_closed(inst_1000.alg, stack)
+        assert require_closed(inst_1000.alg, stack[:1]).shape == (1, 4)
+
+    def test_a_nan_defect_does_not_raise(self, inst_1000):
+        alpha = require_closed(inst_1000.alg, [[0, 1, 0, 0], [np.nan, 0, 0, 0]])
+        assert np.isnan(closedness_defect(inst_1000.alg, alpha)[1])
+
     def test_rescaling_by_a_non_closed_form_carries_the_closed_form_basis(self, inst_1000):
         with pytest.raises(errors.NotClosed) as caught:
             deformed_geometry(inst_1000, [1, 0, 0, 0])
@@ -62,13 +76,13 @@ class TestClosedness:
 class TestTransformLeviCivita:
     def test_zero_form_is_identity(self, inst_1234):
         nabla = levi_civita_coeffs(inst_1234)
-        out = transform_levi_civita(nabla, np.zeros(4), inst_1234.metric)
+        out = transform_levi_civita(nabla, np.zeros(4), inst_1234.g, inst_1234.g_inv)
         assert max_abs(out - nabla) == 0.0
 
     def test_hand_expanded_component(self, inst_1000):
         # along the closed direction X2: stretch twice, subtract the gradient
         nabla = levi_civita_coeffs(inst_1000)
-        out = transform_levi_civita(nabla, [0, 1, 0, 0], inst_1000.metric)
+        out = transform_levi_civita(nabla, [0, 1, 0, 0], inst_1000.g, inst_1000.g_inv)
         assert np.allclose(out[1, 1] - nabla[1, 1], [0, 1, 0, 0])
 
     def test_result_torsion_free(self):
@@ -77,7 +91,7 @@ class TestTransformLeviCivita:
             inst = build_example(ExampleParams(lam))
             alpha = random_closed_form(inst.alg, rng)
             nabla = levi_civita_coeffs(inst)
-            out = transform_levi_civita(nabla, alpha, inst.metric)
+            out = transform_levi_civita(nabla, alpha, inst.g, inst.g_inv)
             assert torsion_defect(out, inst.alg) <= 1e-9
 
     def test_compatible_with_scaled_metric_at_base_point(self, inst_1234):
@@ -85,22 +99,22 @@ class TestTransformLeviCivita:
         rng = np.random.default_rng(11)
         alpha = random_closed_form(inst_1234.alg, rng)
         nabla = levi_civita_coeffs(inst_1234)
-        out = transform_levi_civita(nabla, alpha, inst_1234.metric)
+        out = transform_levi_civita(nabla, alpha, inst_1234.g, inst_1234.g_inv)
         dg_partial = 2.0 * np.einsum("i,jk->ijk", alpha, inst_1234.g)
         dg = dg_partial + cov_deriv_components(out, inst_1234.g, (CO, CO))
         assert max_abs(dg) <= 1e-9
-        assert compatibility_defect(out, inst_1234.metric) > 0.1  # without them it is not
+        assert compatibility_defect(out, inst_1234.g) > 0.1  # without them it is not
 
 
 class TestTransformLee:
     def test_zero_form_is_identity(self, inst_1234):
         lee, _ = lee_of(inst_1234)
-        out = transform_lee(lee.theta, np.zeros(4), inst_1234.structure)
+        out = transform_lee(lee.theta, np.zeros(4), inst_1234.p)
         assert np.allclose(out, lee.theta)
 
     def test_hand_expanded_values(self, inst_1000):
         lee, _ = lee_of(inst_1000)
-        out = transform_lee(lee.theta, [0, 1, 0, 0], inst_1000.structure)
+        out = transform_lee(lee.theta, [0, 1, 0, 0], inst_1000.p)
         assert np.allclose(out, [0, 0, 0, 8])
         assert out[1] == pytest.approx(0.0)
 
@@ -110,8 +124,8 @@ class TestTransformLee:
             inst = build_example(ExampleParams(lam))
             lee, _ = lee_of(inst)
             alpha = random_closed_form(inst.alg, rng)
-            theta_bar = transform_lee(lee.theta, alpha, inst.structure)
-            omega_bar = transform_lee_dual(lee.omega, alpha, inst.structure, inst.metric)
+            theta_bar = transform_lee(lee.theta, alpha, inst.p)
+            omega_bar = transform_lee_dual(lee.omega, alpha, inst.p, inst.g_inv)
             assert np.allclose(inst.g @ omega_bar, theta_bar)
 
     def test_matches_from_scratch_lee_form(self):
@@ -121,10 +135,19 @@ class TestTransformLee:
             lee, _ = lee_of(inst)
             alpha = random_closed_form(inst.alg, rng)
             geo = deformed_geometry(inst, alpha)
-            theta_bar = transform_lee(lee.theta, alpha, inst.structure)
-            omega_bar = transform_lee_dual(lee.omega, alpha, inst.structure, inst.metric)
+            theta_bar = transform_lee(lee.theta, alpha, inst.p)
+            omega_bar = transform_lee_dual(lee.omega, alpha, inst.p, inst.g_inv)
             assert max_abs(theta_bar - geo.lee.theta) <= 1e-9
             assert max_abs(omega_bar - geo.lee.omega) <= 1e-9
+
+    @pytest.mark.parametrize("dim", [6, 8])
+    def test_hyperbolic_lee_reconstruction_where_n_squared_is_not_2n(self, dim):
+        # the Lee form picks up 2n (alpha P); with n^2 for 2n it misses by (n^2 - 2n) |alpha P|
+        inst = hyperbolic(dim)
+        alpha = 0.7 * inst.alg.closed_forms[0]
+        checks = conformal_checks(analyze_instance(inst), deformed_geometry(inst, alpha))
+        assert max_abs(alpha @ inst.p) > 0.1
+        assert checks["conformal_lee_reconstruction"] <= 1e-10
 
 
 class TestTransformD:
@@ -245,16 +268,11 @@ class TestNontrivialCurvedDeformation:
     @staticmethod
     def heisenberg_product():
         from prodgeo.liealg import LieFrameAlgebra
-        from prodgeo.structure import ProductStructure, RpmInstance, validate_structure
-        from prodgeo.tensors import MetricTensor
+        from prodgeo.structure import RpmInstance, validate_structure
 
         e = np.eye(6)
         alg = LieFrameAlgebra.from_brackets(6, {(0, 1): e[2], (3, 4): e[5]})
-        inst = RpmInstance(
-            alg=alg,
-            metric=MetricTensor.from_matrix(np.eye(6)),
-            structure=ProductStructure(np.diag([1.0, 1, 1, -1, -1, -1])),
-        )
+        inst = RpmInstance(alg, np.eye(6), np.diag([1.0, 1, 1, -1, -1, -1]))
         assert validate_structure(inst).ok
         return inst
 
@@ -280,11 +298,11 @@ class TestNontrivialCurvedDeformation:
             assert max_abs(geo.Rprime) == pytest.approx(0.75)
             assert max_abs(geo.W) > 0.5
             assert verify_curvature_relation(
-                geo.R, geo.Rprime, geo.S, inst.metric, inst.n
+                geo.R, geo.Rprime, geo.S, inst.g
             ) <= 1e-9
             rel = ricci_scalar_relation(
                 geo.ricci.rho, geo.ricci_prime.rho, geo.ricci.tau, geo.ricci_prime.tau, geo.S,
-                inst.metric, inst.n,
+                inst.g,
             )
             assert rel["ricci_relation"] <= 1e-9 and rel["scalar_relation"] <= 1e-9
             assert max_abs(geo.W - geo.Wprime) <= 1e-9
@@ -300,7 +318,7 @@ class TestNontrivialCurvedDeformation:
         nabla = levi_civita_coeffs(inst)
         from prodgeo.levicivita import curvature_tensor
 
-        r = curvature_tensor(nabla, inst.alg, inst.metric)
+        r = curvature_tensor(nabla, inst.c, inst.g)
         assert max_abs(geo.R - r) > 0.1
 
 

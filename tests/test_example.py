@@ -113,10 +113,10 @@ class TestConstantCurvatureFlags:
         flags = curvature_flags(params)
         assert flags.const_sectional and flags.sectional_agrees
         inst = build_example(params)
-        r = curvature_tensor(levi_civita_coeffs(inst), inst.alg, inst.metric)
+        r = curvature_tensor(levi_civita_coeffs(inst), inst.c, inst.g)
         for i in range(4):
             for j in range(i + 1, 4):
-                assert sectional_curvature(r, inst.metric, E[i], E[j]) == pytest.approx(-2.0)
+                assert sectional_curvature(r, inst.g, E[i], E[j]) == pytest.approx(-2.0)
 
     def test_agreement_over_random_parameters(self):
         for lam in random_lambdas(251, 200):

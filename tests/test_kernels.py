@@ -32,8 +32,8 @@ from prodgeo.natural import (
     torsion_identity_defects,
 )
 from prodgeo.pipeline import analyze_instance
-from prodgeo.structure import ProductStructure, RpmInstance, nijenhuis_tensor, structure_pullback
-from prodgeo.tensors import CO, CONTRA, MetricTensor, freeze, max_abs
+from prodgeo.structure import RpmInstance, nijenhuis_tensor, structure_pullback
+from prodgeo.tensors import CO, CONTRA, freeze, max_abs
 from prodgeo.example import ExampleParams, build_example
 from tests.conftest import frame_changed_dim8, hyperbolic, moved_frame, psi1
 from tests.reference import compose
@@ -104,11 +104,7 @@ def random_instance(seed: int, dim: int = 8) -> RpmInstance:
     """Random antisymmetric brackets and a random P: the kernels need no axioms."""
     rng = np.random.default_rng(seed)
     c = rng.normal(size=(dim, dim, dim))
-    return RpmInstance(
-        alg=LieFrameAlgebra(dim, c - c.swapaxes(0, 1)),
-        metric=MetricTensor.from_matrix(np.eye(dim)),
-        structure=ProductStructure(rng.normal(size=(dim, dim))),
-    )
+    return RpmInstance(LieFrameAlgebra(dim, c - c.swapaxes(0, 1)), np.eye(dim), rng.normal(size=(dim, dim)))
 
 
 def connections():
@@ -178,7 +174,7 @@ class TestAgainstEinsum:
 def moved_builtin(seed: int = 3) -> RpmInstance:
     """The builtin family at lambda = (1, 2, 3, 4) in a random non-orthonormal frame."""
     family = build_example(ExampleParams((1.0, 2.0, 3.0, 4.0)))
-    return moved_frame(family.alg.c, family.structure.components, seed)
+    return moved_frame(family.alg.c, family.p, seed)
 
 
 @pytest.mark.parametrize("inst", [moved_builtin(), frame_changed_dim8()], ids=["dim4", "dim8"])
@@ -196,7 +192,7 @@ def test_lowered_curvature_is_the_unlowered_one_times_g(inst):
             [t @ np.abs(g) for t in curvature_terms(np.abs(gamma), np.abs(inst.c))],
             3 * (2 * dim + 1),
         )
-        assert np.array_equal(curvature_tensor(gamma, inst.alg, inst.metric), lowered)
+        assert np.array_equal(curvature_tensor(gamma, inst.c, inst.g), lowered)
 
 
 @pytest.mark.parametrize("inst", [moved_builtin(), frame_changed_dim8()], ids=["dim4", "dim8"])
@@ -275,15 +271,15 @@ def test_max_abs_of_an_empty_array_is_zero():
 def test_pi1_and_psi1(seed):
     # psi1 is one rank-2 product [vec g, vec s] [vec s; vec g], antisymmetrised
     inst = moved_builtin() if seed == "dim4" else frame_changed_dim8(seed)
-    g, dim = inst.metric, inst.dim
+    g, dim = inst.g, inst.dim
     s = np.random.default_rng(dim if seed == "dim4" else seed).normal(size=(dim, dim))
     s = s + s.T
-    ab = np.abs(g.matrix), np.abs(s)
+    ab = np.abs(g), np.abs(s)
     assert_within_roundoff(
-        psi1(g, s), psi1_terms(g.matrix, s), psi1_terms(*ab), 4
+        psi1(g, s), psi1_terms(g, s), psi1_terms(*ab), 4
     )
-    half = psi1_terms(g.matrix, g.matrix)[:2]
-    assert_within_roundoff(g.pi1, half, psi1_terms(ab[0], ab[0])[:2], 2)
+    half = psi1_terms(g, g)[:2]
+    assert_within_roundoff(inst.pi1, half, psi1_terms(ab[0], ab[0])[:2], 2)
 
 
 def weyl_terms(r, rho, tau, g, n):
@@ -301,14 +297,13 @@ def weyl_instances():
 def test_weyl_tensor_against_the_two_extension_formula(inst):
     # the real curvature plus noise, so the Weyl part is not zero; the
     # formula is linear in (r, rho, tau) and needs no curvature symmetries
-    dim, metric = inst.dim, inst.metric
-    r = curvature_tensor(levi_civita_coeffs(inst), inst.alg, metric)
+    dim, g, n = inst.dim, inst.g, inst.n
+    r = curvature_tensor(levi_civita_coeffs(inst), inst.c, g)
     r = r + np.random.default_rng(dim).normal(size=(dim,) * 4)
-    ricci = ricci_and_scalar(r, metric)
+    ricci = ricci_and_scalar(r, inst.g_inv)
     rho = 0.5 * (ricci.rho + ricci.rho.T)
-    g, n = metric.matrix, dim // 2
     assert_within_roundoff(
-        weyl_tensor(r, rho, ricci.tau, metric),
+        weyl_tensor(r, rho, ricci.tau, g),
         weyl_terms(r, rho, ricci.tau, g, n),
         weyl_terms(np.abs(r), np.abs(rho), abs(ricci.tau), np.abs(g), n),
         8,
@@ -348,8 +343,8 @@ def test_parallel_torsion_defect_is_that_of_the_whole_derivative(inst):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_ricci_and_scalar(seed):
     inst = frame_changed_dim8(seed)
-    r = curvature_tensor(levi_civita_coeffs(inst), inst.alg, inst.metric)
-    ricci = ricci_and_scalar(r, inst.metric)
+    r = curvature_tensor(levi_civita_coeffs(inst), inst.c, inst.g)
+    ricci = ricci_and_scalar(r, inst.g_inv)
     g_inv, n = inst.g_inv, inst.dim**2
     abs_g_inv = np.abs(g_inv)
     assert_within_roundoff(ricci.rho, trace_terms(g_inv, r), trace_terms(abs_g_inv, np.abs(r)), n)
@@ -516,8 +511,8 @@ def test_sectional_curvature_against_einsum(name):
     for _ in range(20):
         u, v = rng.normal(size=(2, inst.dim))
         expected, bound = sectional_plane(r, g, u, v)
-        assert abs(sectional_curvature(r, inst.metric, u, v) - expected) <= bound
-        assert abs(sectional_curvature(r, inst.metric, list(u), tuple(v)) - expected) <= bound
+        assert abs(sectional_curvature(r, inst.g, u, v) - expected) <= bound
+        assert abs(sectional_curvature(r, inst.g, list(u), tuple(v)) - expected) <= bound
 
 
 @pytest.mark.parametrize("name", list(NON_IDENTITY_METRIC))
@@ -527,8 +522,8 @@ def test_sectional_curvature_on_basis_planes_is_exact(name):
     r, g, basis = noisy_curvature(inst), inst.g, np.eye(inst.dim)
     for i, j in itertools.combinations(range(inst.dim), 2):
         expected = r[i, j, j, i] / (g[i, i] * g[j, j] - g[i, j] ** 2)
-        assert sectional_curvature(r, inst.metric, basis[i], basis[j]) == expected
-        assert sectional_curvature(r, inst.metric, basis[j], basis[i]) == r[j, i, i, j] / (
+        assert sectional_curvature(r, inst.g, basis[i], basis[j]) == expected
+        assert sectional_curvature(r, inst.g, basis[j], basis[i]) == r[j, i, i, j] / (
             g[j, j] * g[i, i] - g[j, i] ** 2
         )
 
@@ -540,7 +535,7 @@ def test_sectional_curvature_raises_on_a_degenerate_plane(name):
     u = np.random.default_rng(3).normal(size=inst.dim)
     for v in (-3.0 * u, np.zeros(inst.dim), u + 1e-9 * np.eye(inst.dim)[0]):
         with pytest.raises(DegeneratePlane):
-            sectional_curvature(r, inst.metric, u, v)
+            sectional_curvature(r, inst.g, u, v)
 
 
 def test_curvature_components_runs_on_sympy_arrays():

@@ -16,8 +16,8 @@ from prodgeo.levicivita import (
     weyl_tensor,
 )
 from prodgeo.liealg import LieFrameAlgebra
-from prodgeo.structure import ProductStructure, RpmInstance
-from prodgeo.tensors import CO, CONTRA, MetricTensor, max_abs
+from prodgeo.structure import RpmInstance
+from prodgeo.tensors import CO, CONTRA, max_abs, pi1_tensor
 from tests.conftest import frame_changed_dim8, psi1, random_lambdas
 from tests.reference import abelian, compatibility_defect, torsion_defect
 
@@ -30,18 +30,14 @@ def flags_of(inst):
 
 
 def abelian_orthonormal():
-    return RpmInstance(
-        alg=abelian(4),
-        metric=MetricTensor.from_matrix(np.eye(4)),
-        structure=ProductStructure(np.diag([1.0, 1.0, -1.0, -1.0])),
-    )
+    return RpmInstance(abelian(4), np.eye(4), np.diag([1.0, 1.0, -1.0, -1.0]))
 
 
 def pipeline(inst):
     conn = levi_civita_coeffs(inst)
     f = structure_tensor_F(inst, conn)
     lee = lee_form(inst, f)
-    r = curvature_tensor(conn, inst.alg, inst.metric)
+    r = curvature_tensor(conn, inst.c, inst.g)
     return conn, f, lee, r
 
 
@@ -62,27 +58,19 @@ class TestLeviCivitaCoeffs:
             inst = build_example(ExampleParams(lam))
             conn = levi_civita_coeffs(inst)
             assert torsion_defect(conn, inst.alg) <= 1e-9
-            assert compatibility_defect(conn, inst.metric) <= 1e-9
+            assert compatibility_defect(conn, inst.g) <= 1e-9
 
     def test_non_orthonormal_metric_still_compatible(self):
         g = np.array([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 3, 1], [0, 0, 1, 3]], dtype=float)
-        inst = RpmInstance(
-            alg=build_example(ExampleParams((1, 2, 3, 4))).alg,
-            metric=MetricTensor.from_matrix(g),
-            structure=ProductStructure(np.diag([1.0, 1.0, -1.0, -1.0])),
-        )
+        inst = RpmInstance(build_example(ExampleParams((1, 2, 3, 4))).alg, g, np.diag([1.0, 1.0, -1.0, -1.0]))
         conn = levi_civita_coeffs(inst)
         assert torsion_defect(conn, inst.alg) <= 1e-12
-        assert compatibility_defect(conn, inst.metric) <= 1e-12
+        assert compatibility_defect(conn, inst.g) <= 1e-12
 
     def test_matches_literal_assembly(self):
         # independent route: literal triple loop over the frame
         g = np.array([[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 3, 1], [0, 0, 1, 3]], dtype=float)
-        inst = RpmInstance(
-            alg=build_example(ExampleParams((1, -2, 0.5, 3))).alg,
-            metric=MetricTensor.from_matrix(g),
-            structure=ProductStructure(np.diag([1.0, 1.0, -1.0, -1.0])),
-        )
+        inst = RpmInstance(build_example(ExampleParams((1, -2, 0.5, 3))).alg, g, np.diag([1.0, 1.0, -1.0, -1.0]))
         dim, c = inst.dim, inst.c
         low = np.zeros((dim, dim, dim))
         for i in range(dim):
@@ -95,10 +83,9 @@ class TestLeviCivitaCoeffs:
         assert np.allclose(levi_civita_coeffs(inst), expected)
 
     def test_unusable_inverse_rejected(self, inst_1234):
-        broken = MetricTensor(matrix=inst_1234.g, inverse=np.full((4, 4), np.inf))
-        inst = RpmInstance(
-            alg=inst_1234.alg, metric=broken, structure=inst_1234.structure
-        )
+        # positive definite to Cholesky, but its inverse overflows to non-finite entries
+        inst = RpmInstance(inst_1234.alg, 1e-310 * np.eye(4), inst_1234.p)
+        assert not np.all(np.isfinite(inst.g_inv))
         with pytest.raises(errors.SingularMetric):
             levi_civita_coeffs(inst)
 
@@ -213,11 +200,7 @@ class TestClassFlags:
         c = np.array(inst_1000.c)
         c[1, 2] = E[0]
         c[2, 1] = -E[0]
-        inst = RpmInstance(
-            alg=LieFrameAlgebra(4, c),
-            metric=inst_1000.metric,
-            structure=inst_1000.structure,
-        )
+        inst = RpmInstance(LieFrameAlgebra(4, c), inst_1000.g, inst_1000.p)
         flags = flags_of(inst)
         assert not flags.is_w1
         # frozen regression value for the characteristic-condition residual
@@ -232,7 +215,7 @@ class TestCurvature:
     def test_abelian_flat(self):
         inst = abelian_orthonormal()
         conn = levi_civita_coeffs(inst)
-        assert max_abs(curvature_tensor(conn, inst.alg, inst.metric)) == 0.0
+        assert max_abs(curvature_tensor(conn, inst.c, inst.g)) == 0.0
 
     def test_single_parameter_components(self, inst_1000):
         _, _, _, r = pipeline(inst_1000)
@@ -259,20 +242,20 @@ class TestCurvature:
 class TestRicci:
     def test_generic_values(self, inst_1234):
         _, _, _, r = pipeline(inst_1234)
-        ricci = ricci_and_scalar(r, inst_1234.metric)
+        ricci = ricci_and_scalar(r, inst_1234.g_inv)
         assert ricci.rho[0, 0] == pytest.approx(-42.0)
         assert ricci.rho[0, 1] == pytest.approx(24.0)
         assert ricci.tau == pytest.approx(-180.0)
 
     def test_zero_curvature(self, inst_1234):
-        ricci = ricci_and_scalar(np.zeros((4,) * 4), inst_1234.metric)
+        ricci = ricci_and_scalar(np.zeros((4,) * 4), inst_1234.g_inv)
         assert max_abs(ricci.rho) == 0.0 and ricci.tau == 0.0
 
     def test_symmetric(self):
         for lam in random_lambdas(61, 30):
             inst = build_example(ExampleParams(lam))
             _, _, _, r = pipeline(inst)
-            rho = ricci_and_scalar(r, inst.metric).rho
+            rho = ricci_and_scalar(r, inst.g_inv).rho
             assert max_abs(rho - rho.T) <= 1e-9
 
 
@@ -280,31 +263,31 @@ class TestSectional:
     def test_invariant_plane_value(self):
         inst = build_example(ExampleParams((1, 1, 1, 1)))
         _, _, _, r = pipeline(inst)
-        assert sectional_curvature(r, inst.metric, E[0], E[2]) == pytest.approx(-2.0)
+        assert sectional_curvature(r, inst.g, E[0], E[2]) == pytest.approx(-2.0)
 
     def test_anti_invariant_values(self, inst_1000):
         _, _, _, r = pipeline(inst_1000)
-        assert sectional_curvature(r, inst_1000.metric, E[0], E[1]) == pytest.approx(-1.0)
-        assert sectional_curvature(r, inst_1000.metric, E[2], E[3]) == pytest.approx(0.0)
+        assert sectional_curvature(r, inst_1000.g, E[0], E[1]) == pytest.approx(-1.0)
+        assert sectional_curvature(r, inst_1000.g, E[2], E[3]) == pytest.approx(0.0)
 
     def test_scale_invariance(self, inst_1234):
         _, _, _, r = pipeline(inst_1234)
         rng = np.random.default_rng(8)
         for _ in range(10):
             u, v = rng.normal(size=(2, 4))
-            assert sectional_curvature(r, inst_1234.metric, 2.0 * u, v) == pytest.approx(
-                sectional_curvature(r, inst_1234.metric, u, v)
+            assert sectional_curvature(r, inst_1234.g, 2.0 * u, v) == pytest.approx(
+                sectional_curvature(r, inst_1234.g, u, v)
             )
 
     def test_degenerate_plane(self, inst_1234):
         _, _, _, r = pipeline(inst_1234)
         with pytest.raises(errors.DegeneratePlane):
-            sectional_curvature(r, inst_1234.metric, E[0], 2.0 * E[0])
+            sectional_curvature(r, inst_1234.g, E[0], 2.0 * E[0])
 
     def test_matches_einsum_reference_on_a_non_identity_metric(self):
         inst = frame_changed_dim8()
         _, _, _, r = pipeline(inst)
-        g = inst.metric.matrix
+        g = inst.g
 
         def reference(u, v):
             area_sq = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
@@ -318,42 +301,39 @@ class TestSectional:
         for _ in range(20):
             u, v = rng.normal(size=(2, 8))
             expected, tol = reference(u, v)
-            assert abs(sectional_curvature(r, inst.metric, u, v) - expected) <= tol
+            assert abs(sectional_curvature(r, inst.g, u, v) - expected) <= tol
         basis = np.eye(8)
         for i in range(8):
             for j in range(i + 1, 8):
                 expected, _ = reference(basis[i], basis[j])
-                assert sectional_curvature(r, inst.metric, basis[i], basis[j]) == expected
+                assert sectional_curvature(r, inst.g, basis[i], basis[j]) == expected
         with pytest.raises(errors.DegeneratePlane):
-            sectional_curvature(r, inst.metric, basis[3], -3.0 * basis[3])
+            sectional_curvature(r, inst.g, basis[3], -3.0 * basis[3])
 
 
 class TestCurvatureTypeOperators:
     def test_space_form_tensor_entry(self):
-        metric = MetricTensor.from_matrix(np.eye(4))
-        pi1 = metric.pi1
+        pi1 = pi1_tensor(np.eye(4))
         assert pi1[0, 1, 1, 0] == pytest.approx(1.0)
 
     def test_degenerate_arguments_vanish(self):
-        metric = MetricTensor.from_matrix(np.eye(4))
-        pi1 = metric.pi1
+        pi1 = pi1_tensor(np.eye(4))
         rng = np.random.default_rng(9)
         for _ in range(10):
             x, z, w = rng.normal(size=(3, 4))
             assert np.einsum("ijkl,i,j,k,l->", pi1, x, x, z, w) == pytest.approx(0.0)
 
     def test_metric_extension_is_twice_space_form(self, inst_1234):
-        metric = inst_1234.metric
-        psi_g = psi1(metric, metric.matrix)
-        assert max_abs(psi_g - 2.0 * metric.pi1) <= 1e-12
+        psi_g = psi1(inst_1234.g, inst_1234.g)
+        assert max_abs(psi_g - 2.0 * inst_1234.pi1) <= 1e-12
 
     def test_zero_input(self, inst_1234):
-        assert max_abs(psi1(inst_1234.metric, np.zeros((4, 4)))) == 0.0
+        assert max_abs(psi1(inst_1234.g, np.zeros((4, 4)))) == 0.0
 
     def test_first_bianchi_for_symmetric_input(self, inst_1234):
         _, _, _, r = pipeline(inst_1234)
-        rho = ricci_and_scalar(r, inst_1234.metric).rho
-        psi = psi1(inst_1234.metric, rho)
+        rho = ricci_and_scalar(r, inst_1234.g_inv).rho
+        psi = psi1(inst_1234.g, rho)
         cyc = psi + np.einsum("jkil->ijkl", psi) + np.einsum("kijl->ijkl", psi)
         assert max_abs(cyc) <= 1e-9
 
@@ -361,7 +341,7 @@ class TestCurvatureTypeOperators:
         s = np.zeros((4, 4))
         s[0, 1] = 1.0
         with pytest.warns(errors.NonSymmetricInputWarning):
-            psi1(inst_1234.metric, s)
+            psi1(inst_1234.g, s)
 
 
 class TestWeyl:
@@ -369,16 +349,15 @@ class TestWeyl:
         for lam in random_lambdas(67, 50):
             inst = build_example(ExampleParams(lam))
             _, _, _, r = pipeline(inst)
-            ricci = ricci_and_scalar(r, inst.metric)
-            w = weyl_tensor(r, ricci.rho, ricci.tau, inst.metric)
+            ricci = ricci_and_scalar(r, inst.g_inv)
+            w = weyl_tensor(r, ricci.rho, ricci.tau, inst.g)
             assert max_abs(w) <= 1e-9
 
     def test_space_form_input(self, inst_1234):
-        metric = inst_1234.metric
         for c in (-2.0, 0.0, 3.5):
-            r = c * metric.pi1
-            ricci = ricci_and_scalar(r, metric)
-            w = weyl_tensor(r, ricci.rho, ricci.tau, metric)
+            r = c * inst_1234.pi1
+            ricci = ricci_and_scalar(r, inst_1234.g_inv)
+            w = weyl_tensor(r, ricci.rho, ricci.tau, inst_1234.g)
             assert max_abs(w) <= 1e-12
 
     def test_trace_free_in_all_pairs(self):
@@ -389,9 +368,9 @@ class TestWeyl:
         _, _, _, r = pipeline(inst)
         s = rng.normal(size=(4, 4))
         s = s + s.T
-        bumped = r + psi1(inst.metric, s)
-        ricci = ricci_and_scalar(bumped, inst.metric)
-        w = weyl_tensor(bumped, ricci.rho, ricci.tau, inst.metric)
+        bumped = r + psi1(inst.g, s)
+        ricci = ricci_and_scalar(bumped, inst.g_inv)
+        w = weyl_tensor(bumped, ricci.rho, ricci.tau, inst.g)
         g_inv = inst.g_inv
         for expr in ("il,ijkl->jk", "jl,ijkl->ik", "ik,ijkl->jl", "jk,ijkl->il"):
             assert max_abs(np.einsum(expr, g_inv, w)) <= 1e-9

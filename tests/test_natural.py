@@ -29,7 +29,7 @@ from prodgeo.natural import (
 from prodgeo.structure import RpmInstance
 from prodgeo.tensors import CO, DEFAULT_EPS, max_abs
 from prodgeo.pipeline import analyze_instance
-from tests.conftest import frame_changed_dim8, moved_frame, random_lambdas
+from tests.conftest import frame_changed_dim8, hyperbolic, moved_frame, random_lambdas
 from tests.reference import (
     TorsionParams,
     canonical_params,
@@ -120,7 +120,7 @@ class TestConnectionFromTorsion:
         t = np.random.default_rng(89).normal(size=(8, 8, 8))
         t = t - np.swapaxes(t, 0, 1)
         built = connection_from_torsion(inst, t)
-        assert compatibility_defect(built.gamma, inst.metric) <= 1e-9
+        assert compatibility_defect(built.gamma, inst.g) <= 1e-9
         assert max_abs(recomputed_torsion(built.gamma, inst) - t) <= 1e-9
 
 
@@ -211,13 +211,24 @@ class TestCurvatureRelation:
             inst = build_example(ExampleParams(lam))
             alpha = random_closed_form(inst.alg, rng)
             geo = deformed_geometry(inst, alpha)
-            residual = verify_curvature_relation(geo.R, geo.Rprime, geo.S, inst.metric, inst.n)
+            residual = verify_curvature_relation(geo.R, geo.Rprime, geo.S, inst.g)
             assert residual <= 1e-9
             rel = ricci_scalar_relation(
                 geo.ricci.rho, geo.ricci_prime.rho, geo.ricci.tau, geo.ricci_prime.tau, geo.S,
-                inst.metric, inst.n,
+                inst.g,
             )
             assert rel["ricci_relation"] <= 1e-9 and rel["scalar_relation"] <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_moved_frame_relations_hold_with_non_identity_metric(self, seed):
+        # g != I, P != P^T, D theta != 0 and tr S = 120: S built with P^T, or its
+        # trace taken with g for g^-1, breaks all three relations on these seeds
+        b = build_example(ExampleParams((1.0, 2.0, 3.0, 4.0)))
+        a = analyze_instance(moved_frame(b.alg.c, b.p, seed))
+        assert abs(a.S.trace_S) > 1 and max_abs(a.dtheta) > 10
+        assert a.curvature_relation_residual <= 1e-10
+        assert a.ricci_relation["ricci_relation"] <= 1e-10
+        assert a.ricci_relation["scalar_relation"] <= 1e-10
 
     def test_trace_spot_value(self, inst_1234):
         a = analyze_instance(inst_1234)
@@ -239,16 +250,16 @@ class TestNaturalCurvature:
         for lam in random_lambdas(109, 50):
             inst = build_example(ExampleParams(lam))
             d = analyze_instance(inst).D
-            rp = curvature_Rprime(d, inst.alg, inst.metric)
+            rp = curvature_Rprime(d, inst.c, inst.g)
             assert max_abs(rp) <= 1e-9
 
     def test_degenerate_case_equals_levi_civita_curvature(self, inst_zero):
         from prodgeo.levicivita import curvature_tensor
 
         d = analyze_instance(inst_zero).D
-        rp = curvature_Rprime(d, inst_zero.alg, inst_zero.metric)
+        rp = curvature_Rprime(d, inst_zero.c, inst_zero.g)
         nabla = levi_civita_coeffs(inst_zero)
-        r = curvature_tensor(nabla, inst_zero.alg, inst_zero.metric)
+        r = curvature_tensor(nabla, inst_zero.c, inst_zero.g)
         assert max_abs(rp - r) == 0.0
 
     def test_canonical_connection_curvature_properties(self, inst_1234):
@@ -258,7 +269,7 @@ class TestNaturalCurvature:
         conn = connection_from_torsion(
             inst_1234, torsion_family(inst_1234, theta, canonical_params(inst_1234.n))
         )
-        rp = curvature_Rprime(conn, inst_1234.alg, inst_1234.metric)
+        rp = curvature_Rprime(conn, inst_1234.c, inst_1234.g)
         assert max_abs(rp) > 1.0
         assert max_abs(rp + np.einsum("jikl->ijkl", rp)) <= 1e-9
         assert max_abs(rp + np.einsum("ijlk->ijkl", rp)) <= 1e-9
@@ -304,7 +315,7 @@ class TestPTensorPredicate:
         # the invariance axiom transforms only the last two slots, and the
         # space-form tensor fails it: pairing slots across the two factors
         # flips against pairing them straight (defect 2 on unit diagonals)
-        report = is_riemannian_P_tensor(inst_1234.metric.pi1, inst_1234.p)
+        report = is_riemannian_P_tensor(inst_1234.pi1, inst_1234.p)
         assert report.skew12 <= 1e-12 and report.skew34 <= 1e-12
         assert report.bianchi <= 1e-12
         assert report.p_invariance == pytest.approx(2.0)
@@ -315,7 +326,7 @@ class TestPTensorPredicate:
         conn = connection_from_torsion(
             inst_1234, torsion_family(inst_1234, theta, canonical_params(inst_1234.n))
         )
-        rp = curvature_Rprime(conn, inst_1234.alg, inst_1234.metric)
+        rp = curvature_Rprime(conn, inst_1234.c, inst_1234.g)
         report = is_riemannian_P_tensor(rp, inst_1234.p)
         assert report.skew12 <= 1e-9 and report.skew34 <= 1e-9
         assert report.p_invariance <= 1e-9
@@ -324,7 +335,7 @@ class TestPTensorPredicate:
         from prodgeo.levicivita import curvature_tensor
 
         nabla = levi_civita_coeffs(inst_1000)
-        r = curvature_tensor(nabla, inst_1000.alg, inst_1000.metric)
+        r = curvature_tensor(nabla, inst_1000.c, inst_1000.g)
         report = is_riemannian_P_tensor(r, inst_1000.p)
         # frozen magnitude: the (X2,X4) diagonal maps to its own negative
         assert report.p_invariance == pytest.approx(2.0)
@@ -348,7 +359,7 @@ class TestPTensorPredicate:
 class TestCriterionAndParallelTorsion:
     def test_flat_family_satisfies_criterion(self, inst_1234):
         a = analyze_instance(inst_1234)
-        rp = curvature_Rprime(a.D, inst_1234.alg, inst_1234.metric)
+        rp = curvature_Rprime(a.D, inst_1234.c, inst_1234.g)
         crit = p_curvature_criterion(inst_1234, a.grad_theta, a.dtheta, rp)
         assert crit.dtheta_symmetry_defect <= 1e-9
         assert crit.bianchi_defect_rprime <= 1e-9
@@ -356,7 +367,7 @@ class TestCriterionAndParallelTorsion:
 
     def test_degenerate_case(self, inst_zero):
         a = analyze_instance(inst_zero)
-        rp = curvature_Rprime(a.D, inst_zero.alg, inst_zero.metric)
+        rp = curvature_Rprime(a.D, inst_zero.c, inst_zero.g)
         crit = p_curvature_criterion(inst_zero, a.grad_theta, a.dtheta, rp)
         assert crit.dtheta_symmetry_defect == 0.0
         assert crit.bianchi_defect_rprime == 0.0
@@ -378,7 +389,7 @@ class TestCriterionAndParallelTorsion:
         gamma = np.array(a.D.gamma)
         gamma[0, 1, 2] += 0.35
         bent = NaturalConnection(gamma=gamma, Q=a.D.Q, T=a.D.T)
-        rp = curvature_Rprime(bent, inst_1234.alg, inst_1234.metric)
+        rp = curvature_Rprime(bent, inst_1234.c, inst_1234.g)
         dtheta = cov_deriv_components(bent.gamma, a.lee.theta, (CO,))
         crit = p_curvature_criterion(inst_1234, a.grad_theta, dtheta, rp)
         assert crit.dtheta_symmetry_defect > 1e-3
@@ -398,6 +409,20 @@ class TestCriterionAndParallelTorsion:
         assert crit.bianchi_defect_rprime <= 1e-12
         assert crit.closedness_defect <= 1e-12
         assert crit.equivalence_holds and crit.closedness_agrees
+
+    @pytest.mark.parametrize("dim", [6, 8])
+    def test_hyperbolic_torsion_is_parallel_where_n_squared_is_not_2n(self, dim):
+        # n^2 != 2n, g != I and P != P^T: the gradient identity with 1/n^2 for 1/(2n),
+        # or with theta(P^T omega) for theta(P omega), leaves a defect of order theta^2
+        inst = hyperbolic(dim)
+        assert not np.allclose(inst.p, inst.p.T) and not np.allclose(inst.g, np.eye(dim))
+        a = analyze_instance(inst)
+        report = a.parallel
+        assert max_abs(a.lee.theta) > 1
+        assert report.dt_defect <= 1e-10
+        assert report.dtheta_defect <= 1e-10
+        assert report.gradient_identity_defect <= 1e-10
+        assert report.verdict and report.equivalence_holds
 
     def test_parallel_torsion_only_in_degenerate_case(self):
         for lam in random_lambdas(131, 50):
@@ -456,7 +481,7 @@ class TestFlatReport:
             inst = build_example(ExampleParams(lam))
             a = analyze_instance(inst)
             w_prime = weyl_tensor(
-                a.Rprime, a.ricci_prime.rho, a.ricci_prime.tau, inst.metric
+                a.Rprime, a.ricci_prime.rho, a.ricci_prime.tau, inst.g
             )
             assert max_abs(a.Rprime) <= 1e-9
             assert max_abs(w_prime) <= 1e-9
@@ -469,13 +494,13 @@ class TestFlatReport:
         a = analyze_instance(inst_1234)
         theta_omega = a.lee.norm_sq
         n = inst_1234.n
-        r = -(theta_omega / (4 * n * n)) * inst_1234.metric.pi1
+        r = -(theta_omega / (4 * n * n)) * inst_1234.pi1
         zero = np.zeros((4,) * 4)
         degenerate_d = NaturalConnection(
             gamma=np.zeros((4, 4, 4)), Q=np.zeros((4, 4, 4)), T=np.zeros((4, 4, 4))
         )
-        ricci = ricci_and_scalar(r, inst_1234.metric)
-        w = weyl_tensor(r, ricci.rho, ricci.tau, inst_1234.metric)
+        ricci = ricci_and_scalar(r, inst_1234.g_inv)
+        w = weyl_tensor(r, ricci.rho, ricci.tau, inst_1234.g)
         parallel = has_parallel_torsion(
             inst_1234, degenerate_d, degenerate_d.T, a.lee, a.grad_theta, np.zeros((4, 4))
         )

@@ -87,9 +87,9 @@ class TestKernelsOnAStack:
         inst = random_moved(dim)
         a = analyze_instance(inst, EPS)
         alpha = stack(dim, 1, 3)
-        theta_bar = transform_lee(a.lee.theta, alpha, inst.structure)
-        assert_slices(theta_bar, [transform_lee(a.lee.theta, x, inst.structure) for x in alpha])
-        args = (a.lee.omega, alpha, inst.structure, inst.metric)
+        theta_bar = transform_lee(a.lee.theta, alpha, inst.p)
+        assert_slices(theta_bar, [transform_lee(a.lee.theta, x, inst.p) for x in alpha])
+        args = (a.lee.omega, alpha, inst.p, inst.g_inv)
         omega_bar = transform_lee_dual(*args)
         assert_slices(omega_bar, [transform_lee_dual(*args[:1], x, *args[2:]) for x in alpha])
         assert_slices(transform_D(a.D, alpha), [transform_D(a.D, x) for x in alpha])
@@ -119,19 +119,19 @@ class TestKernelsOnAStack:
 
     def test_ricci_psi1_and_weyl(self, dim):
         inst = random_moved(dim)
-        metric = inst.metric
-        r = curvature_components(stack(dim, 3, 7), inst.c, inst.g)
-        ricci = ricci_and_scalar(r, metric)
-        singles = [ricci_and_scalar(x, metric) for x in r]
+        g = inst.g
+        r = curvature_components(stack(dim, 3, 7), inst.c, g)
+        ricci = ricci_and_scalar(r, inst.g_inv)
+        singles = [ricci_and_scalar(x, inst.g_inv) for x in r]
         assert_slices(ricci.rho, [x.rho for x in singles])
         assert_slices(ricci.tau, [x.tau for x in singles])
         sym = ricci.rho + ricci.rho.swapaxes(-1, -2)
         blocks = np.empty(r.shape)
-        for b, block in psi1_blocks(metric, sym):
+        for b, block in psi1_blocks(g, sym):
             blocks[..., b, :, :, :] = block
-        assert_slices(blocks, [psi1(metric, x) for x in sym])
-        w = weyl_tensor(r, ricci.rho, ricci.tau, metric, eps=np.inf)
-        assert_slices(w, [weyl_tensor(x, s.rho, s.tau, metric, eps=np.inf) for x, s in zip(r, singles)])
+        assert_slices(blocks, [psi1(g, x) for x in sym])
+        w = weyl_tensor(r, ricci.rho, ricci.tau, g, eps=np.inf)
+        assert_slices(w, [weyl_tensor(x, s.rho, s.tau, g, eps=np.inf) for x, s in zip(r, singles)])
 
 
 # lambda = 0 is the abelian algebra: every 1-form is closed, the forms span all of R^4

@@ -3,14 +3,8 @@ import pytest
 
 from prodgeo.example import ExampleParams, build_example
 from prodgeo.liealg import LieFrameAlgebra
-from prodgeo.structure import (
-    ProductStructure,
-    RpmInstance,
-    nijenhuis_tensor,
-    structure_defects,
-    validate_structure,
-)
-from prodgeo.tensors import MetricTensor, max_abs
+from prodgeo.structure import RpmInstance, nijenhuis_tensor, structure_defects, validate_structure
+from prodgeo.tensors import max_abs
 from tests.conftest import random_lambdas
 from tests.reference import abelian, abelian_structure_defect, bracket
 
@@ -19,11 +13,7 @@ BLOCK_P = np.diag([1.0, 1.0, -1.0, -1.0])
 
 
 def block_instance(alg=None):
-    return RpmInstance(
-        alg=alg if alg is not None else abelian(4),
-        metric=MetricTensor.from_matrix(np.eye(4)),
-        structure=ProductStructure(BLOCK_P),
-    )
+    return RpmInstance(alg if alg is not None else abelian(4), np.eye(4), BLOCK_P)
 
 
 class TestValidateStructure:
@@ -33,11 +23,7 @@ class TestValidateStructure:
         assert len(report.checks) == 6
 
     def test_identity_structure_fails_trace(self):
-        inst = RpmInstance(
-            alg=abelian(4),
-            metric=MetricTensor.from_matrix(np.eye(4)),
-            structure=ProductStructure(np.eye(4)),
-        )
+        inst = RpmInstance(abelian(4), np.eye(4), np.eye(4))
         report = validate_structure(inst)
         assert report.checks["structure_trace"] == pytest.approx(4.0)
         assert not report.ok

@@ -5,8 +5,8 @@ import prodgeo
 from prodgeo import errors
 from prodgeo.example import ExampleParams, build_example
 from prodgeo.liealg import LieFrameAlgebra
-from prodgeo.structure import ProductStructure, RpmInstance
-from prodgeo.tensors import MetricTensor, invert_metric
+from prodgeo.structure import RpmInstance
+from prodgeo.tensors import invert_metric
 from tests.conftest import frame_changed_dim8
 
 
@@ -26,7 +26,7 @@ class TestInstanceInputs:
     def test_caller_arrays_are_copied(self):
         model = frame_changed_dim8()
         c, g, p = np.array(model.c), np.array(model.g), np.array(model.p)
-        inst = RpmInstance(LieFrameAlgebra(8, c), MetricTensor.from_matrix(g), ProductStructure(p))
+        inst = RpmInstance(LieFrameAlgebra(8, c), g, p)
         for arr in (c, g, p):
             arr += 1.0
         for name in ("c", "g", "g_inv", "p"):
@@ -35,8 +35,7 @@ class TestInstanceInputs:
     def test_equal_instances_compare_and_hash_by_identity(self):
         first = build_example(ExampleParams((1, 2, 3, 4)))
         second = build_example(ExampleParams((1, 2, 3, 4)))
-        for a, b in ((first, second), (first.alg, second.alg), (first.metric, second.metric),
-                     (first.structure, second.structure)):
+        for a, b in ((first, second), (first.alg, second.alg)):
             assert a == a and a != b
             assert hash(a) == hash(a)
             assert len({a: 0, b: 1}) == 2

@@ -33,9 +33,8 @@ def require_closed(alg: LieFrameAlgebra, alpha, eps: float = DEFAULT_EPS) -> np.
 
     Each form of a stack is judged against its own tolerance: ``eps`` scaled
     by the size of the terms of its defect, and ``eps`` itself at unit scale.
-    ``eps`` is floored at dim ulps, the roundoff of one bracket sum, so a form
-    taken from ``alg.closed_forms`` passes at ``eps`` = 0.  A NaN defect is
-    above no tolerance.
+    ``eps`` is floored at dim ulps, the roundoff of one bracket sum.  A NaN
+    defect is above no tolerance.
     """
     alpha = np.asarray(alpha, dtype=float)
     defects = np.atleast_1d(closedness_defect(alg, alpha))
@@ -51,12 +50,12 @@ def require_closed(alg: LieFrameAlgebra, alpha, eps: float = DEFAULT_EPS) -> np.
     return alpha
 
 
-def random_closed_form(alg: LieFrameAlgebra, rng: np.random.Generator, scale: float = 2.0) -> np.ndarray:
-    """A random closed 1-form; zero when the algebra admits none but zero."""
+def random_closed_form(alg: LieFrameAlgebra, rng: np.random.Generator) -> np.ndarray:
+    """A random closed 1-form, basis coefficients uniform in [-2, 2]; zero when the algebra admits none but zero."""
     basis = alg.closed_forms
     if basis.shape[0] == 0:
         return np.zeros(alg.dim)
-    return rng.uniform(-scale, scale, basis.shape[0]) @ basis
+    return rng.uniform(-2.0, 2.0, basis.shape[0]) @ basis
 
 
 def transform_lee(theta, alpha, p: np.ndarray) -> np.ndarray:
@@ -81,7 +80,7 @@ def deformed_geometry(inst: RpmInstance, alpha, eps: float = DEFAULT_EPS) -> Ins
     Built through the Koszul assembly with the metric-derivative terms
     2 du(x) g(y, z), never through the closed-form transformation rules, so
     it can serve as the independent oracle for them.  ``alpha`` is checked for closedness
-    here (``require_closed``), as ``verify-paper`` checks its sampled stack.
+    here (``require_closed``), the one check of a form from outside.
     """
     return analyze_instance(inst, eps, require_closed(inst.alg, alpha, eps))
 

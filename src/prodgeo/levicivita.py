@@ -21,12 +21,12 @@ leading stack axes on their array arguments, one result per slice.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DegeneratePlane, NonSymmetricInputWarning, SingularMetric
+from .errors import DegeneratePlane, NonSymmetricInputWarning
 from .structure import RpmInstance
 from .tensors import CO, DEFAULT_EPS, blocks, max_abs
 
@@ -50,8 +50,6 @@ def levi_civita_coeffs(inst: RpmInstance, dg: np.ndarray | None = None) -> np.nd
     ``dg[i, j, k] = X_i(g(X_j, X_k))`` are the frame derivatives of the
     metric there; None (zero) for a frame-constant metric.
     """
-    if not np.all(np.isfinite(inst.g_inv)):
-        raise SingularMetric("metric inverse has non-finite entries")
     b = inst.c @ inst.g
     terms = [b, np.einsum("kij->ijk", b), np.einsum("kji->ijk", b)]
     if dg is not None:
@@ -111,21 +109,11 @@ def conformal_class_rhs(inst: RpmInstance, theta: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassFlags:
-    """Membership predicates with the defect magnitudes behind them; integrability is read lazily."""
+    """Membership predicates with the defect magnitude behind the conformal class."""
 
     is_w0: bool
     is_w1: bool
     conformal_class_residual: float
-    inst: RpmInstance = field(repr=False)
-    eps: float
-
-    @property
-    def nijenhuis_defect(self) -> float:
-        return self.inst.nijenhuis_defect
-
-    @property
-    def is_product(self) -> bool:
-        return self.nijenhuis_defect <= self.eps
 
 
 def class_flags(inst: RpmInstance, f: np.ndarray, theta, eps: float = DEFAULT_EPS) -> ClassFlags:
@@ -135,8 +123,6 @@ def class_flags(inst: RpmInstance, f: np.ndarray, theta, eps: float = DEFAULT_EP
         is_w0=max_abs(f) <= eps,
         is_w1=w1_residual <= eps,
         conformal_class_residual=w1_residual,
-        inst=inst,
-        eps=eps,
     )
 
 
@@ -190,12 +176,13 @@ def ricci_and_scalar(r: np.ndarray, g_inv: np.ndarray) -> RicciScalar:
     return RicciScalar(rho=rho, tau=float(tau) if tau.ndim == 0 else tau)
 
 
-def sectional_curvature(r: np.ndarray, g: np.ndarray, u, v, eps: float = DEFAULT_EPS) -> float:
-    """R(u, v, v, u) over the squared area: one matrix-vector product reads R, then dim**3 and dim**2 vectors."""
+def sectional_curvature(r: np.ndarray, g: np.ndarray, u, v) -> float:
+    """R(u, v, v, u) over the squared area, degenerate at ``DEFAULT_EPS`` times its Cauchy-Schwarz bound
+    g(u, u) g(v, v) (a NaN passes): one matrix-vector product reads R, then dim**3 and dim**2 vectors."""
     uv = np.array((u, v), dtype=float)
     (guu, guv), (_, gvv) = uv @ g @ uv.T
     area_sq = guu * gvv - guv**2
-    if abs(area_sq) <= eps:
+    if area_sq <= DEFAULT_EPS * guu * gvv:
         raise DegeneratePlane("the two directions span a degenerate 2-plane")
     u, v = uv
     r_uv = v @ (u @ r.reshape(len(u), -1)).reshape(len(u), -1)  # R(u, v, ., .) from R(u, ., ., .), both flat

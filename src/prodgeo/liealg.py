@@ -72,8 +72,8 @@ def jacobi_defect(c: np.ndarray) -> float:
     return float(np.maximum.reduce(maxima))
 
 
-def derived_bases(alg: LieFrameAlgebra, tol: float = DERIVED_PIVOT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal row bases from one SVD of the bracket images.
+def derived_bases(alg: LieFrameAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal row bases from one SVD of the bracket images, rank by ``DERIVED_PIVOT_TOL``.
 
     The first spans the derived subalgebra; the second spans its
     annihilator, the closed constant 1-forms (those vanishing on every
@@ -81,5 +81,5 @@ def derived_bases(alg: LieFrameAlgebra, tol: float = DERIVED_PIVOT_TOL) -> tuple
     """
     images = alg.c.reshape(alg.dim * alg.dim, alg.dim)
     _, s, vt = np.linalg.svd(images)
-    rank = int(np.sum(s > tol))
+    rank = int(np.sum(s > DERIVED_PIVOT_TOL))
     return vt[:rank], vt[rank:]

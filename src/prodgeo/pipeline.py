@@ -20,7 +20,7 @@ from . import levicivita, natural
 from .levicivita import ClassFlags, LeeForm, RicciScalar
 from .natural import FlatReport, NaturalConnection, ParallelTorsionReport, PCurvatureCriterion, STensor
 from .structure import RpmInstance, StructureReport, validate_structure
-from .tensors import CO, DEFAULT_EPS, blocks, max_abs
+from .tensors import CO, DEFAULT_EPS, max_abs
 
 
 class InstanceAnalysis:
@@ -106,12 +106,6 @@ class InstanceAnalysis:
         return levicivita.weyl_tensor(self.R, self.ricci.rho, self.ricci.tau, self.inst.g)
 
     @cached_property
-    def Wprime(self) -> np.ndarray:
-        return levicivita.weyl_tensor(
-            self.Rprime, self.ricci_prime.rho, self.ricci_prime.tau, self.inst.g
-        )
-
-    @cached_property
     def naturality(self) -> dict[str, float]:
         return natural.naturality_defects(self.D, self.inst)
 
@@ -136,8 +130,10 @@ class InstanceAnalysis:
 
     @cached_property
     def weyl_invariance_residual(self) -> float:
-        """Largest component difference of the Weyl tensors of the two connections."""
-        return float(np.maximum.reduce([max_abs(self.W[b] - self.Wprime[b]) for b in blocks(self.inst.dim)]))
+        """Largest component of W - W', the Weyl tensor of R - R': the Weyl tensor is linear in the curvature."""
+        diff = self.R - self.Rprime
+        rho, tau = self.ricci.rho - self.ricci_prime.rho, self.ricci.tau - self.ricci_prime.tau
+        return max_abs(levicivita.weyl_tensor(diff, rho, tau, self.inst.g, out=diff))
 
     @cached_property
     def p_criterion(self) -> PCurvatureCriterion:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotPositiveDefinite, NotSymmetric, ShapeMismatch
+from .errors import NotPositiveDefinite, NotSymmetric, ShapeMismatch, SingularMetric
 
 DEFAULT_EPS = 1e-9
 
@@ -43,18 +43,22 @@ def max_abs(arr) -> float:
     return 0.0 if a.size == 0 else max(float(a.max()), -float(a.min())) + 0.0
 
 
-def invert_metric(matrix, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix of metric components."""
+def invert_metric(matrix) -> np.ndarray:
+    """Inverse of a symmetric positive-definite matrix of metric components, symmetry judged at
+    ``DEFAULT_EPS``; SingularMetric if the inverse is not finite (1e-310 I passes Cholesky)."""
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ShapeMismatch(f"metric components have shape {mat.shape}")
-    if max_abs(mat - mat.T) > eps * max(1.0, max_abs(mat)):
+    if max_abs(mat - mat.T) > DEFAULT_EPS * max(1.0, max_abs(mat)):
         raise NotSymmetric("metric components are not symmetric")
     try:
         np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite("metric is not positive definite") from None
-    return np.linalg.inv(mat)
+    inverse = np.linalg.inv(mat)
+    if not np.isfinite(inverse).all():
+        raise SingularMetric("metric inverse has non-finite entries")
+    return inverse
 
 
 def pi1_tensor(g: np.ndarray) -> np.ndarray:

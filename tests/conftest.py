@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from prodgeo.example import ExampleParams, build_example, constant_curvature_flags, verify_against_tables
-from prodgeo.levicivita import psi1_blocks
+from prodgeo.levicivita import psi1_blocks, ricci_and_scalar, weyl_tensor
 from prodgeo.pipeline import analyze_instance
 from prodgeo.liealg import LieFrameAlgebra
 from prodgeo.structure import RpmInstance
-from prodgeo.tensors import DEFAULT_EPS
+from prodgeo.tensors import DEFAULT_EPS, max_abs
 
 
 @pytest.fixture
@@ -65,6 +65,21 @@ def psi1(g: np.ndarray, s, eps: float = DEFAULT_EPS) -> np.ndarray:
 def random_lambdas(seed: int, count: int, low: float = -3.0, high: float = 3.0):
     rng = np.random.default_rng(seed)
     return [tuple(rng.uniform(low, high, 4)) for _ in range(count)]
+
+
+def random_instance(seed: int, dim: int = 8) -> RpmInstance:
+    """Random antisymmetric brackets and a random P: the kernels need no axioms."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(dim, dim, dim))
+    return RpmInstance(LieFrameAlgebra(dim, c - c.swapaxes(0, 1)), np.eye(dim), rng.normal(size=(dim, dim)))
+
+
+def weyl_difference(a) -> tuple[float, float]:
+    """max|W - W'| of the analysis ``a``, with W' = weyl_tensor(R', rho', tau', g) built here,
+    and the roundoff bound 64 ulps of max|R| + max|R'| that its Weyl-invariance residual keeps to it."""
+    ricci = ricci_and_scalar(a.Rprime, a.inst.g_inv)
+    w_prime = weyl_tensor(a.Rprime, ricci.rho, ricci.tau, a.inst.g)
+    return max_abs(a.W - w_prime), 64 * np.finfo(float).eps * (max_abs(a.R) + max_abs(a.Rprime))
 
 
 def moved_frame(c, p, seed: int) -> RpmInstance:

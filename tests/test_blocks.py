@@ -26,7 +26,7 @@ from prodgeo.natural import (
 from prodgeo.pipeline import analyze_instance
 from prodgeo.report import table_summary
 from prodgeo.tensors import BLOCK_BYTES, CO, CONTRA, blocks, max_abs
-from tests.conftest import hyperbolic, psi1
+from tests.conftest import hyperbolic, psi1, random_instance, weyl_difference
 from tests.reference import compose
 from tests.test_kernels import (
     EPS,
@@ -34,7 +34,6 @@ from tests.test_kernels import (
     curvature_terms,
     cyclic_terms,
     psi1_terms,
-    random_instance,
     weyl_terms,
 )
 
@@ -147,10 +146,11 @@ def test_table_summary(dim):
 @pytest.mark.parametrize("dim", DIMS)
 def test_analysis_residuals(dim):
     a = analyze_instance(random_instance(dim, dim))
+    a.Rprime += np.random.default_rng(dim).normal(size=(dim,) * 4)  # else W and W' agree up to roundoff
     with pytest.warns(NonSymmetricInputWarning):  # random brackets: the Ricci tensors are not symmetric
-        w, w_prime = a.W, a.Wprime
-    w_prime += np.random.default_rng(dim).normal(size=(dim,) * 4)  # else equal up to roundoff
-    assert a.weyl_invariance_residual == max_abs(w - w_prime) > 1.0
+        difference, bound = weyl_difference(a)
+        residual = a.weyl_invariance_residual
+    assert difference > 1.0 and abs(residual - difference) <= bound
     full = max_abs(cov_deriv_components(a.D.gamma, a.t_sharp, (CO, CO, CONTRA)))
     assert abs(a.parallel.dt_defect - full) <= 64 * EPS * full
 
@@ -202,7 +202,7 @@ class TestNanInABlock:
 
     def test_weyl_invariance(self, k):
         a = analyze_instance(hyperbolic(16))
-        a.W[k, 1, 2, 3] = np.nan
+        a.Rprime[k, 1, 2, 3] = np.nan  # read into the residual through R - R' and rho'
         assert np.isnan(a.weyl_invariance_residual)
 
     def test_torsion_and_curvature_derivatives(self, k):

@@ -13,7 +13,7 @@ from prodgeo.pipeline import analyze_instance
 from prodgeo.report import Report, _jsonable, report_from_dict, table_summary
 from prodgeo.tensors import max_abs
 from tests import check_report
-from tests.conftest import frame_changed_dim8, hyperbolic, instance_payload
+from tests.conftest import frame_changed_dim8, hyperbolic, instance_payload, random_instance
 
 ORTHO = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 SWAP_P = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
@@ -432,6 +432,20 @@ class TestCheckOrder:
         path = write_json(tmp_path / "singular.json", {"dim": 4, "brackets": [], "metric": singular, "P": SWAP_P})
         self.assert_invalid_instance(capsys, path)
 
+    def test_metric_with_an_overflowing_inverse_is_an_invalid_instance(self, capsys, tmp_path):
+        # 1e-310 I passes the Cholesky test, but its inverse is not finite
+        payload = {"dim": 4, "brackets": [{"i": 1, "j": 2, "coeffs": [0, 0, 1, 0]}],
+                   "metric": (1e-310 * np.eye(4)).tolist(), "P": np.diag([1.0, 1.0, -1.0, -1.0]).tolist()}
+        self.assert_invalid_instance(capsys, write_json(tmp_path / "tiny.json", payload))
+
+    def test_short_frame_vector_spans_no_degenerate_plane(self, capsys, tmp_path):
+        # g(X_4, X_4) = 1e-10: each basis plane's squared area is judged against
+        # g(u, u) g(v, v), not against an absolute 1e-9; the instance is outside W1, so exit 1
+        payload = {"dim": 4, "brackets": [{"i": 1, "j": 2, "coeffs": [0, 0, 1, 0]}],
+                   "metric": np.diag([1.0, 1.0, 1.0, 1e-10]).tolist(), "P": np.diag([1.0, 1.0, -1.0, -1.0]).tolist()}
+        path = write_json(tmp_path / "short.json", payload)
+        assert self.names(capsys, ["analyze", "--file", path]) == (1, STRUCTURE_CHECKS + ANALYSIS_CHECKS)
+
     def test_slightly_asymmetric_metric_is_an_invalid_instance_at_a_loose_tolerance(self, capsys, tmp_path):
         # metric_symmetry passes at 1e-3, but the metric is inverted only when symmetric to 1e-9
         metric = np.eye(4)
@@ -648,12 +662,14 @@ class TestOptionValues:
         assert data["epsilon"] == 0.0 and code == data["exit_status"]
 
     @pytest.mark.parametrize(
-        "lam", ["1,2,3,4", "0,0,0,0", "1,1,1,1", "-1/2,3,0.25,-7", "1000,2000,3000,4000", "1e-7,2e-7,3e-7,4e-7"]
+        "lam",
+        ["1,2,3,4", "0,0,0,0", "1,1,1,1", "-1/2,3,0.25,-7", "1000,2000,3000,4000", "1e-7,2e-7,3e-7,4e-7", "2,2,1,3"],
     )
     def test_zero_epsilon_sweep_writes_a_report(self, capsys, lam):
-        # the sampled forms come from an SVD basis, so their bracket defect is
-        # roundoff: closedness is judged against dim ulps, not against 0; at
-        # 1e-7 the Jacobi defect is roundoff too, which fails the structure gate
+        # the sampled forms come from the closed-form basis and are not judged
+        # again: their bracket defect is the roundoff of an SVD basis, which can
+        # exceed dim ulps (as at 2,2,1,3); at 1e-7 the Jacobi defect is roundoff
+        # too, which fails the structure gate
         expected = 3 if lam == "1e-7,2e-7,3e-7,4e-7" else 1
         for seed in range(10):
             code = main(["verify-paper", f"--lambda={lam}", f"--seed={seed}", "--epsilon", "0", "--json"])
@@ -738,7 +754,8 @@ class TestTableSummaries:
             summary = data["tables"][key]
             assert math.isfinite(summary["max"]) and math.isfinite(summary["norm"]), key
         assert data["tables"]["curvature"]["norm"] > 1e200
-        assert not [note for note in data["notes"] if "overflow" in note]
+        # R' of the flat D is roundoff at the 1e200 scale of R: no Weyl tensor is taken of it alone
+        assert not [note for note in data["notes"] if note.startswith("warning: ")]
 
     def test_norm_is_scaled_by_the_max(self):
         with np.errstate(over="raise"):
@@ -773,16 +790,24 @@ class TestTableSummaries:
         assert report_from_dict(data).exit_status == 1
 
 
+def random_file(tmp_path):
+    """An instance file of random brackets and P, whose Ricci tensor is not symmetric."""
+    return write_json(tmp_path / "random4.json", instance_payload(random_instance(4, 4)))
+
+
 class TestWarningsInNotes:
     @pytest.mark.parametrize(
-        "lam, note",
+        "command, note",
         [
-            ("1e308,1e308,1e308,1e308", "warning: RuntimeWarning: overflow encountered in matmul"),
-            ("1e100,2,3,4", "warning: NonSymmetricInputWarning: extending a non-symmetric 2-tensor"),
+            ("verify-paper", "warning: RuntimeWarning: overflow encountered in matmul"),
+            ("analyze", "warning: NonSymmetricInputWarning: extending a non-symmetric 2-tensor"),
         ],
     )
-    def test_warning_is_a_note_and_stderr_is_empty(self, capsys, lam, note):
-        code = main(["verify-paper", f"--lambda={lam}", "--json"])
+    def test_warning_is_a_note_and_stderr_is_empty(self, capsys, tmp_path, command, note):
+        if command == "verify-paper":
+            code = main(["verify-paper", "--lambda=1e308,1e308,1e308,1e308", "--json"])
+        else:
+            code = main(["analyze", "--file", random_file(tmp_path), "--json"])
         captured = capsys.readouterr()
         assert captured.err == ""
         data = strict_loads(captured.out)
@@ -803,8 +828,8 @@ class TestWarningsInNotes:
             "warning: RuntimeWarning: overflow encountered in add",
         ]
 
-    def test_text_report_carries_the_note(self, capsys):
-        main(["verify-paper", "--lambda=1e100,2,3,4"])
+    def test_text_report_carries_the_note(self, capsys, tmp_path):
+        main(["analyze", "--file", random_file(tmp_path)])
         captured = capsys.readouterr()
         assert captured.err == ""
         assert "note: warning: NonSymmetricInputWarning" in captured.out

@@ -24,7 +24,7 @@ from prodgeo.levicivita import (
 from prodgeo.pipeline import analyze_instance
 from prodgeo.liealg import derived_bases
 from prodgeo.tensors import CO, max_abs
-from tests.conftest import frame_changed_dim8, hyperbolic, random_lambdas
+from tests.conftest import frame_changed_dim8, hyperbolic, random_lambdas, weyl_difference
 from tests.reference import compatibility_defect, torsion_defect, transform_lee_dual, transform_levi_civita
 
 E = np.eye(4)
@@ -278,7 +278,7 @@ class TestNontrivialCurvedDeformation:
 
     def test_base_point_is_structure_parallel_with_curvature(self):
         a = analyze_instance(self.heisenberg_product())
-        assert a.flags.is_w0 and a.flags.is_w1 and a.flags.is_product
+        assert a.flags.is_w0 and a.flags.is_w1 and a.inst.nijenhuis_defect <= 1e-9
         assert max_abs(a.R) == pytest.approx(0.75)
         assert max_abs(a.W) > 0.5  # not conformally flat
         assert a.ricci.tau == pytest.approx(-1.0)
@@ -305,7 +305,8 @@ class TestNontrivialCurvedDeformation:
                 inst.g,
             )
             assert rel["ricci_relation"] <= 1e-9 and rel["scalar_relation"] <= 1e-9
-            assert max_abs(geo.W - geo.Wprime) <= 1e-9
+            difference, bound = weyl_difference(geo)
+            assert difference <= 1e-9 and abs(geo.weyl_invariance_residual - difference) <= bound
             assert geo.flags.conformal_class_residual <= 1e-9
             crit = p_curvature_criterion(inst, geo.grad_theta, geo.dtheta, geo.Rprime)
             assert crit.equivalence_holds and crit.closedness_agrees

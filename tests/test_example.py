@@ -29,11 +29,11 @@ class TestBuildExample:
         assert validate_structure(inst_1234).ok
         assert abelian_structure_defect(inst_1234) <= 1e-9
         flags = analyze_instance(inst_1234).flags
-        assert flags.is_w1 and flags.is_product and not flags.is_w0
+        assert flags.is_w1 and inst_1234.nijenhuis_defect <= 1e-9 and not flags.is_w0
 
     def test_degenerate_point_flags(self, inst_zero):
         flags = analyze_instance(inst_zero).flags
-        assert flags.is_w0 and flags.is_w1 and flags.is_product
+        assert flags.is_w0 and flags.is_w1 and inst_zero.nijenhuis_defect <= 1e-9
 
     def test_cross_bracket(self, inst_1000):
         assert np.allclose(bracket(inst_1000.alg, E[0], E[2]), [0, 0, 0, -1])

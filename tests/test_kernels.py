@@ -23,7 +23,7 @@ from prodgeo.levicivita import (
     structure_tensor_F,
     weyl_tensor,
 )
-from prodgeo.liealg import LieFrameAlgebra, jacobi_defect
+from prodgeo.liealg import jacobi_defect
 from prodgeo.natural import (
     NaturalConnection,
     bianchi_defect,
@@ -35,7 +35,7 @@ from prodgeo.pipeline import analyze_instance
 from prodgeo.structure import RpmInstance, nijenhuis_tensor, structure_pullback
 from prodgeo.tensors import CO, CONTRA, freeze, max_abs
 from prodgeo.example import ExampleParams, build_example
-from tests.conftest import frame_changed_dim8, hyperbolic, moved_frame, psi1
+from tests.conftest import frame_changed_dim8, hyperbolic, moved_frame, psi1, random_instance
 from tests.reference import compose
 
 EPS = np.finfo(float).eps
@@ -98,13 +98,6 @@ def nijenhuis_terms(c, p):
         -np.einsum("km,ai,ajm->ijk", p, p, c),
         -np.einsum("km,bj,ibm->ijk", p, p, c),
     ]
-
-
-def random_instance(seed: int, dim: int = 8) -> RpmInstance:
-    """Random antisymmetric brackets and a random P: the kernels need no axioms."""
-    rng = np.random.default_rng(seed)
-    c = rng.normal(size=(dim, dim, dim))
-    return RpmInstance(LieFrameAlgebra(dim, c - c.swapaxes(0, 1)), np.eye(dim), rng.normal(size=(dim, dim)))
 
 
 def connections():

@@ -84,10 +84,8 @@ class TestLeviCivitaCoeffs:
 
     def test_unusable_inverse_rejected(self, inst_1234):
         # positive definite to Cholesky, but its inverse overflows to non-finite entries
-        inst = RpmInstance(inst_1234.alg, 1e-310 * np.eye(4), inst_1234.p)
-        assert not np.all(np.isfinite(inst.g_inv))
         with pytest.raises(errors.SingularMetric):
-            levi_civita_coeffs(inst)
+            RpmInstance(inst_1234.alg, 1e-310 * np.eye(4), inst_1234.p)
 
 
 class TestCovariantDerivative:
@@ -190,11 +188,11 @@ class TestLeeForm:
 class TestClassFlags:
     def test_generic_family_point(self, inst_1234):
         flags = flags_of(inst_1234)
-        assert (flags.is_w0, flags.is_w1, flags.is_product) == (False, True, True)
+        assert (flags.is_w0, flags.is_w1, inst_1234.nijenhuis_defect <= 1e-9) == (False, True, True)
 
     def test_degenerate_point(self, inst_zero):
         flags = flags_of(inst_zero)
-        assert (flags.is_w0, flags.is_w1, flags.is_product) == (True, True, True)
+        assert (flags.is_w0, flags.is_w1, inst_zero.nijenhuis_defect <= 1e-9) == (True, True, True)
 
     def test_overridden_bracket_leaves_class(self, inst_1000):
         c = np.array(inst_1000.c)
@@ -283,6 +281,10 @@ class TestSectional:
         _, _, _, r = pipeline(inst_1234)
         with pytest.raises(errors.DegeneratePlane):
             sectional_curvature(r, inst_1234.g, E[0], 2.0 * E[0])
+        # the squared area is judged against g(u, u) g(v, v): a short vector spans a plane
+        short = np.diag([1.0, 1.0, 1.0, 1e-10])
+        assert sectional_curvature(r, short, E[0], E[3]) == r[0, 3, 3, 0] / 1e-10
+        assert sectional_curvature(r, 1e-12 * inst_1234.g, E[0], E[1]) == r[0, 1, 1, 0] / 1e-24
 
     def test_matches_einsum_reference_on_a_non_identity_metric(self):
         inst = frame_changed_dim8()

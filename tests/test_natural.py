@@ -29,7 +29,7 @@ from prodgeo.natural import (
 from prodgeo.structure import RpmInstance
 from prodgeo.tensors import CO, DEFAULT_EPS, max_abs
 from prodgeo.pipeline import analyze_instance
-from tests.conftest import frame_changed_dim8, hyperbolic, moved_frame, random_lambdas
+from tests.conftest import frame_changed_dim8, hyperbolic, moved_frame, random_lambdas, weyl_difference
 from tests.reference import (
     TorsionParams,
     canonical_params,
@@ -229,6 +229,14 @@ class TestCurvatureRelation:
         assert a.curvature_relation_residual <= 1e-10
         assert a.ricci_relation["ricci_relation"] <= 1e-10
         assert a.ricci_relation["scalar_relation"] <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_moved_frame_weyl_residual_is_that_of_the_two_weyl_tensors(self, seed):
+        # g != I: the residual, the Weyl tensor of R - R', is W - W' by linearity
+        b = build_example(ExampleParams((1.0, 2.0, 3.0, 4.0)))
+        a = analyze_instance(moved_frame(b.alg.c, b.p, seed))
+        difference, bound = weyl_difference(a)
+        assert max_abs(a.R) > 1 and abs(a.weyl_invariance_residual - difference) <= bound
 
     def test_trace_spot_value(self, inst_1234):
         a = analyze_instance(inst_1234)

@@ -5,8 +5,8 @@ frame components of du, normalized so u vanishes at the evaluation point:
 there the rescaled metric equals g numerically while its first derivatives
 do not vanish.  Closedness of du forces its components to annihilate the
 derived subalgebra, which is exactly what makes a globally consistent u
-exist.  All comparisons happen at the base point; metric-weight-sensitive
-comparisons are made in (1,3) variance where the scale factors cancel.
+exist.  All comparisons happen at the base point, where the two metrics
+agree, so lowering by either gives the same components.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotClosed
-from .levicivita import curvature_components, ricci_and_scalar, weyl_tensor
+from .levicivita import curvature_components, psi1_defect, ricci_and_scalar, weyl_extension
 from .liealg import LieFrameAlgebra
 from .natural import NaturalConnection
 from .pipeline import InstanceAnalysis, analyze_instance
 from .structure import RpmInstance
-from .tensors import DEFAULT_EPS, blocks, max_abs
+from .tensors import DEFAULT_EPS, max_abs
 
 
 def closedness_defect(alg: LieFrameAlgebra, alpha) -> float | np.ndarray:
@@ -92,15 +92,14 @@ def conformal_curvature_residual(base: InstanceAnalysis, gamma_bar: np.ndarray) 
 
 
 def conformal_weyl_residual(base: InstanceAnalysis, rescaled: InstanceAnalysis) -> float:
-    """Invariance defect of the Weyl tensor, compared in (1,3) variance: the Weyl
-    tensor is linear in the curvature and the metrics agree at the base point, so
-    the Weyl difference is the Weyl tensor of the curvature difference."""
+    """Invariance defect of the Weyl tensor, compared lowered: the Weyl tensor is
+    linear in the curvature and the metrics agree at the base point, so the Weyl
+    difference is the Weyl tensor of the curvature difference."""
     inst = base.inst
     diff = curvature_components(rescaled.nabla, inst.c, inst.g, minus=base.nabla)
     ricci = ricci_and_scalar(diff, inst.g_inv)
     # alpha is closed, so both Ricci tensors are symmetric: any asymmetry here is their roundoff
-    w = weyl_tensor(diff, ricci.rho, ricci.tau, inst.g, eps=np.inf, out=diff)
-    return float(np.maximum.reduce([max_abs(w[..., b, :, :, :] @ inst.g_inv) for b in blocks(inst.dim)]))
+    return psi1_defect(diff, None, weyl_extension(ricci.rho, ricci.tau, inst.g), inst.g, eps=np.inf)
 
 
 def conformal_checks(base: InstanceAnalysis, rescaled: InstanceAnalysis) -> dict[str, float]:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .levicivita import psi1_defect
 from .liealg import LieFrameAlgebra
 from .pipeline import InstanceAnalysis
 from .structure import RpmInstance
@@ -267,7 +268,7 @@ def constant_curvature_flags(params: ExampleParams, a: InstanceAnalysis) -> Cons
 
     space_form = None
     if computed_const:
-        space_form = max_abs(a.R - (a.ricci.tau / 12.0) * a.inst.pi1)
+        space_form = psi1_defect(a.R, None, (-a.ricci.tau / 24.0) * a.inst.g, a.inst.g)
 
     return ConstantCurvatureFlags(
         const_invariant=alg_inv,

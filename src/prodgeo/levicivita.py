@@ -14,8 +14,8 @@ Conventions (fixed by the golden component tables of the builtin example):
   * sectional curvature k(u, v) = R(u, v, v, u) / (g(u,u)g(v,v) - g(u,v)^2).
 
 The kernels the conformal checks read (the Koszul terms of ``dg``, the Lee
-form, the class expression, the curvature, Ricci, psi1 and Weyl) take
-leading stack axes on their array arguments, one result per slice.
+form, the class expression, the curvature, Ricci, the Weyl 2-tensor and psi1)
+take leading stack axes on their array arguments, one result per slice.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegeneratePlane, NonSymmetricInputWarning
 from .structure import RpmInstance
-from .tensors import CO, DEFAULT_EPS, blocks, max_abs
+from .tensors import CO, DEFAULT_EPS, blocks, max_abs, nan_max
 
 
 @dataclass(frozen=True)
@@ -214,19 +214,25 @@ def psi1_blocks(g: np.ndarray, s, eps: float = DEFAULT_EPS):
         yield b, a - swapped
 
 
-def weyl_tensor(
-    r: np.ndarray, rho: np.ndarray, tau: float, g: np.ndarray, eps: float = DEFAULT_EPS, out=None
-) -> np.ndarray:
-    """Trace-free conformally invariant part of a curvature tensor, into ``out`` (may be ``r``) if given.
+def psi1_defect(r: np.ndarray, minus: np.ndarray | None, s, g: np.ndarray, eps: float = DEFAULT_EPS) -> float:
+    """max |r - minus + psi1(s)|, ``minus`` None for zero, by ``psi1_blocks`` blocks: no dim**4 difference is
+    held.  r - minus is formed before psi1(s) is added; the arrays may share leading stack axes."""
+    maxima = []
+    for b, residual in psi1_blocks(g, s, eps):
+        residual += r[..., b, :, :, :] if minus is None else r[..., b, :, :, :] - minus[..., b, :, :, :]
+        maxima.append(max_abs(residual))
+    return nan_max(maxima)
 
-    One extension, of rho - tau g / (2(2n - 1)): the metric's extension is
-    twice the space-form tensor, judged symmetric to ``eps`` (``psi1_blocks``).
-    Each of its blocks is subtracted as it is built: the result is the one dim**4 buffer.
-    """
+
+def weyl_extension(rho: np.ndarray, tau, g: np.ndarray) -> np.ndarray:
+    """The 2-tensor s with W = R + psi1(s), (tau g / (2(2n - 1)) - rho) / (2(n - 1)); one per slice of a stack."""
     n = len(g) // 2
-    w = np.empty(r.shape) if out is None else out
-    sigma = rho - np.multiply.outer(tau / (2 * (2 * n - 1)), g)
-    for b, correction in psi1_blocks(g, sigma, eps):
-        correction /= 2 * (n - 1)
-        np.subtract(r[..., b, :, :, :], correction, out=w[..., b, :, :, :])
+    return (np.multiply.outer(tau / (2 * (2 * n - 1)), g) - rho) / (2 * (n - 1))
+
+
+def weyl_tensor(r: np.ndarray, rho: np.ndarray, tau: float, g: np.ndarray) -> np.ndarray:
+    """Trace-free conformally invariant part of a curvature tensor, r + psi1(``weyl_extension``), block by block."""
+    w = np.empty(r.shape)
+    for b, extension in psi1_blocks(g, weyl_extension(rho, tau, g)):
+        np.add(r[..., b, :, :, :], extension, out=w[..., b, :, :, :])
     return w

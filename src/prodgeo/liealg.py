@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadDimension, DimensionMismatch, GeometryError, ShapeMismatch
-from .tensors import blocks, freeze, max_abs
+from .tensors import blocks, freeze, max_abs, nan_max
 
 DERIVED_PIVOT_TOL = 1e-9
 
@@ -59,8 +59,7 @@ class LieFrameAlgebra:
 
 def jacobi_defect(c: np.ndarray) -> float:
     """Largest component of the cyclic bracket sum of the structure constants ``c`` over all
-    basis triples, one first-slot block at a time (``tensors.blocks``): no dim**4 array.
-    ``np.maximum.reduce`` of the block maxima keeps a NaN, where ``max`` could drop it."""
+    basis triples, one first-slot block at a time (``tensors.blocks``): no dim**4 array."""
     d = c.shape[0]
     rows = c.reshape(d, d * d)
     maxima = []
@@ -69,7 +68,7 @@ def jacobi_defect(c: np.ndarray) -> float:
         cyc += (c.reshape(d * d, d) @ c[:, b].reshape(d, -1)).reshape(d, d, -1, d).transpose(2, 0, 1, 3)
         cyc += (c[:, b].reshape(-1, d) @ rows).reshape(d, -1, d, d).transpose(1, 2, 0, 3)
         maxima.append(np.abs(cyc, out=cyc).max())
-    return float(np.maximum.reduce(maxima))
+    return nan_max(maxima)
 
 
 def derived_bases(alg: LieFrameAlgebra) -> tuple[np.ndarray, np.ndarray]:

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import levicivita
-from .levicivita import LeeForm, cov_deriv_components, curvature_components, psi1_blocks
+from .levicivita import LeeForm, RicciScalar, cov_deriv_components, curvature_components, psi1_defect
 from .liealg import jacobi_defect
 from .structure import RpmInstance, structure_pullback
-from .tensors import CO, CONTRA, DEFAULT_EPS, blocks, max_abs
+from .tensors import CO, CONTRA, DEFAULT_EPS, blocks, max_abs, nan_max
 
 
 @dataclass(frozen=True)
@@ -89,15 +88,8 @@ def s_tensor(inst: RpmInstance, dtheta: np.ndarray, theta_norm_sq: float) -> STe
 def verify_curvature_relation(
     r: np.ndarray, r_prime: np.ndarray, s: STensor, g: np.ndarray
 ) -> float:
-    """Residual of the curvature relation between the two connections, in dimension 2n = len(g)."""
-    n = len(g) // 2
-    maxima = []
-    for b, residual in psi1_blocks(g, s.S):  # summed in place: no dim**4 difference
-        residual /= 2.0 * n
-        residual += r[b]
-        residual -= r_prime[b]
-        maxima.append(max_abs(residual))
-    return float(np.maximum.reduce(maxima))
+    """Residual of the curvature relation R - R' + psi1(S / 2n) between the two connections, 2n = len(g)."""
+    return psi1_defect(r, r_prime, s.S / len(g), g)
 
 
 def ricci_scalar_relation(
@@ -125,7 +117,7 @@ def bianchi_defect(components: np.ndarray) -> float:
         cyc = x[b] + y[b]
         cyc += z[b]  # in place, the absolute value too
         maxima.append(np.abs(cyc, out=cyc).max())
-    return float(np.maximum.reduce(maxima))
+    return nan_max(maxima)
 
 
 @dataclass(frozen=True)
@@ -205,8 +197,7 @@ def has_parallel_torsion(
     the Lee form, ``grad_theta`` and ``dtheta`` its derivatives along the
     Levi-Civita connection and along ``d``."""
     # one block of directions at a time, as flat_D_report takes the curvature derivative
-    dt = [max_abs(cov_deriv_components(d.gamma[b], t_sharp, (CO, CO, CONTRA))) for b in blocks(inst.dim)]
-    dt_defect = float(np.maximum.reduce(dt))
+    dt_defect = nan_max(max_abs(cov_deriv_components(d.gamma[b], t_sharp, (CO, CO, CONTRA))) for b in blocks(inst.dim))
     theta = lee.theta
     theta_p_omega = float(theta @ inst.p @ lee.omega)
     theta_p = theta @ inst.p
@@ -249,7 +240,7 @@ def flat_D_report(
     inst: RpmInstance,
     d: NaturalConnection,
     r: np.ndarray,
-    ricci: levicivita.RicciScalar,
+    ricci: RicciScalar,
     r_prime: np.ndarray,
     is_flat: bool,
     w: np.ndarray,
@@ -267,20 +258,20 @@ def flat_D_report(
 
     space_form = ricci_res = scalar_res = dr_defect = None
     tau_negative = None
+    space_form_extension = (theta_norm_sq / (8.0 * n * n)) * inst.g  # psi1 of it is R' - R when the torsion is parallel
     if is_flat and parallel.verdict:
-        space_form = max_abs(r + (theta_norm_sq / (4.0 * n * n)) * inst.pi1)
+        space_form = psi1_defect(r, None, space_form_extension, inst.g)
         ricci_res = max_abs(
             ricci.rho + (2.0 * n - 1.0) / (4.0 * n * n) * theta_norm_sq * inst.g
         )
         scalar_res = abs(tau + (2.0 * n - 1.0) / (2.0 * n) * theta_norm_sq)
         # one block of directions at a time: the full derivative would hold dim^5 numbers
-        dr = [max_abs(cov_deriv_components(d.gamma[b], r, (CO, CO, CO, CO))) for b in blocks(inst.dim, 5)]
-        dr_defect = float(np.maximum.reduce(dr))
+        dr_defect = nan_max(max_abs(cov_deriv_components(d.gamma[b], r, (CO, CO, CO, CO))) for b in blocks(inst.dim, 5))
         tau_negative = tau < 0.0 if theta_norm_sq > eps else None
 
     parallel_relation = None
     if parallel.verdict:
-        parallel_relation = max_abs(r - r_prime + (theta_norm_sq / (4.0 * n * n)) * inst.pi1)
+        parallel_relation = psi1_defect(r, r_prime, space_form_extension, inst.g)
 
     return FlatReport(
         is_flat=is_flat,

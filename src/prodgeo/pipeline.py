@@ -131,9 +131,9 @@ class InstanceAnalysis:
     @cached_property
     def weyl_invariance_residual(self) -> float:
         """Largest component of W - W', the Weyl tensor of R - R': the Weyl tensor is linear in the curvature."""
-        diff = self.R - self.Rprime
         rho, tau = self.ricci.rho - self.ricci_prime.rho, self.ricci.tau - self.ricci_prime.tau
-        return max_abs(levicivita.weyl_tensor(diff, rho, tau, self.inst.g, out=diff))
+        g = self.inst.g
+        return levicivita.psi1_defect(self.R, self.Rprime, levicivita.weyl_extension(rho, tau, g), g)
 
     @cached_property
     def p_criterion(self) -> PCurvatureCriterion:

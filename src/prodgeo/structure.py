@@ -16,7 +16,7 @@ import numpy as np
 from . import liealg
 from .errors import ShapeMismatch
 from .liealg import LieFrameAlgebra
-from .tensors import DEFAULT_EPS, freeze, invert_metric, max_abs, pi1_tensor
+from .tensors import DEFAULT_EPS, freeze, invert_metric, max_abs
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,13 +55,6 @@ class RpmInstance:
     @property
     def c(self) -> np.ndarray:
         return self.alg.c
-
-    @cached_property
-    def pi1(self) -> np.ndarray:
-        """The space-form tensor of g, built on first read and shared by every reader, read-only."""
-        pi1 = pi1_tensor(self.g)
-        pi1.setflags(write=False)
-        return pi1
 
     @cached_property
     def nijenhuis_defect(self) -> float:

@@ -43,6 +43,11 @@ def max_abs(arr) -> float:
     return 0.0 if a.size == 0 else max(float(a.max()), -float(a.min())) + 0.0
 
 
+def nan_max(values) -> float:
+    """The largest of ``values``, NaN if any is NaN: builtin ``max`` keeps or drops a NaN by its position."""
+    return float(np.maximum.reduce(list(values)))
+
+
 def invert_metric(matrix) -> np.ndarray:
     """Inverse of a symmetric positive-definite matrix of metric components, symmetry judged at
     ``DEFAULT_EPS``; SingularMetric if the inverse is not finite (1e-310 I passes Cholesky)."""
@@ -59,8 +64,3 @@ def invert_metric(matrix) -> np.ndarray:
     if not np.isfinite(inverse).all():
         raise SingularMetric("metric inverse has non-finite entries")
     return inverse
-
-
-def pi1_tensor(g: np.ndarray) -> np.ndarray:
-    """The curvature-type tensor of a unit-curvature space form for the metric matrix ``g``."""
-    return g[None, :, :, None] * g[:, None, None, :] - g[:, None, :, None] * g[None, :, None, :]

@@ -57,6 +57,12 @@ def abelian_structure_defect(inst: RpmInstance) -> float:
     return max_abs(structure_pullback(inst.p, inst.c) + inst.c)
 
 
+def pi1_tensor(g: np.ndarray) -> np.ndarray:
+    """The curvature-type tensor of a unit-curvature space form for the metric matrix ``g``, entry by entry:
+    pi1[x, y, z, w] = g(y, z) g(x, w) - g(x, z) g(y, w), which the package builds only as psi1(g) / 2."""
+    return g[None, :, :, None] * g[:, None, None, :] - g[:, None, :, None] * g[None, :, None, :]
+
+
 def transform_levi_civita(gamma: np.ndarray, alpha, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
     """Levi-Civita coefficients of the metric ``g`` (inverse ``g_inv``) rescaled by the closed form
     ``alpha``, at the base point."""

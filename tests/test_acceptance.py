@@ -40,6 +40,7 @@ from tests.conftest import curvature_flags, random_lambdas, table_deviation, tab
 from tests.reference import (
     abelian_structure_defect,
     connection_from_torsion,
+    pi1_tensor,
     torsion_of_D,
     transform_lee_dual,
 )
@@ -197,7 +198,7 @@ def test_c09_space_form_identity_at_unit_lambda():
     same_plane = (np.einsum("ik,jl->ijkl", basis, basis) + np.einsum("il,jk->ijkl", basis, basis)) > 0
     cross = np.where(same_plane, 0.0, tables.R)
     ok &= cross[0, 1, 0, 2] == 1.0 and max_abs(cross) == 1.0
-    pi1 = inst.pi1
+    pi1 = pi1_tensor(inst.g)
     ok &= max_abs(a.R - (tables.tau / 12.0) * pi1 - cross) <= EPS
 
     off_diagonal = tables.rho - np.diag(np.diag(tables.rho))

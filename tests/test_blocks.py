@@ -13,7 +13,7 @@ import pytest
 
 from prodgeo.conformal import conformal_checks, conformal_weyl_residual, deformed_geometry
 from prodgeo.errors import NonSymmetricInputWarning
-from prodgeo.levicivita import cov_deriv_components, curvature_components, weyl_tensor
+from prodgeo.levicivita import cov_deriv_components, curvature_components, psi1_defect, weyl_tensor
 from prodgeo.liealg import derived_bases, jacobi_defect
 from prodgeo.natural import (
     NaturalConnection,
@@ -96,7 +96,7 @@ def test_psi1_blocks_test_symmetry_once_per_extension():
 
 
 @pytest.mark.parametrize("dim", DIMS)
-def test_weyl_tensor_into_a_new_buffer_or_its_own(dim):
+def test_weyl_tensor(dim):
     rng, g = noise(dim)
     r, rho, tau, n = rng.normal(size=(dim,) * 4), symmetric(rng, dim), float(rng.normal()), dim // 2
     w = weyl_tensor(r, rho, tau, g)
@@ -106,9 +106,6 @@ def test_weyl_tensor_into_a_new_buffer_or_its_own(dim):
         weyl_terms(np.abs(r), np.abs(rho), abs(tau), np.abs(g), n),
         8,
     )
-    own = r.copy()
-    assert weyl_tensor(own, rho, tau, g, out=own) is own
-    assert np.array_equal(own, w)
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -163,9 +160,9 @@ def test_conformal_weyl_residual_is_that_of_the_two_weyl_tensors(dim):
     rescaled = analyze_instance(inst, alpha=np.random.default_rng(dim).normal(size=dim))
     weyl = conformal_weyl_residual(base, rescaled)
     with pytest.warns(NonSymmetricInputWarning):  # the rescaled Ricci tensor is not symmetric
-        ref = max(max_abs(slab @ inst.g_inv) for slab in rescaled.W - base.W)
+        ref = max_abs(rescaled.W - base.W)
     assert ref > 0.1
-    assert abs(weyl - ref) <= 64 * EPS * (max_abs(base.R) + max_abs(rescaled.R)) * max_abs(inst.g_inv)
+    assert abs(weyl - ref) <= 64 * EPS * (max_abs(base.R) + max_abs(rescaled.R))
 
 
 @pytest.mark.parametrize("k", [0, 6, 15], ids=["first", "middle", "last"])
@@ -192,6 +189,15 @@ class TestNanInABlock:
         r = rng.normal(size=(16,) * 4)
         r[k, 1, 2, 3] = np.nan
         assert np.isnan(verify_curvature_relation(r, r, STensor(S=symmetric(rng, 16), trace_S=0.0), g))
+
+    def test_psi1_defect(self, k):
+        rng, g = noise(16)
+        r, s = rng.normal(size=(16,) * 4), symmetric(rng, 16)
+        nan = r.copy()
+        nan[k, 1, 2, 3] = np.nan
+        assert np.isnan(psi1_defect(nan, None, s, g))
+        assert np.isnan(psi1_defect(nan, r, s, g))
+        assert np.isnan(psi1_defect(r, nan, s, g))
 
     def test_table_summary(self, k):
         arr = np.random.default_rng(2).normal(size=(16,) * 4)

@@ -18,6 +18,7 @@ from prodgeo.levicivita import (
     curvature_components,
     curvature_tensor,
     levi_civita_coeffs,
+    psi1_defect,
     ricci_and_scalar,
     sectional_curvature,
     structure_tensor_F,
@@ -36,7 +37,7 @@ from prodgeo.structure import RpmInstance, nijenhuis_tensor, structure_pullback
 from prodgeo.tensors import CO, CONTRA, freeze, max_abs
 from prodgeo.example import ExampleParams, build_example
 from tests.conftest import frame_changed_dim8, hyperbolic, moved_frame, psi1, random_instance
-from tests.reference import compose
+from tests.reference import compose, pi1_tensor
 
 EPS = np.finfo(float).eps
 VARIANCES = [v for rank in range(5) for v in itertools.product((CO, CONTRA), repeat=rank)]
@@ -272,7 +273,7 @@ def test_pi1_and_psi1(seed):
         psi1(g, s), psi1_terms(g, s), psi1_terms(*ab), 4
     )
     half = psi1_terms(g, g)[:2]
-    assert_within_roundoff(inst.pi1, half, psi1_terms(ab[0], ab[0])[:2], 2)
+    assert_within_roundoff(pi1_tensor(g), half, psi1_terms(ab[0], ab[0])[:2], 2)
 
 
 def weyl_terms(r, rho, tau, g, n):
@@ -409,6 +410,40 @@ def test_levi_civita_coeffs(name, rescaled):
         koszul_terms(*ab),
         2 * dim + 6,
     )
+
+
+@pytest.mark.parametrize("name", DIMS_4_16)
+@pytest.mark.parametrize("k", [None, 3], ids=["one", "stack"])
+@pytest.mark.parametrize("given_minus", [False, True], ids=["minus_none", "minus"])
+def test_psi1_defect_against_the_dense_residual(name, k, given_minus):
+    # s = h + t g with h symmetric, so the dense psi1(s) is the einsum psi1(h) plus 2 t pi1;
+    # a stack has one slice per form, as the verify-paper sweep passes them
+    inst = NON_IDENTITY_METRIC[name]
+    g, dim = inst.g, inst.dim
+    rng = np.random.default_rng(dim)
+    lead = () if k is None else (k,)
+    r = rng.normal(size=lead + (dim,) * 4)
+    minus = rng.normal(size=r.shape) if given_minus else np.zeros(r.shape)
+    h = rng.normal(size=lead + (dim, dim))
+    h, t = h + h.swapaxes(-1, -2), rng.normal(size=lead)
+    s = h + np.multiply.outer(t, g)
+    pi1, refs, scales = pi1_tensor(g), [], []
+    for i in np.ndindex(lead):
+        refs.append(max_abs(r[i] - minus[i] + sum(psi1_terms(g, h[i])) + 2 * t[i] * pi1))
+        abs_terms = [r[i], minus[i]] + psi1_terms(np.abs(g), np.abs(h[i]) + abs(t[i]) * np.abs(g))
+        scales.append(max_abs(sum(np.abs(x) for x in abs_terms)))
+    got = psi1_defect(r, minus if given_minus else None, s, g)
+    assert max(refs) > 1.0
+    assert abs(got - max(refs)) <= 8 * EPS * max(scales)
+
+
+def test_psi1_defect_differences_its_curvatures_before_adding_psi1():
+    # equal curvatures far larger than psi1(s) cancel exactly, so psi1(s) keeps every digit
+    g = NON_IDENTITY_METRIC["dim16"].g
+    rng = np.random.default_rng(5)
+    big, s = 1e20 * rng.normal(size=(16,) * 4), rng.normal(size=(16, 16))
+    s = s + s.T
+    assert psi1_defect(big, big, s, g) == max_abs(psi1(g, s)) > 1.0
 
 
 def structure_F_terms(gamma, p, g):

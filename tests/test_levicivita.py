@@ -17,9 +17,9 @@ from prodgeo.levicivita import (
 )
 from prodgeo.liealg import LieFrameAlgebra
 from prodgeo.structure import RpmInstance
-from prodgeo.tensors import CO, CONTRA, max_abs, pi1_tensor
+from prodgeo.tensors import CO, CONTRA, max_abs
 from tests.conftest import frame_changed_dim8, psi1, random_lambdas
-from tests.reference import abelian, compatibility_defect, torsion_defect
+from tests.reference import abelian, compatibility_defect, pi1_tensor, torsion_defect
 
 E = np.eye(4)
 
@@ -327,7 +327,7 @@ class TestCurvatureTypeOperators:
 
     def test_metric_extension_is_twice_space_form(self, inst_1234):
         psi_g = psi1(inst_1234.g, inst_1234.g)
-        assert max_abs(psi_g - 2.0 * inst_1234.pi1) <= 1e-12
+        assert max_abs(psi_g - 2.0 * pi1_tensor(inst_1234.g)) <= 1e-12
 
     def test_zero_input(self, inst_1234):
         assert max_abs(psi1(inst_1234.g, np.zeros((4, 4)))) == 0.0
@@ -357,7 +357,7 @@ class TestWeyl:
 
     def test_space_form_input(self, inst_1234):
         for c in (-2.0, 0.0, 3.5):
-            r = c * inst_1234.pi1
+            r = c * pi1_tensor(inst_1234.g)
             ricci = ricci_and_scalar(r, inst_1234.g_inv)
             w = weyl_tensor(r, ricci.rho, ricci.tau, inst_1234.g)
             assert max_abs(w) <= 1e-12

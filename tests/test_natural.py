@@ -35,6 +35,7 @@ from tests.reference import (
     canonical_params,
     compatibility_defect,
     connection_from_torsion,
+    pi1_tensor,
     potential_from_torsion,
     torsion_family,
     torsion_of_D,
@@ -323,7 +324,7 @@ class TestPTensorPredicate:
         # the invariance axiom transforms only the last two slots, and the
         # space-form tensor fails it: pairing slots across the two factors
         # flips against pairing them straight (defect 2 on unit diagonals)
-        report = is_riemannian_P_tensor(inst_1234.pi1, inst_1234.p)
+        report = is_riemannian_P_tensor(pi1_tensor(inst_1234.g), inst_1234.p)
         assert report.skew12 <= 1e-12 and report.skew34 <= 1e-12
         assert report.bianchi <= 1e-12
         assert report.p_invariance == pytest.approx(2.0)
@@ -502,7 +503,7 @@ class TestFlatReport:
         a = analyze_instance(inst_1234)
         theta_omega = a.lee.norm_sq
         n = inst_1234.n
-        r = -(theta_omega / (4 * n * n)) * inst_1234.pi1
+        r = -(theta_omega / (4 * n * n)) * pi1_tensor(inst_1234.g)
         zero = np.zeros((4,) * 4)
         degenerate_d = NaturalConnection(
             gamma=np.zeros((4, 4, 4)), Q=np.zeros((4, 4, 4)), T=np.zeros((4, 4, 4))

@@ -72,23 +72,26 @@ class TestNothingIsBuiltTwice:
     def test_construction_builds_nothing_and_each_object_is_built_once(self, monkeypatch, inst_1234):
         calls = record_calls(
             monkeypatch, "levicivita.levi_civita_coeffs", "levicivita.curvature_tensor",
-            "levicivita.weyl_tensor",
+            "levicivita.weyl_tensor", "levicivita.psi1_defect",
         )
         a = analyze_instance(inst_1234, EPS)
         assert all(not log for log in calls.values())
         first = a.W
+        # the Weyl-invariance residual is a psi1 defect of R - R', not a second Weyl tensor
         assert a.W is first and a.weyl_invariance_residual <= EPS
         assert {name: len(log) for name, log in calls.items()} == {
             "levicivita.levi_civita_coeffs": 1,
             "levicivita.curvature_tensor": 1,
-            "levicivita.weyl_tensor": 2,
+            "levicivita.weyl_tensor": 1,
+            "levicivita.psi1_defect": 1,
         }
 
     def test_conformal_builds_only_what_its_checks_read(self, monkeypatch, capsys, commands):
-        # both residuals come from curvature differences: one Weyl tensor, of
-        # the difference, and no curvature tensor of either metric on its own
+        # both residuals come from curvature differences: one psi1 defect, of the
+        # Weyl tensor of the difference, and no curvature or Weyl tensor of either metric
         calls = record_calls(
-            monkeypatch, "levicivita.weyl_tensor", "levicivita.curvature_tensor", "natural.flat_D_report",
+            monkeypatch, "levicivita.weyl_tensor", "levicivita.psi1_defect", "levicivita.curvature_tensor",
+            "natural.flat_D_report",
             "natural.curvature_Rprime", "levicivita.cov_deriv_components",
             "levicivita.levi_civita_coeffs", "conformal.deformed_geometry", "conformal.conformal_checks",
         )
@@ -96,7 +99,8 @@ class TestNothingIsBuiltTwice:
         assert '"pass": false' not in capsys.readouterr().out
         analyses = calls.pop("conformal.conformal_checks")[0][0]
         assert {name: len(log) for name, log in calls.items()} == {
-            "levicivita.weyl_tensor": 1,
+            "levicivita.weyl_tensor": 0,
+            "levicivita.psi1_defect": 1,
             "levicivita.curvature_tensor": 0,
             "natural.flat_D_report": 0,
             "natural.curvature_Rprime": 0,
@@ -110,7 +114,8 @@ class TestNothingIsBuiltTwice:
     def test_verify_paper_builds_one_base_and_five_rescaled_geometries(self, monkeypatch, capsys):
         calls = record_calls(
             monkeypatch, "levicivita.levi_civita_coeffs", "pipeline.analyze_instance",
-            "levicivita.weyl_tensor", "levicivita.curvature_components", "liealg.derived_bases",
+            "levicivita.weyl_tensor", "levicivita.psi1_defect", "levicivita.curvature_components",
+            "liealg.derived_bases",
         )
         assert main(["verify-paper", "--lambda=1,2,3,4", "--json"]) == 0
         capsys.readouterr()
@@ -119,9 +124,12 @@ class TestNothingIsBuiltTwice:
         # the base, and one Koszul build for the stack of the five sampled forms
         assert len(koszul) == 2 and [dg.shape for dg in koszul if dg is not None] == [(5, 4, 4, 4)]
         assert len(analyses) == 2 and [alpha.shape for alpha in analyses if alpha is not None] == [(5, 4)]
-        # W and W' of the base, and the Weyl tensor of the stacked curvature difference
-        weyl = sorted(args[0].shape for args, _ in calls["levicivita.weyl_tensor"])
-        assert weyl == [(4, 4, 4, 4)] * 2 + [(5, 4, 4, 4, 4)]
+        # W of the base, for its table; every residual is a psi1 defect: the curvature
+        # relation and the Weyl invariance of the base, and the Weyl tensor of the stacked
+        # curvature difference
+        assert [args[0].shape for args, _ in calls["levicivita.weyl_tensor"]] == [(4, 4, 4, 4)]
+        defects = sorted(args[0].shape for args, _ in calls["levicivita.psi1_defect"])
+        assert defects == [(4, 4, 4, 4)] * 2 + [(5, 4, 4, 4, 4)]
         # R and R' of the base, and for the stack the curvature difference
         # of the two Levi-Civita connections and that of D
         curvatures = sorted(args[0].shape for args, _ in calls["levicivita.curvature_components"])
@@ -172,25 +180,20 @@ class TestNothingIsBuiltTwice:
         assert len(calls["structure.nijenhuis_tensor"]) == 1
 
     @pytest.mark.parametrize(
-        "command, builds",
-        [("verify-paper", 0), ("analyze", 0), ("conformal", 0), ("verify-paper-1111", 1)],
+        "command, defects",
+        [("verify-paper", 3), ("analyze", 2), ("conformal", 1), ("verify-paper-1111", 4)],
     )
-    def test_space_form_tensor_only_where_read_and_four_input_copies_per_call(
-        self, monkeypatch, capsys, commands, command, builds
+    def test_one_psi1_defect_per_curvature_residual_and_four_input_copies_per_call(
+        self, monkeypatch, capsys, commands, command, defects
     ):
-        # the Weyl tensor extends one 2-tensor and reads no space-form tensor;
-        # constant_curvature_flags reads it when the six basis curvatures
-        # agree, as at lambda = (1, 1, 1, 1); the copies are c, g, its inverse and P
-        calls = record_calls(monkeypatch, "tensors.pi1_tensor", "tensors.freeze")
+        # the curvature relation and the Weyl invariance of the base, the conformal Weyl
+        # residual of the rescaled geometry, and the space-form residual where the six basis
+        # curvatures agree, as at lambda = (1, 1, 1, 1); the copies are c, g, its inverse and P
+        calls = record_calls(monkeypatch, "levicivita.psi1_defect", "tensors.freeze")
         assert main(commands[command]) == 0
         capsys.readouterr()
-        assert len(calls["tensors.pi1_tensor"]) == builds
+        assert len(calls["levicivita.psi1_defect"]) == defects
         assert len(calls["tensors.freeze"]) == 4
-
-    def test_space_form_tensor_is_cached_read_only_on_the_instance(self, inst_1234):
-        assert inst_1234.pi1 is inst_1234.pi1
-        with pytest.raises(ValueError):
-            inst_1234.pi1[0, 1, 1, 0] = 2.0
 
     def test_each_lee_form_derivative_is_taken_once_per_analysis(self, monkeypatch, hyperbolic_dim8):
         inst, _ = hyperbolic_dim8

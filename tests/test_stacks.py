@@ -25,8 +25,9 @@ from prodgeo.levicivita import (
     lee_form,
     levi_civita_coeffs,
     psi1_blocks,
+    psi1_defect,
     ricci_and_scalar,
-    weyl_tensor,
+    weyl_extension,
 )
 from prodgeo.natural import connection_D_from
 from prodgeo.pipeline import analyze_instance
@@ -130,8 +131,13 @@ class TestKernelsOnAStack:
         for b, block in psi1_blocks(g, sym):
             blocks[..., b, :, :, :] = block
         assert_slices(blocks, [psi1(g, x) for x in sym])
-        w = weyl_tensor(r, ricci.rho, ricci.tau, g, eps=np.inf)
-        assert_slices(w, [weyl_tensor(x, s.rho, s.tau, g, eps=np.inf) for x, s in zip(r, singles)])
+        extension = weyl_extension(ricci.rho, ricci.tau, g)
+        assert_slices(extension, [weyl_extension(s.rho, s.tau, g) for s in singles])
+        # a Weyl residual of a stack is the largest of its slices' defects
+        minus = stack(dim, 4, 8)
+        per_slice = [psi1_defect(x, m, e, g, eps=np.inf) for x, m, e in zip(r, minus, extension)]
+        got = psi1_defect(r, minus, extension, g, eps=np.inf)
+        assert abs(got - max(per_slice)) <= 64 * np.finfo(float).eps * max(per_slice)
 
 
 # lambda = 0 is the abelian algebra: every 1-form is closed, the forms span all of R^4

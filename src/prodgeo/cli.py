@@ -1,9 +1,12 @@
 """Command-line verification tool.
 
-Three subcommands: ``verify-paper`` runs the golden-table battery and the
-theorem suite on the builtin family, ``analyze`` runs the pipeline on an
-instance file, ``conformal`` checks the conformal-invariance statements
-for a given closed 1-form.  Reports are plain text or JSON (--json).
+Three subcommands: ``analyze`` runs the pipeline on an instance file and
+reports its structure checks and identity battery; ``verify-paper`` is that
+report of the builtin family's instance plus the family's own checks (the
+class hypotheses, the golden tables, a conformal sweep over sampled closed
+1-forms and the constant-curvature flags); ``conformal`` checks the
+conformal-invariance statements for a given closed 1-form.  Reports are
+plain text or JSON (--json).
 
 Exit codes: 0 all checks pass, 1 check failure, 2 parse/argument error,
 3 structural validation failure, 4 closedness violation.  A printed report
@@ -29,7 +32,7 @@ from .instancefile import InvalidInstance, ParseError, load_instance, parse_rati
 from .pipeline import InstanceAnalysis, analyze_instance
 from .report import EXIT_NOT_CLOSED, EXIT_PARSE_ERROR, EXIT_STRUCTURE_FAILURE, Report, table_summary
 from .structure import INSTANCE_BUILDABLE, structure_defects
-from .tensors import DEFAULT_EPS
+from .tensors import DEFAULT_EPS, max_abs
 
 
 def _at_least_zero(cast):
@@ -55,8 +58,8 @@ def _parse_tuple(text: str, length: int, what: str) -> tuple[float, ...]:
 
 def _flags_dict(a: InstanceAnalysis) -> dict:
     return {
-        "is_w0": a.flags.is_w0,
-        "is_w1": a.flags.is_w1,
+        "is_w0": max_abs(a.F) <= a.eps,
+        "is_w1": a.class_residual <= a.eps,
         "is_product": a.inst.nijenhuis_defect <= a.eps,
         "flat_natural_connection": a.is_flat,
         "torsion_parallel": a.parallel.verdict,
@@ -88,50 +91,42 @@ def _conformal_sweep(a: InstanceAnalysis, seed: int) -> dict[str, float]:
     return conformal_mod.conformal_checks(a, analyze_instance(a.inst, a.eps, alphas))
 
 
-def cmd_verify_paper(args) -> Report:
-    lam = _parse_tuple(args.lam, 4, "--lambda")
-    eps = args.epsilon
-    params = example.ExampleParams(lam)
-    inst = example.build_example(params)
-    rep = Report(
-        instance={"kind": "builtin", "name": "w1-example", "lambda": list(lam)},
-        epsilon=eps,
-    )
-
-    a = analyze_instance(inst, eps)
+def _analysis_report(a: InstanceAnalysis, instance: dict) -> Report:
+    """The report of ``a``: its structure checks and identity battery, flags, tables, and a
+    note when the instance is outside the class the identities are proved for."""
+    rep = Report(instance=instance, epsilon=a.eps)
     rep.add(a.structure.checks)
-    rep.add(
-        {"conformal_class_membership": a.flags.conformal_class_residual, "integrability": a.inst.nijenhuis_defect}
-    )
+    rep.add(a.theorem_checks)
+    rep.flags.update(_flags_dict(a))
+    rep.tables.update(_tables_dict(a))
+    if not rep.flags["is_w1"]:
+        rep.notes.append(
+            "instance is outside the conformally flat product class; "
+            "the natural-connection identities are not expected to hold"
+        )
+    return rep
+
+
+def cmd_verify_paper(args) -> Report:
+    """``analyze``'s report of the builtin instance, then the family's own checks: the class
+    hypotheses, the golden tables, the conformal sweep and the constant-curvature flags."""
+    lam = _parse_tuple(args.lam, 4, "--lambda")
+    params = example.ExampleParams(lam)
+    a = analyze_instance(example.build_example(params), args.epsilon)
+    rep = _analysis_report(a, {"kind": "builtin", "name": "w1-example", "lambda": list(lam)})
+    rep.add({"conformal_class_membership": a.class_residual, "integrability": a.inst.nijenhuis_defect})
     rep.add(example.verify_against_tables(params, a))
     if params.degenerate:
         rep.notes.append(
             "degenerate parameters: structure-parallel case, scalar curvature is 0, torsion vanishes"
         )
-    rep.add(a.theorem_checks)
     rep.add(_conformal_sweep(a, args.seed))
-
-    flags = example.constant_curvature_flags(params, a)
-    rep.add(
-        {
-            "constant_invariant_agreement": flags.invariant_agrees,
-            "constant_anti_invariant_agreement": flags.anti_invariant_agrees,
-            "constant_sectional_agreement": flags.sectional_agrees,
-        }
-    )
-
-    rep.flags.update(_flags_dict(a))
-    rep.flags.update(
-        {
-            "const_invariant": flags.const_invariant,
-            "const_anti_invariant": flags.const_anti_invariant,
-            "const_sectional": flags.const_sectional,
-        }
-    )
-    rep.tables.update(_tables_dict(a))
-    if flags.space_form_residual is not None:
-        rep.tables["space_form_residual"] = flags.space_form_residual
-        if flags.cross_terms:
+    checks, flags, space_form_residual = example.constant_curvature_flags(params, a)
+    rep.add(checks)
+    rep.flags.update(flags)
+    if space_form_residual is not None:
+        rep.tables["space_form_residual"] = space_form_residual
+        if space_form_residual > a.eps:
             rep.notes.append(
                 "constant basis sectional curvature holds; the curvature tensor still has "
                 "parameter cross terms, so it is not proportional to the space-form tensor"
@@ -153,20 +148,7 @@ def _unbuildable_report(args, exc: InvalidInstance) -> Report:
 
 def cmd_analyze(args) -> Report:
     loaded = load_instance(args.file)
-    inst = loaded.instance
-    eps = args.epsilon
-    rep = Report(instance=loaded.descriptor, epsilon=eps)
-    a = analyze_instance(inst, eps)
-    rep.add(a.structure.checks)
-    rep.add(a.theorem_checks)
-    rep.flags.update(_flags_dict(a))
-    rep.tables.update(_tables_dict(a))
-    if not a.flags.is_w1:
-        rep.notes.append(
-            "instance is outside the conformally flat product class; "
-            "the natural-connection identities are not expected to hold"
-        )
-    return rep
+    return _analysis_report(analyze_instance(loaded.instance, args.epsilon), loaded.descriptor)
 
 
 def cmd_conformal(args) -> Report:

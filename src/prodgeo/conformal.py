@@ -113,5 +113,5 @@ def conformal_checks(base: InstanceAnalysis, rescaled: InstanceAnalysis) -> dict
         "conformal_weyl_invariance": conformal_weyl_residual(base, rescaled),
         "conformal_lee_reconstruction": max_abs(theta_bar - rescaled.lee.theta),
         "conformal_connection_reconstruction": max_abs(gamma_bar - rescaled.D.gamma),
-        "conformal_class_closure": rescaled.flags.conformal_class_residual,
+        "conformal_class_closure": rescaled.class_residual,
     }

@@ -220,63 +220,36 @@ def verify_against_tables(params: ExampleParams, a: InstanceAnalysis) -> dict[st
     return checks
 
 
-@dataclass(frozen=True)
-class ConstantCurvatureFlags:
-    """Equal-basis-curvature verdicts, each computed two independent ways.
+# Each equal-basis-curvature flag: its closed-form condition on the squared parameters, and the
+# 0-based basis planes whose sectional curvatures it says are equal.
+_CONSTANT_CURVATURE = {
+    "invariant": (lambda sq, eps: abs(sq[0] - sq[1] + sq[2] - sq[3]) <= eps, ((0, 2), (1, 3))),
+    "anti_invariant": (
+        lambda sq, eps: abs(sq[0] - sq[2]) <= eps and abs(sq[1] - sq[3]) <= eps,
+        ((0, 1), (0, 3), (1, 2), (2, 3)),
+    ),
+    "sectional": (lambda sq, eps: max(sq) - min(sq) <= eps, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
+}
 
-    ``const_invariant`` says the two P-invariant basis planes (X1X3, X2X4)
-    have equal sectional curvature, ``const_anti_invariant`` the same for the
-    four anti-invariant basis planes, and ``const_sectional`` that all six
-    basis-plane sectional curvatures are equal.  None of them says the
-    sectional curvature is constant on every plane.  Each verdict comes from
-    the closed-form parameter conditions; the ``*_agrees`` fields record that
-    equality of the computed sectional curvatures gives the same answer.
-    ``space_form_residual`` is the pointwise test of R = (tau/12) pi1, the
-    largest component of the difference, reported only when the six basis
-    curvatures agree.  It is zero only at lambda = 0: the curvature keeps
-    cross terms such as R_1213 = lambda1*lambda4 where pi1 vanishes, and
-    ``cross_terms`` says the residual is above the tolerance.
+
+def constant_curvature_flags(params: ExampleParams, a: InstanceAnalysis) -> tuple[dict, dict, float | None]:
+    """``(checks, flags, space_form_residual)`` for ``params``, on the analysis ``a`` of its instance.
+
+    ``const_invariant`` says the two P-invariant basis planes (X1X3, X2X4) have equal
+    sectional curvature, ``const_anti_invariant`` the same for the four anti-invariant
+    basis planes, and ``const_sectional`` that all six are equal; none says the sectional
+    curvature is constant on every plane.  Each flag is the closed-form condition, and its
+    ``constant_*_agreement`` check says that the computed curvatures (a NaN equals none)
+    give the same answer.  Where all six computed curvatures agree, the residual is the
+    pointwise test of R = (tau/12) pi1, else None.  It is zero only at lambda = 0: the
+    curvature keeps cross terms such as R_1213 = lambda1*lambda4 where pi1 vanishes.
     """
-
-    const_invariant: bool
-    const_anti_invariant: bool
-    const_sectional: bool
-    invariant_agrees: bool
-    anti_invariant_agrees: bool
-    sectional_agrees: bool
-    space_form_residual: float | None
-    cross_terms: bool
-
-
-def constant_curvature_flags(params: ExampleParams, a: InstanceAnalysis) -> ConstantCurvatureFlags:
-    """Flags for ``params``, checked against the analysis ``a`` of its instance."""
-    eps = a.eps
-    l1, l2, l3, l4 = params.lam
-    sq = [l1 * l1, l2 * l2, l3 * l3, l4 * l4]
-
-    alg_inv = abs(sq[0] - sq[1] + sq[2] - sq[3]) <= eps
-    alg_anti = abs(sq[0] - sq[2]) <= eps and abs(sq[1] - sq[3]) <= eps
-    alg_const = max(sq) - min(sq) <= eps
-
-    k = a.sectional
-    inv_values = [k[0, 2], k[1, 3]]
-    anti_values = [k[0, 1], k[0, 3], k[1, 2], k[2, 3]]
-    computed_inv = abs(inv_values[0] - inv_values[1]) <= eps
-    computed_anti = max(anti_values) - min(anti_values) <= eps
-    all_values = inv_values + anti_values
-    computed_const = max(all_values) - min(all_values) <= eps
-
-    space_form = None
-    if computed_const:
-        space_form = psi1_defect(a.R, None, (-a.ricci.tau / 24.0) * a.inst.g, a.inst.g)
-
-    return ConstantCurvatureFlags(
-        const_invariant=alg_inv,
-        const_anti_invariant=alg_anti,
-        const_sectional=alg_const,
-        invariant_agrees=alg_inv == computed_inv,
-        anti_invariant_agrees=alg_anti == computed_anti,
-        sectional_agrees=alg_const == computed_const,
-        space_form_residual=space_form,
-        cross_terms=space_form is not None and space_form > eps,
-    )
+    sq = [v * v for v in params.lam]
+    checks, flags = {}, {}
+    for name, (condition, planes) in _CONSTANT_CURVATURE.items():
+        computed = np.ptp([a.sectional[plane] for plane in planes]) <= a.eps
+        flags[f"const_{name}"] = condition(sq, a.eps)
+        checks[f"constant_{name}_agreement"] = flags[f"const_{name}"] == computed
+    # computed is the last entry's: all six basis curvatures agree
+    residual = psi1_defect(a.R, None, (-a.ricci.tau / 24.0) * a.inst.g, a.inst.g) if computed else None
+    return checks, flags, residual

@@ -107,25 +107,6 @@ def conformal_class_rhs(inst: RpmInstance, theta: np.ndarray) -> np.ndarray:
     ) / (2.0 * inst.n)
 
 
-@dataclass(frozen=True)
-class ClassFlags:
-    """Membership predicates with the defect magnitude behind the conformal class."""
-
-    is_w0: bool
-    is_w1: bool
-    conformal_class_residual: float
-
-
-def class_flags(inst: RpmInstance, f: np.ndarray, theta, eps: float = DEFAULT_EPS) -> ClassFlags:
-    """Class membership from the structure tensor ``f`` and its Lee form ``theta``."""
-    w1_residual = max_abs(f - conformal_class_rhs(inst, theta))
-    return ClassFlags(
-        is_w0=max_abs(f) <= eps,
-        is_w1=w1_residual <= eps,
-        conformal_class_residual=w1_residual,
-    )
-
-
 def curvature_components(
     gamma: np.ndarray, c: np.ndarray, g: np.ndarray | None = None, minus: np.ndarray | None = None
 ) -> np.ndarray:

@@ -17,7 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from . import levicivita, natural
-from .levicivita import ClassFlags, LeeForm, RicciScalar
+from .errors import DegeneratePlane
+from .levicivita import LeeForm, RicciScalar
 from .natural import FlatReport, NaturalConnection, ParallelTorsionReport, PCurvatureCriterion, STensor
 from .structure import RpmInstance, StructureReport, validate_structure
 from .tensors import CO, DEFAULT_EPS, max_abs
@@ -49,8 +50,9 @@ class InstanceAnalysis:
         return levicivita.lee_form(self.inst, self.F)
 
     @cached_property
-    def flags(self) -> ClassFlags:
-        return levicivita.class_flags(self.inst, self.F, self.lee.theta, self.eps)
+    def class_residual(self) -> float:
+        """max |F - conformal_class_rhs|, zero on the conformally flat class; the largest over a stack."""
+        return max_abs(self.F - levicivita.conformal_class_rhs(self.inst, self.lee.theta))
 
     @cached_property
     def R(self) -> np.ndarray:
@@ -62,10 +64,18 @@ class InstanceAnalysis:
 
     @cached_property
     def sectional(self) -> dict[tuple[int, int], float]:
-        """Sectional curvatures of the basis planes, keyed by 0-based (i, j), i < j."""
+        """Sectional curvatures of the basis planes, keyed by 0-based (i, j), i < j; NaN for a plane
+        the metric makes degenerate, so the report nulls it and fails, and the other planes stay."""
         basis = np.eye(self.inst.dim)
+
+        def curvature(i, j):
+            try:
+                return levicivita.sectional_curvature(self.R, self.inst.g, basis[i], basis[j])
+            except DegeneratePlane:
+                return np.nan
+
         return {
-            (i, j): levicivita.sectional_curvature(self.R, self.inst.g, basis[i], basis[j])
+            (i, j): curvature(i, j)
             for i in range(self.inst.dim)
             for j in range(i + 1, self.inst.dim)
         }

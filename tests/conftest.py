@@ -35,7 +35,7 @@ def table_deviation(checks: dict) -> float:
 
 
 def curvature_flags(params: ExampleParams, eps: float = 1e-9):
-    """``constant_curvature_flags`` on a fresh analysis of the builtin instance."""
+    """``constant_curvature_flags`` on a fresh analysis of the builtin instance: (checks, flags, residual)."""
     return constant_curvature_flags(params, analyze_instance(build_example(params), eps))
 
 

@@ -162,14 +162,14 @@ def test_c09_constant_curvature_flag_agreement():
     ok = True
     targeted = [(1.0, 2.0, 2.0, 1.0), (1.0, 2.0, 1.0, 2.0), (1.0, -1.0, 1.0, 1.0)]
     for lam in targeted + random_lambdas(380, 200):
-        flags = curvature_flags(ExampleParams(lam), EPS)
-        ok &= flags.invariant_agrees and flags.anti_invariant_agrees and flags.sectional_agrees
-    flags = curvature_flags(ExampleParams(targeted[0]), EPS)
-    ok &= flags.const_invariant and not flags.const_sectional
-    flags = curvature_flags(ExampleParams(targeted[1]), EPS)
-    ok &= flags.const_anti_invariant and not flags.const_invariant
-    flags = curvature_flags(ExampleParams(targeted[2]), EPS)
-    ok &= flags.const_sectional
+        checks, _, _ = curvature_flags(ExampleParams(lam), EPS)
+        ok &= all(checks.values())
+    flags = curvature_flags(ExampleParams(targeted[0]), EPS)[1]
+    ok &= flags["const_invariant"] and not flags["const_sectional"]
+    flags = curvature_flags(ExampleParams(targeted[1]), EPS)[1]
+    ok &= flags["const_anti_invariant"] and not flags["const_invariant"]
+    flags = curvature_flags(ExampleParams(targeted[2]), EPS)[1]
+    ok &= flags["const_sectional"]
     conclude("9a constant-curvature flags agree both ways (200 random + targeted)", ok)
 
 
@@ -307,7 +307,7 @@ def test_c10_structural_property_suite():
         ok &= jacobi_defect(inst.alg.c) <= EPS
         ok &= max_abs(nijenhuis_tensor(inst)) <= EPS
         ok &= abelian_structure_defect(inst) <= EPS
-        ok &= a.flags.conformal_class_residual <= EPS
+        ok &= a.class_residual <= EPS
         ok &= a.naturality["natural_connection_preserves_metric"] <= EPS
         ok &= a.naturality["natural_connection_preserves_structure"] <= EPS
         ids = a.torsion_identities

@@ -230,7 +230,7 @@ def test_conformal_checks_hold_one_rank4_buffer_at_a_time():
     inst = hyperbolic(dim)
     base, rescaled = analyze_instance(inst), deformed_geometry(inst, 0.7 * derived_bases(inst.alg)[1][0])
     for a in (base, rescaled):  # the rank-3 objects conformal_checks reads
-        a.D, a.flags
+        a.D, a.class_residual
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]

@@ -6,8 +6,10 @@ import pytest
 
 import prodgeo
 from prodgeo.cli import main
+from prodgeo.errors import DegeneratePlane
 from prodgeo.example import ExampleParams, build_example
 from prodgeo.instancefile import load_instance
+from prodgeo.levicivita import sectional_curvature
 from prodgeo.liealg import derived_bases
 from prodgeo.pipeline import analyze_instance
 from prodgeo.report import Report, _jsonable, report_from_dict, table_summary
@@ -113,6 +115,15 @@ class TestVerifyPaper:
         by_name1 = {c["name"]: c["defect"] for c in data1["checks"]}
         by_name2 = {c["name"]: c["defect"] for c in data2["checks"]}
         assert by_name1.keys() == by_name2.keys()
+
+    @pytest.mark.parametrize("lam", [(1, 2, 3, 4), (-0.5, 3, 0.25, -7), (0, 0, 0, 0), (1000, 2000, 3000, 4000)])
+    def test_begins_with_the_analyze_report_of_the_builtin_file(self, capsys, tmp_path, lam):
+        # one battery: verify-paper is analyze's report of the builtin instance plus the family's own checks
+        analyzed = run_json(capsys, ["analyze", "--file", builtin_file(tmp_path, list(lam)), "--json"])[1]
+        verified = run_json(capsys, ["verify-paper", f"--lambda={','.join(map(repr, lam))}", "--json"])[1]
+        assert verified["checks"][: len(analyzed["checks"])] == analyzed["checks"]
+        assert {k: verified["flags"][k] for k in analyzed["flags"]} == analyzed["flags"]
+        assert {k: verified["tables"][k] for k in analyzed["tables"]} == analyzed["tables"]
 
 
 class TestAnalyze:
@@ -375,15 +386,17 @@ TABLE_CHECKS = [f"table_{t}" for t in ("nabla", "R", "rho", "tau", "theta", "k_i
 
 
 def verify_paper_checks(signs: bool) -> list[str]:
+    """``analyze``'s checks of the builtin instance, then the class hypotheses, the golden tables,
+    the conformal sweep and the constant-curvature agreements."""
     return [
         *STRUCTURE_CHECKS,
+        *ANALYSIS_CHECKS,
         "conformal_class_membership",
         "integrability",
         *TABLE_CHECKS,
         *(["scalar_curvature_negative", "torsion_not_parallel"] if signs else []),
         "weyl_zero",
         "natural_curvature_zero",
-        *ANALYSIS_CHECKS,
         *CONFORMAL_CHECKS,
         "constant_invariant_agreement",
         "constant_anti_invariant_agreement",
@@ -445,6 +458,24 @@ class TestCheckOrder:
                    "metric": np.diag([1.0, 1.0, 1.0, 1e-10]).tolist(), "P": np.diag([1.0, 1.0, -1.0, -1.0]).tolist()}
         path = write_json(tmp_path / "short.json", payload)
         assert self.names(capsys, ["analyze", "--file", path]) == (1, STRUCTURE_CHECKS + ANALYSIS_CHECKS)
+
+    def test_badly_conditioned_basis_plane_is_a_null_table_entry(self, capsys, tmp_path):
+        # g_12 = 1 - 1e-11 is positive definite (condition number about 2e11), but X_1 and X_2 span a
+        # degenerate plane: its sectional curvature is null and fails non_finite, and the report is written
+        metric = np.eye(4)
+        metric[0, 1] = metric[1, 0] = 1 - 1e-11
+        payload = {"dim": 4, "brackets": [{"i": 1, "j": 3, "coeffs": [0, 0, 0, 1]}], "metric": metric.tolist(),
+                   "P": np.diag([1.0, 1.0, -1.0, -1.0]).tolist()}
+        path = write_json(tmp_path / "near_degenerate.json", payload)
+        code, data = run_json(capsys, ["analyze", "--file", path, "--json"])
+        assert data["exit_status"] == report_from_dict(data).exit_status == code == 1
+        assert [c["name"] for c in data["checks"]] == STRUCTURE_CHECKS + ANALYSIS_CHECKS + ["non_finite"]
+        assert data["checks"][-1]["defect"] == 1 and not data["checks"][-1]["pass"]
+        sectional = data["tables"]["sectional"]
+        assert sectional["k_12"] is None and None not in [v for k, v in sectional.items() if k != "k_12"]
+        inst = load_instance(path).instance  # the kernel still refuses the plane
+        with pytest.raises(DegeneratePlane):
+            sectional_curvature(analyze_instance(inst).R, inst.g, *np.eye(4)[:2])
 
     def test_slightly_asymmetric_metric_is_an_invalid_instance_at_a_loose_tolerance(self, capsys, tmp_path):
         # metric_symmetry passes at 1e-3, but the metric is inverted only when symmetric to 1e-9

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prodgeo import errors
+from prodgeo import cli, errors
 from prodgeo.conformal import (
     closedness_defect,
     conformal_checks,
@@ -278,7 +278,8 @@ class TestNontrivialCurvedDeformation:
 
     def test_base_point_is_structure_parallel_with_curvature(self):
         a = analyze_instance(self.heisenberg_product())
-        assert a.flags.is_w0 and a.flags.is_w1 and a.inst.nijenhuis_defect <= 1e-9
+        flags = cli._flags_dict(a)
+        assert flags["is_w0"] and flags["is_w1"] and a.inst.nijenhuis_defect <= 1e-9
         assert max_abs(a.R) == pytest.approx(0.75)
         assert max_abs(a.W) > 0.5  # not conformally flat
         assert a.ricci.tau == pytest.approx(-1.0)
@@ -307,7 +308,7 @@ class TestNontrivialCurvedDeformation:
             assert rel["ricci_relation"] <= 1e-9 and rel["scalar_relation"] <= 1e-9
             difference, bound = weyl_difference(geo)
             assert difference <= 1e-9 and abs(geo.weyl_invariance_residual - difference) <= bound
-            assert geo.flags.conformal_class_residual <= 1e-9
+            assert geo.class_residual <= 1e-9
             crit = p_curvature_criterion(inst, geo.grad_theta, geo.dtheta, geo.Rprime)
             assert crit.equivalence_holds and crit.closedness_agrees
 
@@ -330,13 +331,13 @@ class TestClassClosure:
             inst = build_example(ExampleParams(lam))
             alpha = random_closed_form(inst.alg, rng)
             geo = deformed_geometry(inst, alpha)
-            assert geo.flags.conformal_class_residual <= 1e-9
+            assert geo.class_residual <= 1e-9
 
     def test_degenerate_instance_leaves_parallel_subclass(self, inst_zero):
         # rescaling the structure-parallel case produces a nonzero Lee form:
         # membership in the conformal class is kept, parallelism is not
         alpha = np.array([1.0, -0.5, 2.0, 0.25])  # everything is closed here
         geo = deformed_geometry(inst_zero, alpha)
-        assert geo.flags.conformal_class_residual <= 1e-12
+        assert geo.class_residual <= 1e-12
         assert max_abs(geo.lee.theta) > 1.0
         assert max_abs(geo.F) > 0.1

@@ -28,12 +28,12 @@ class TestBuildExample:
     def test_generic_point_is_valid(self, inst_1234):
         assert validate_structure(inst_1234).ok
         assert abelian_structure_defect(inst_1234) <= 1e-9
-        flags = analyze_instance(inst_1234).flags
-        assert flags.is_w1 and inst_1234.nijenhuis_defect <= 1e-9 and not flags.is_w0
+        flags = cli._flags_dict(analyze_instance(inst_1234))
+        assert flags["is_w1"] and inst_1234.nijenhuis_defect <= 1e-9 and not flags["is_w0"]
 
     def test_degenerate_point_flags(self, inst_zero):
-        flags = analyze_instance(inst_zero).flags
-        assert flags.is_w0 and flags.is_w1 and inst_zero.nijenhuis_defect <= 1e-9
+        flags = cli._flags_dict(analyze_instance(inst_zero))
+        assert flags["is_w0"] and flags["is_w1"] and inst_zero.nijenhuis_defect <= 1e-9
 
     def test_cross_bracket(self, inst_1000):
         assert np.allclose(bracket(inst_1000.alg, E[0], E[2]), [0, 0, 0, -1])
@@ -93,14 +93,14 @@ class TestVerifyAgainstTables:
 
 class TestConstantCurvatureFlags:
     def test_invariant_only_case(self):
-        flags = curvature_flags(ExampleParams((1, 2, 2, 1)))
-        assert flags.const_invariant and not flags.const_sectional
-        assert flags.invariant_agrees and flags.sectional_agrees
+        checks, flags, _ = curvature_flags(ExampleParams((1, 2, 2, 1)))
+        assert flags["const_invariant"] and not flags["const_sectional"]
+        assert checks["constant_invariant_agreement"] and checks["constant_sectional_agreement"]
 
     def test_anti_invariant_only_case(self):
-        flags = curvature_flags(ExampleParams((1, 2, 1, 2)))
-        assert flags.const_anti_invariant and not flags.const_invariant
-        assert flags.anti_invariant_agrees and flags.invariant_agrees
+        checks, flags, _ = curvature_flags(ExampleParams((1, 2, 1, 2)))
+        assert flags["const_anti_invariant"] and not flags["const_invariant"]
+        assert checks["constant_anti_invariant_agreement"] and checks["constant_invariant_agreement"]
 
     def test_constant_case_with_mixed_signs(self):
         from prodgeo.levicivita import (
@@ -110,8 +110,8 @@ class TestConstantCurvatureFlags:
         )
 
         params = ExampleParams((1, -1, 1, 1))
-        flags = curvature_flags(params)
-        assert flags.const_sectional and flags.sectional_agrees
+        checks, flags, _ = curvature_flags(params)
+        assert flags["const_sectional"] and checks["constant_sectional_agreement"]
         inst = build_example(params)
         r = curvature_tensor(levi_civita_coeffs(inst), inst.c, inst.g)
         for i in range(4):
@@ -120,19 +120,23 @@ class TestConstantCurvatureFlags:
 
     def test_agreement_over_random_parameters(self):
         for lam in random_lambdas(251, 200):
-            flags = curvature_flags(ExampleParams(lam))
-            assert flags.invariant_agrees
-            assert flags.anti_invariant_agrees
-            assert flags.sectional_agrees
+            checks, _, _ = curvature_flags(ExampleParams(lam))
+            assert checks["constant_invariant_agreement"]
+            assert checks["constant_anti_invariant_agreement"]
+            assert checks["constant_sectional_agreement"]
 
     def test_space_form_residual_reported(self):
         # the equal-squares locus pins every basis-plane curvature, yet the
         # curvature tensor keeps its parameter cross terms: the space-form
         # comparison is reported, not asserted
-        flags = curvature_flags(ExampleParams((1, 1, 1, 1)))
-        assert flags.const_sectional
-        assert flags.space_form_residual == pytest.approx(1.0)
-        assert flags.cross_terms
-        zero = curvature_flags(ExampleParams((0, 0, 0, 0)))
-        assert zero.space_form_residual == 0.0 and not zero.cross_terms
-        assert not curvature_flags(ExampleParams((1, 2, 3, 4))).cross_terms
+        _, flags, residual = curvature_flags(ExampleParams((1, 1, 1, 1)))
+        assert flags["const_sectional"]
+        assert residual == pytest.approx(1.0)
+        assert curvature_flags(ExampleParams((0, 0, 0, 0)))[2] == 0.0
+        assert curvature_flags(ExampleParams((1, 2, 3, 4)))[2] is None  # the basis curvatures differ
+
+    @pytest.mark.parametrize("lam, cross_terms", [((1, 1, 1, 1), True), ((0, 0, 0, 0), False)])
+    def test_cross_terms_note_is_the_residual_above_the_tolerance(self, capsys, lam, cross_terms):
+        code, data = verify_paper(capsys, lam)
+        assert code == 0 and "space_form_residual" in data["tables"]
+        assert any("parameter cross terms" in note for note in data["notes"]) is cross_terms

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from prodgeo import errors
+from prodgeo import cli, errors
 from prodgeo.example import ExampleParams, build_example
 from prodgeo.levicivita import (
-    class_flags,
     conformal_class_rhs,
     cov_deriv_components,
     curvature_tensor,
@@ -16,6 +15,7 @@ from prodgeo.levicivita import (
     weyl_tensor,
 )
 from prodgeo.liealg import LieFrameAlgebra
+from prodgeo.pipeline import analyze_instance
 from prodgeo.structure import RpmInstance
 from prodgeo.tensors import CO, CONTRA, max_abs
 from tests.conftest import frame_changed_dim8, psi1, random_lambdas
@@ -25,8 +25,7 @@ E = np.eye(4)
 
 
 def flags_of(inst):
-    f = structure_tensor_F(inst, levi_civita_coeffs(inst))
-    return class_flags(inst, f, lee_form(inst, f).theta)
+    return cli._flags_dict(analyze_instance(inst))
 
 
 def abelian_orthonormal():
@@ -188,25 +187,24 @@ class TestLeeForm:
 class TestClassFlags:
     def test_generic_family_point(self, inst_1234):
         flags = flags_of(inst_1234)
-        assert (flags.is_w0, flags.is_w1, inst_1234.nijenhuis_defect <= 1e-9) == (False, True, True)
+        assert (flags["is_w0"], flags["is_w1"], inst_1234.nijenhuis_defect <= 1e-9) == (False, True, True)
 
     def test_degenerate_point(self, inst_zero):
         flags = flags_of(inst_zero)
-        assert (flags.is_w0, flags.is_w1, inst_zero.nijenhuis_defect <= 1e-9) == (True, True, True)
+        assert (flags["is_w0"], flags["is_w1"], inst_zero.nijenhuis_defect <= 1e-9) == (True, True, True)
 
     def test_overridden_bracket_leaves_class(self, inst_1000):
         c = np.array(inst_1000.c)
         c[1, 2] = E[0]
         c[2, 1] = -E[0]
         inst = RpmInstance(LieFrameAlgebra(4, c), inst_1000.g, inst_1000.p)
-        flags = flags_of(inst)
-        assert not flags.is_w1
+        assert not flags_of(inst)["is_w1"]
         # frozen regression value for the characteristic-condition residual
-        assert flags.conformal_class_residual == pytest.approx(1.0)
+        assert analyze_instance(inst).class_residual == pytest.approx(1.0)
 
     def test_vanishing_structure_tensor_implies_class_membership(self, inst_zero):
         flags = flags_of(inst_zero)
-        assert flags.is_w0 and flags.is_w1
+        assert flags["is_w0"] and flags["is_w1"]
 
 
 class TestCurvature:

@@ -173,7 +173,7 @@ class TestNothingIsBuiltTwice:
 
     def test_integrability_is_cached_on_the_instance(self, monkeypatch, inst_1234):
         calls = record_calls(monkeypatch, "structure.nijenhuis_tensor")
-        analyze_instance(inst_1234, EPS).flags  # the class flags do not read it
+        analyze_instance(inst_1234, EPS).class_residual  # the class residual does not read it
         assert not calls["structure.nijenhuis_tensor"]
         for _ in range(2):  # two analyses of one instance, read as a report reads them
             assert cli._flags_dict(analyze_instance(inst_1234, EPS))["is_product"]

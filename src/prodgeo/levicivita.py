@@ -11,7 +11,7 @@ Conventions (fixed by the golden component tables of the builtin example):
   * curvature R(x, y)z = del_x del_y z - del_y del_x z - del_[x,y] z,
     lowered in the last slot, stored as R[i, j, k, l];
   * Ricci contracts the first and last slots of the lowered curvature;
-  * sectional curvature k(u, v) = R(u, v, v, u) / (g(u,u)g(v,v) - g(u,v)^2).
+  * sectional curvature k(u, v) = R(u, v, v, u) / (g(u,u)g(v,v) - g(u,v)^2), taken on basis planes.
 
 The kernels the conformal checks read (the Koszul terms of ``dg``, the Lee
 form, the class expression, the curvature, Ricci, the Weyl 2-tensor and psi1)
@@ -157,17 +157,14 @@ def ricci_and_scalar(r: np.ndarray, g_inv: np.ndarray) -> RicciScalar:
     return RicciScalar(rho=rho, tau=float(tau) if tau.ndim == 0 else tau)
 
 
-def sectional_curvature(r: np.ndarray, g: np.ndarray, u, v) -> float:
-    """R(u, v, v, u) over the squared area, degenerate at ``DEFAULT_EPS`` times its Cauchy-Schwarz bound
-    g(u, u) g(v, v) (a NaN passes): one matrix-vector product reads R, then dim**3 and dim**2 vectors."""
-    uv = np.array((u, v), dtype=float)
-    (guu, guv), (_, gvv) = uv @ g @ uv.T
-    area_sq = guu * gvv - guv**2
-    if area_sq <= DEFAULT_EPS * guu * gvv:
+def sectional_curvature(r: np.ndarray, g: np.ndarray, i: int, j: int) -> float:
+    """k(X_i, X_j) = R_ijji over the squared area, degenerate at ``DEFAULT_EPS`` times its Cauchy-Schwarz bound
+    g_ii g_jj (a NaN passes): on a basis plane every sum of k(u, v) has one non-zero term, so four entries."""
+    gii, gij, gjj = g[i, i], g[i, j], g[j, j]
+    area_sq = gii * gjj - gij**2
+    if area_sq <= DEFAULT_EPS * gii * gjj:
         raise DegeneratePlane("the two directions span a degenerate 2-plane")
-    u, v = uv
-    r_uv = v @ (u @ r.reshape(len(u), -1)).reshape(len(u), -1)  # R(u, v, ., .) from R(u, ., ., .), both flat
-    return float(v @ r_uv.reshape(len(u), -1) @ u) / float(area_sq)
+    return float(r[i, j, j, i]) / float(area_sq)
 
 
 def psi1_blocks(g: np.ndarray, s, eps: float = DEFAULT_EPS):

@@ -66,11 +66,10 @@ class InstanceAnalysis:
     def sectional(self) -> dict[tuple[int, int], float]:
         """Sectional curvatures of the basis planes, keyed by 0-based (i, j), i < j; NaN for a plane
         the metric makes degenerate, so the report nulls it and fails, and the other planes stay."""
-        basis = np.eye(self.inst.dim)
 
         def curvature(i, j):
             try:
-                return levicivita.sectional_curvature(self.R, self.inst.g, basis[i], basis[j])
+                return levicivita.sectional_curvature(self.R, self.inst.g, i, j)
             except DegeneratePlane:
                 return np.nan
 

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from prodgeo.errors import DimensionMismatch
+from prodgeo.errors import DegeneratePlane, DimensionMismatch
 from prodgeo.levicivita import levi_civita_coeffs
 from prodgeo.liealg import LieFrameAlgebra
 from prodgeo.natural import NaturalConnection
 from prodgeo.structure import RpmInstance, structure_pullback
-from prodgeo.tensors import max_abs
+from prodgeo.tensors import DEFAULT_EPS, max_abs
 
 
 def abelian(dim: int) -> LieFrameAlgebra:
@@ -61,6 +61,20 @@ def pi1_tensor(g: np.ndarray) -> np.ndarray:
     """The curvature-type tensor of a unit-curvature space form for the metric matrix ``g``, entry by entry:
     pi1[x, y, z, w] = g(y, z) g(x, w) - g(x, z) g(y, w), which the package builds only as psi1(g) / 2."""
     return g[None, :, :, None] * g[:, None, None, :] - g[:, None, :, None] * g[None, :, None, :]
+
+
+def plane_curvature(r: np.ndarray, g: np.ndarray, u, v) -> float:
+    """k(u, v) = R(u, v, v, u) over the squared area of any plane, which the package takes only on basis
+    planes: degenerate at ``DEFAULT_EPS`` times the Cauchy-Schwarz bound g(u, u) g(v, v) (a NaN passes).
+    One matrix-vector product reads R, then dim**3 and dim**2 vectors."""
+    uv = np.array((u, v), dtype=float)
+    (guu, guv), (_, gvv) = uv @ g @ uv.T
+    area_sq = guu * gvv - guv**2
+    if area_sq <= DEFAULT_EPS * guu * gvv:
+        raise DegeneratePlane("the two directions span a degenerate 2-plane")
+    u, v = uv
+    r_uv = v @ (u @ r.reshape(len(u), -1)).reshape(len(u), -1)  # R(u, v, ., .) from R(u, ., ., .), both flat
+    return float(v @ r_uv.reshape(len(u), -1) @ u) / float(area_sq)
 
 
 def transform_levi_civita(gamma: np.ndarray, alpha, g: np.ndarray, g_inv: np.ndarray) -> np.ndarray:

@@ -190,7 +190,7 @@ def test_c09_space_form_identity_at_unit_lambda():
     ok &= sorted(golden_k) == [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
     for (i, j), expected in golden_k.items():
         ok &= expected == tables.tau / 12.0
-        k = levicivita.sectional_curvature(a.R, inst.g, basis[i - 1], basis[j - 1])
+        k = levicivita.sectional_curvature(a.R, inst.g, i - 1, j - 1)
         ok &= k == pytest.approx(expected, abs=EPS)
 
     # entries of the golden table on the planes {i, j} = {k, l} are the ones

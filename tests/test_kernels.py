@@ -37,7 +37,7 @@ from prodgeo.structure import RpmInstance, nijenhuis_tensor, structure_pullback
 from prodgeo.tensors import CO, CONTRA, freeze, max_abs
 from prodgeo.example import ExampleParams, build_example
 from tests.conftest import frame_changed_dim8, hyperbolic, moved_frame, psi1, random_instance
-from tests.reference import compose, pi1_tensor
+from tests.reference import compose, pi1_tensor, plane_curvature
 
 EPS = np.finfo(float).eps
 VARIANCES = [v for rank in range(5) for v in itertools.product((CO, CONTRA), repeat=rank)]
@@ -532,38 +532,82 @@ def noisy_curvature(inst):
 
 
 @pytest.mark.parametrize("name", list(NON_IDENTITY_METRIC))
-def test_sectional_curvature_against_einsum(name):
+def test_plane_curvature_against_einsum(name):
     inst = NON_IDENTITY_METRIC[name]
     r, g = noisy_curvature(inst), inst.g
     rng = np.random.default_rng(12)
     for _ in range(20):
         u, v = rng.normal(size=(2, inst.dim))
         expected, bound = sectional_plane(r, g, u, v)
-        assert abs(sectional_curvature(r, inst.g, u, v) - expected) <= bound
-        assert abs(sectional_curvature(r, inst.g, list(u), tuple(v)) - expected) <= bound
+        assert abs(plane_curvature(r, inst.g, u, v) - expected) <= bound
+        assert abs(plane_curvature(r, inst.g, list(u), tuple(v)) - expected) <= bound
 
 
 @pytest.mark.parametrize("name", list(NON_IDENTITY_METRIC))
 def test_sectional_curvature_on_basis_planes_is_exact(name):
-    # a unit vector picks entries out of R and g: no sum has two non-zero terms
+    # a unit vector picks entries out of R and g: no sum of k(u, v) has two non-zero terms
     inst = NON_IDENTITY_METRIC[name]
     r, g, basis = noisy_curvature(inst), inst.g, np.eye(inst.dim)
     for i, j in itertools.combinations(range(inst.dim), 2):
         expected = r[i, j, j, i] / (g[i, i] * g[j, j] - g[i, j] ** 2)
-        assert sectional_curvature(r, inst.g, basis[i], basis[j]) == expected
-        assert sectional_curvature(r, inst.g, basis[j], basis[i]) == r[j, i, i, j] / (
-            g[j, j] * g[i, i] - g[j, i] ** 2
-        )
+        assert sectional_curvature(r, g, i, j) == plane_curvature(r, g, basis[i], basis[j]) == expected
+        assert sectional_curvature(r, g, j, i) == r[j, i, i, j] / (g[j, j] * g[i, i] - g[j, i] ** 2)
 
 
 @pytest.mark.parametrize("name", list(NON_IDENTITY_METRIC))
-def test_sectional_curvature_raises_on_a_degenerate_plane(name):
+def test_sectional_curvature_is_the_plane_curvature_of_a_moved_frame(name):
+    # X'_a = A^b_a X_b with X'_0 = u and X'_1 = v: the basis plane (0, 1) of the moved frame is the plane (u, v)
+    inst = NON_IDENTITY_METRIC[name]
+    r, g = noisy_curvature(inst), inst.g
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        a = rng.normal(size=(inst.dim, inst.dim))
+        u, v = a[:, 0], a[:, 1]
+        r_a = np.einsum("abcd,ai,bj,ck,dl->ijkl", r, a, a, a, a, optimize=True)
+        _, bound = sectional_plane(r, g, u, v)
+        assert abs(sectional_curvature(r_a, a.T @ g @ a, 0, 1) - plane_curvature(r, g, u, v)) <= bound
+
+
+@pytest.mark.parametrize("name", list(NON_IDENTITY_METRIC))
+def test_plane_curvature_raises_on_a_degenerate_plane(name):
     inst = NON_IDENTITY_METRIC[name]
     r = noisy_curvature(inst)
     u = np.random.default_rng(3).normal(size=inst.dim)
     for v in (-3.0 * u, np.zeros(inst.dim), u + 1e-9 * np.eye(inst.dim)[0]):
         with pytest.raises(DegeneratePlane):
-            sectional_curvature(r, inst.g, u, v)
+            plane_curvature(r, inst.g, u, v)
+
+
+@pytest.mark.parametrize("name", list(NON_IDENTITY_METRIC))
+def test_sectional_table_reads_only_the_entries_r_ijji(name):
+    # R is NaN off the entries R_ijji, so any other entry read would turn its plane's k into NaN;
+    # the whole table is then the one array expression a vectorised table would compute
+    inst = NON_IDENTITY_METRIC[name]
+    a = analyze_instance(inst)
+    i, j = np.triu_indices(inst.dim, 1)
+    r = np.full(a.R.shape, np.nan)
+    r[i, j, j, i], r[j, i, i, j] = a.R[i, j, j, i], a.R[j, i, i, j]
+    a.R = r
+    g = inst.g
+    expected = np.einsum("ijji->ij", r) / (np.outer(np.diag(g), np.diag(g)) - g * g)
+    table = np.array([a.sectional[plane] for plane in zip(i.tolist(), j.tolist())])
+    assert np.all(np.isfinite(table))
+    assert table.tobytes() == expected[i, j].tobytes()
+
+
+@pytest.mark.parametrize("name", list(NON_IDENTITY_METRIC))
+def test_sectional_curvature_raises_on_a_degenerate_basis_plane(name):
+    # a repeated index, and g_12 = 1 - 1e-11: positive definite (condition number about 2e11), but X_1 and X_2
+    # are parallel to 1e-11
+    inst = NON_IDENTITY_METRIC[name]
+    r = noisy_curvature(inst)
+    near = np.eye(inst.dim)
+    near[0, 1] = near[1, 0] = 1 - 1e-11
+    for g, planes in ((inst.g, [(i, i) for i in range(inst.dim)]), (near, [(0, 1), (1, 0)])):
+        for i, j in planes:
+            with pytest.raises(DegeneratePlane):
+                sectional_curvature(r, g, i, j)
+    assert sectional_curvature(r, near, 0, 2) == r[0, 2, 2, 0]
 
 
 def test_curvature_components_runs_on_sympy_arrays():

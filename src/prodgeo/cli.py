@@ -32,7 +32,7 @@ from .instancefile import InvalidInstance, ParseError, load_instance, parse_rati
 from .pipeline import InstanceAnalysis, analyze_instance
 from .report import EXIT_NOT_CLOSED, EXIT_PARSE_ERROR, EXIT_STRUCTURE_FAILURE, Report, table_summary
 from .structure import INSTANCE_BUILDABLE, structure_defects
-from .tensors import DEFAULT_EPS, max_abs
+from .tensors import DEFAULT_EPS
 
 
 def _at_least_zero(cast):
@@ -54,16 +54,6 @@ def _parse_tuple(text: str, length: int, what: str) -> tuple[float, ...]:
     if len(parts) != length:
         raise ParseError(f"{what} needs {length} comma-separated values, got {len(parts)}")
     return tuple(parse_rational(p) for p in parts)
-
-
-def _flags_dict(a: InstanceAnalysis) -> dict:
-    return {
-        "is_w0": max_abs(a.F) <= a.eps,
-        "is_w1": a.class_residual <= a.eps,
-        "is_product": a.inst.nijenhuis_defect <= a.eps,
-        "flat_natural_connection": a.is_flat,
-        "torsion_parallel": a.parallel.verdict,
-    }
 
 
 def _tables_dict(a: InstanceAnalysis) -> dict:
@@ -97,7 +87,7 @@ def _analysis_report(a: InstanceAnalysis, instance: dict) -> Report:
     rep = Report(instance=instance, epsilon=a.eps)
     rep.add(a.structure.checks)
     rep.add(a.theorem_checks)
-    rep.flags.update(_flags_dict(a))
+    rep.flags.update(a.flags)
     rep.tables.update(_tables_dict(a))
     if not rep.flags["is_w1"]:
         rep.notes.append(

@@ -17,7 +17,7 @@ from .levicivita import psi1_defect
 from .liealg import LieFrameAlgebra
 from .pipeline import InstanceAnalysis
 from .structure import RpmInstance
-from .tensors import max_abs
+from .tensors import max_abs, nan_max
 
 DIM = 4
 
@@ -207,28 +207,28 @@ def verify_against_tables(params: ExampleParams, a: InstanceAnalysis) -> dict[st
         "table_rho": max_abs(a.ricci.rho - tables.rho),
         "table_tau": abs(a.ricci.tau - tables.tau),
         "table_theta": max_abs(a.lee.theta - tables.theta),
-        "table_k_inv": max(abs(a.sectional[i - 1, j - 1] - v) for (i, j), v in tables.k_inv.items()),
-        "table_k_anti": max(abs(a.sectional[i - 1, j - 1] - v) for (i, j), v in tables.k_anti.items()),
+        "table_k_inv": nan_max(abs(a.sectional[i - 1, j - 1] - v) for (i, j), v in tables.k_inv.items()),
+        "table_k_anti": nan_max(abs(a.sectional[i - 1, j - 1] - v) for (i, j), v in tables.k_anti.items()),
         "table_D": max_abs(a.D.gamma - tables.D),
         "table_T_D": max_abs(a.t_sharp - tables.T_D),
     }
     if not params.degenerate:
         checks["scalar_curvature_negative"] = a.ricci.tau < 0.0
-        checks["torsion_not_parallel"] = not a.parallel.verdict
+        checks["torsion_not_parallel"] = not a.flags["torsion_parallel"]
     checks["weyl_zero"] = max_abs(a.W)
     checks["natural_curvature_zero"] = max_abs(a.Rprime)
     return checks
 
 
-# Each equal-basis-curvature flag: its closed-form condition on the squared parameters, and the
-# 0-based basis planes whose sectional curvatures it says are equal.
+# Each equal-basis-curvature flag: its closed-form condition as a defect of the squared parameters,
+# and the 0-based basis planes whose sectional curvatures it says are equal.
 _CONSTANT_CURVATURE = {
-    "invariant": (lambda sq, eps: abs(sq[0] - sq[1] + sq[2] - sq[3]) <= eps, ((0, 2), (1, 3))),
+    "invariant": (lambda sq: abs(sq[0] - sq[1] + sq[2] - sq[3]), ((0, 2), (1, 3))),
     "anti_invariant": (
-        lambda sq, eps: abs(sq[0] - sq[2]) <= eps and abs(sq[1] - sq[3]) <= eps,
+        lambda sq: nan_max((abs(sq[0] - sq[2]), abs(sq[1] - sq[3]))),
         ((0, 1), (0, 3), (1, 2), (2, 3)),
     ),
-    "sectional": (lambda sq, eps: max(sq) - min(sq) <= eps, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
+    "sectional": (lambda sq: max(sq) - min(sq), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))),
 }
 
 
@@ -239,17 +239,18 @@ def constant_curvature_flags(params: ExampleParams, a: InstanceAnalysis) -> tupl
     sectional curvature, ``const_anti_invariant`` the same for the four anti-invariant
     basis planes, and ``const_sectional`` that all six are equal; none says the sectional
     curvature is constant on every plane.  Each flag is the closed-form condition, and its
-    ``constant_*_agreement`` check says that the computed curvatures (a NaN equals none)
-    give the same answer.  Where all six computed curvatures agree, the residual is the
-    pointwise test of R = (tau/12) pi1, else None.  It is zero only at lambda = 0: the
-    curvature keeps cross terms such as R_1213 = lambda1*lambda4 where pi1 vanishes.
+    ``constant_*_agreement`` check says that the spread of the computed curvatures (a NaN
+    where a plane is degenerate) vanishes with it.  Where all six computed curvatures
+    agree, the residual is the pointwise test of R = (tau/12) pi1, else None.  It is zero
+    only at lambda = 0: the curvature keeps cross terms such as R_1213 = lambda1*lambda4
+    where pi1 vanishes.
     """
     sq = [v * v for v in params.lam]
     checks, flags = {}, {}
     for name, (condition, planes) in _CONSTANT_CURVATURE.items():
-        computed = np.ptp([a.sectional[plane] for plane in planes]) <= a.eps
-        flags[f"const_{name}"] = condition(sq, a.eps)
-        checks[f"constant_{name}_agreement"] = flags[f"const_{name}"] == computed
-    # computed is the last entry's: all six basis curvatures agree
-    residual = psi1_defect(a.R, None, (-a.ricci.tau / 24.0) * a.inst.g, a.inst.g) if computed else None
+        defect, spread = condition(sq), np.ptp([a.sectional[plane] for plane in planes])
+        flags[f"const_{name}"] = a.vanishes(defect)
+        checks[f"constant_{name}_agreement"] = a.agree(defect, spread)
+    # spread is the last entry's: that of all six basis curvatures
+    residual = psi1_defect(a.R, None, (-a.ricci.tau / 24.0) * a.inst.g, a.inst.g) if a.vanishes(spread) else None
     return checks, flags, residual

@@ -16,7 +16,7 @@ import numpy as np
 from .levicivita import LeeForm, RicciScalar, cov_deriv_components, curvature_components, psi1_defect
 from .liealg import jacobi_defect
 from .structure import RpmInstance, structure_pullback
-from .tensors import CO, CONTRA, DEFAULT_EPS, blocks, max_abs, nan_max
+from .tensors import CO, CONTRA, blocks, max_abs, nan_max
 
 
 @dataclass(frozen=True)
@@ -120,31 +120,16 @@ def bianchi_defect(components: np.ndarray) -> float:
     return nan_max(maxima)
 
 
-@dataclass(frozen=True)
-class PCurvatureCriterion:
-    """Two-sided check that the natural curvature is a curvature-type tensor.
-
-    The defect pair must agree: either both vanish or both do not.  The
-    closedness defect restates the same criterion through the torsion-free
-    connection and must reach the same verdict.
-    """
-
-    dtheta_symmetry_defect: float
-    bianchi_defect_rprime: float
-    closedness_defect: float
-    equivalence_holds: bool
-    closedness_agrees: bool
-
-
 def p_curvature_criterion(
-    inst: RpmInstance,
-    grad_theta: np.ndarray,
-    dtheta: np.ndarray,
-    r_prime: np.ndarray,
-    eps: float = DEFAULT_EPS,
-) -> PCurvatureCriterion:
-    """``grad_theta`` and ``dtheta`` are the derivatives of the Lee form along
-    the Levi-Civita connection and along D, ``r_prime`` the curvature of D.
+    inst: RpmInstance, grad_theta: np.ndarray, dtheta: np.ndarray, r_prime: np.ndarray
+) -> dict[str, float]:
+    """Defects of the criterion that the curvature of D is curvature-type: ``grad_theta`` and
+    ``dtheta`` are the derivatives of the Lee form along the Levi-Civita connection and along
+    D, ``r_prime`` the curvature of D.
+
+    The criterion is an equivalence: ``dtheta_symmetry`` and ``bianchi_rprime`` vanish
+    together or not at all, and ``closedness`` restates the symmetry through the
+    torsion-free connection, so it vanishes with it.
 
     R' is a Riemannian P-tensor when it satisfies four axioms, and only the
     first Bianchi identity is checked here.  The other three follow from checks
@@ -154,86 +139,37 @@ def p_curvature_criterion(
     (``natural_connection_preserves_structure``) with g(P., P.) = g gives
     R'(x, y, Pz, Pw) = R'(x, y, z, w).
     """
-    dtheta_p = dtheta @ inst.p
-    sym_defect = max_abs(dtheta_p - dtheta_p.T)
-    bianchi = bianchi_defect(r_prime)
 
-    grad_theta_p = grad_theta @ inst.p
-    closedness = max_abs(grad_theta_p - grad_theta_p.T)
+    def p_skew(m):  # max |m P - (m P)^T|
+        mp = m @ inst.p
+        return max_abs(mp - mp.T)
 
-    return PCurvatureCriterion(
-        dtheta_symmetry_defect=sym_defect,
-        bianchi_defect_rprime=bianchi,
-        closedness_defect=closedness,
-        equivalence_holds=(sym_defect <= eps) == (bianchi <= eps),
-        closedness_agrees=(closedness <= eps) == (sym_defect <= eps),
-    )
+    return {
+        "dtheta_symmetry": p_skew(dtheta),
+        "bianchi_rprime": bianchi_defect(r_prime),
+        "closedness": p_skew(grad_theta),
+    }
 
 
-@dataclass(frozen=True)
-class ParallelTorsionReport:
-    """Parallel-torsion verdict with the three equivalent defect measures.
-
-    ``equivalence_holds`` says the three measures agree: all vanish or none does.
-    """
-
-    dt_defect: float
-    dtheta_defect: float
-    gradient_identity_defect: float
-    verdict: bool
-    equivalence_holds: bool
-
-
-def has_parallel_torsion(
+def parallel_torsion_defects(
     inst: RpmInstance,
     d: NaturalConnection,
     t_sharp: np.ndarray,
     lee: LeeForm,
     grad_theta: np.ndarray,
     dtheta: np.ndarray,
-    eps: float = DEFAULT_EPS,
-) -> ParallelTorsionReport:
-    """``t_sharp`` is the torsion of ``d`` with its last slot raised, ``lee``
-    the Lee form, ``grad_theta`` and ``dtheta`` its derivatives along the
-    Levi-Civita connection and along ``d``."""
+) -> dict[str, float]:
+    """The three equivalent measures of parallel torsion, which vanish together or not at
+    all: ``t_sharp`` is the torsion of ``d`` with its last slot raised, ``lee`` the Lee
+    form, ``grad_theta`` and ``dtheta`` its derivatives along the Levi-Civita connection
+    and along ``d``."""
     # one block of directions at a time, as flat_D_report takes the curvature derivative
-    dt_defect = nan_max(max_abs(cov_deriv_components(d.gamma[b], t_sharp, (CO, CO, CONTRA))) for b in blocks(inst.dim))
+    dt = nan_max(max_abs(cov_deriv_components(d.gamma[b], t_sharp, (CO, CO, CONTRA))) for b in blocks(inst.dim))
     theta = lee.theta
     theta_p_omega = float(theta @ inst.p @ lee.omega)
     theta_p = theta @ inst.p
     expected = (inst.g * theta_p_omega - np.einsum("j,i->ij", theta_p, theta)) / (2.0 * inst.n)
-    dtheta_defect = max_abs(dtheta)
-    gradient_defect = max_abs(grad_theta - expected)
-
-    return ParallelTorsionReport(
-        dt_defect=dt_defect,
-        dtheta_defect=dtheta_defect,
-        gradient_identity_defect=gradient_defect,
-        verdict=dt_defect <= eps,
-        equivalence_holds=(dt_defect <= eps) == (dtheta_defect <= eps) == (gradient_defect <= eps),
-    )
-
-
-@dataclass(frozen=True)
-class FlatReport:
-    """Consequences of a flat natural connection, checked conditionally.
-
-    The space-form residuals and the parallel-curvature defect only apply
-    when the connection is both flat and has parallel torsion; otherwise
-    they are None.  The parallel-torsion curvature identity applies
-    whenever the torsion is parallel, flat or not.
-    """
-
-    is_flat: bool
-    weyl_max: float | None
-    torsion_parallel: bool
-    space_form_residual: float | None
-    ricci_residual: float | None
-    scalar_residual: float | None
-    parallel_curvature_defect: float | None
-    tau: float
-    tau_negative: bool | None
-    parallel_relation_residual: float | None
+    return {"dt": dt, "dtheta": max_abs(dtheta), "gradient_identity": max_abs(grad_theta - expected)}
 
 
 def flat_D_report(
@@ -242,49 +178,35 @@ def flat_D_report(
     r: np.ndarray,
     ricci: RicciScalar,
     r_prime: np.ndarray,
-    is_flat: bool,
     w: np.ndarray,
     theta_norm_sq: float,
-    parallel: ParallelTorsionReport,
-    eps: float = DEFAULT_EPS,
-) -> FlatReport:
-    """``r``, ``ricci`` and the Weyl tensor ``w`` belong to the Levi-Civita
-    connection, ``r_prime``, its flatness ``is_flat`` and ``parallel`` to
-    ``d``; ``theta_norm_sq`` is the squared norm of the Lee form."""
+    flat: bool,
+    parallel: bool,
+) -> dict[str, float]:
+    """Residuals of the consequences of a flat natural connection, ``{name: residual}`` for
+    the branches that apply: ``r``, ``ricci`` and the Weyl tensor ``w`` belong to the
+    Levi-Civita connection, ``r_prime`` to ``d``, ``theta_norm_sq`` is the squared norm of
+    the Lee form, and ``flat`` and ``parallel`` say whether ``d`` is flat and has parallel
+    torsion.
+
+    The space-form residuals and the parallel-curvature defect apply only when
+    ``d`` is flat with parallel torsion; the parallel-torsion curvature identity
+    applies whenever the torsion is parallel, flat or not.
+    """
     n = inst.n
-    tau = ricci.tau
-
-    weyl_max = max_abs(w) if is_flat else None
-
-    space_form = ricci_res = scalar_res = dr_defect = None
-    tau_negative = None
+    residuals = {"weyl_max": max_abs(w)} if flat else {}
     space_form_extension = (theta_norm_sq / (8.0 * n * n)) * inst.g  # psi1 of it is R' - R when the torsion is parallel
-    if is_flat and parallel.verdict:
-        space_form = psi1_defect(r, None, space_form_extension, inst.g)
-        ricci_res = max_abs(
-            ricci.rho + (2.0 * n - 1.0) / (4.0 * n * n) * theta_norm_sq * inst.g
-        )
-        scalar_res = abs(tau + (2.0 * n - 1.0) / (2.0 * n) * theta_norm_sq)
+    if flat and parallel:
+        residuals["space_form_residual"] = psi1_defect(r, None, space_form_extension, inst.g)
+        residuals["ricci_residual"] = max_abs(ricci.rho + (2.0 * n - 1.0) / (4.0 * n * n) * theta_norm_sq * inst.g)
+        residuals["scalar_residual"] = abs(ricci.tau + (2.0 * n - 1.0) / (2.0 * n) * theta_norm_sq)
         # one block of directions at a time: the full derivative would hold dim^5 numbers
-        dr_defect = nan_max(max_abs(cov_deriv_components(d.gamma[b], r, (CO, CO, CO, CO))) for b in blocks(inst.dim, 5))
-        tau_negative = tau < 0.0 if theta_norm_sq > eps else None
-
-    parallel_relation = None
-    if parallel.verdict:
-        parallel_relation = psi1_defect(r, r_prime, space_form_extension, inst.g)
-
-    return FlatReport(
-        is_flat=is_flat,
-        weyl_max=weyl_max,
-        torsion_parallel=parallel.verdict,
-        space_form_residual=space_form,
-        ricci_residual=ricci_res,
-        scalar_residual=scalar_res,
-        parallel_curvature_defect=dr_defect,
-        tau=tau,
-        tau_negative=tau_negative,
-        parallel_relation_residual=parallel_relation,
-    )
+        residuals["parallel_curvature_defect"] = nan_max(
+            max_abs(cov_deriv_components(d.gamma[b], r, (CO, CO, CO, CO))) for b in blocks(inst.dim, 5)
+        )
+    if parallel:
+        residuals["parallel_relation_residual"] = psi1_defect(r, r_prime, space_form_extension, inst.g)
+    return residuals
 
 
 def torsion_identity_defects(

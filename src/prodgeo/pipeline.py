@@ -19,7 +19,7 @@ import numpy as np
 from . import levicivita, natural
 from .errors import DegeneratePlane
 from .levicivita import LeeForm, RicciScalar
-from .natural import FlatReport, NaturalConnection, ParallelTorsionReport, PCurvatureCriterion, STensor
+from .natural import NaturalConnection, STensor
 from .structure import RpmInstance, StructureReport, validate_structure
 from .tensors import CO, DEFAULT_EPS, max_abs
 
@@ -145,16 +145,23 @@ class InstanceAnalysis:
         return levicivita.psi1_defect(self.R, self.Rprime, levicivita.weyl_extension(rho, tau, g), g)
 
     @cached_property
-    def p_criterion(self) -> PCurvatureCriterion:
-        return natural.p_curvature_criterion(
-            self.inst, self.grad_theta, self.dtheta, self.Rprime, self.eps
-        )
+    def p_criterion(self) -> dict[str, float]:
+        return natural.p_curvature_criterion(self.inst, self.grad_theta, self.dtheta, self.Rprime)
 
     @cached_property
-    def parallel(self) -> ParallelTorsionReport:
-        return natural.has_parallel_torsion(
-            self.inst, self.D, self.t_sharp, self.lee, self.grad_theta, self.dtheta, self.eps
+    def parallel(self) -> dict[str, float]:
+        return natural.parallel_torsion_defects(
+            self.inst, self.D, self.t_sharp, self.lee, self.grad_theta, self.dtheta
         )
+
+    def vanishes(self, defect: float) -> bool:
+        """Whether ``defect`` is within the tolerance: the one judgement of a flag or an
+        indicator's defect.  A NaN never vanishes."""
+        return bool(defect <= self.eps)
+
+    def agree(self, *defects: float) -> bool:
+        """Whether the defects of an equivalence agree: all vanish or none does."""
+        return len({self.vanishes(d) for d in defects}) == 1
 
     @cached_property
     def theorem_checks(self) -> dict[str, float | bool]:
@@ -167,22 +174,32 @@ class InstanceAnalysis:
             "curvature_relation": self.curvature_relation_residual,
             **self.ricci_relation,
             "weyl_invariance": self.weyl_invariance_residual,
-            "curvature_type_criterion_agreement": self.p_criterion.equivalence_holds,
-            "curvature_type_closedness_agreement": self.p_criterion.closedness_agrees,
-            "parallel_torsion_equivalence": self.parallel.equivalence_holds,
+            "curvature_type_criterion_agreement": self.agree(
+                self.p_criterion["dtheta_symmetry"], self.p_criterion["bianchi_rprime"]
+            ),
+            "curvature_type_closedness_agreement": self.agree(
+                self.p_criterion["closedness"], self.p_criterion["dtheta_symmetry"]
+            ),
+            "parallel_torsion_equivalence": self.agree(*self.parallel.values()),
         }
 
     @cached_property
-    def is_flat(self) -> bool:
-        """Whether D is flat: the one flatness test, which the reports read."""
-        return max_abs(self.Rprime) <= self.eps
+    def flags(self) -> dict[str, bool]:
+        """The class, flatness and parallel-torsion flags of every report on this analysis."""
+        return {
+            "is_w0": self.vanishes(max_abs(self.F)),
+            "is_w1": self.vanishes(self.class_residual),
+            "is_product": self.vanishes(self.inst.nijenhuis_defect),
+            "flat_natural_connection": self.vanishes(max_abs(self.Rprime)),
+            "torsion_parallel": self.vanishes(self.parallel["dt"]),
+        }
 
     @cached_property
-    def flat(self) -> FlatReport:
-        """The flat-branch residuals; no report reads them, only tests."""
+    def flat(self) -> dict[str, float]:
+        """The flat-branch residuals that apply; no report reads them, only tests."""
         return natural.flat_D_report(
-            self.inst, self.D, self.R, self.ricci, self.Rprime, self.is_flat, self.W,
-            self.lee.norm_sq, self.parallel, self.eps,
+            self.inst, self.D, self.R, self.ricci, self.Rprime, self.W, self.lee.norm_sq,
+            self.flags["flat_natural_connection"], self.flags["torsion_parallel"],
         )
 
 

@@ -95,7 +95,7 @@ def structure_defects(c, g, p, tolerance: float = DEFAULT_EPS) -> StructureRepor
     p = np.asarray(p, dtype=float)
     dim = g.shape[0]
     eye = np.eye(dim)
-    eigenvalues = np.linalg.eigvalsh((g + g.T) / 2.0)
+    eigenvalues = np.linalg.eigvalsh(g / 2.0 + g.T / 2.0)  # halved first: g + g.T overflows near 1e308
     defects = (  # in the order of AXIOMS
         max_abs(p @ p - eye),
         max_abs(p.T @ g @ p - g),

@@ -20,7 +20,7 @@ from prodgeo.natural import (
     STensor,
     bianchi_defect,
     flat_D_report,
-    has_parallel_torsion,
+    parallel_torsion_defects,
     verify_curvature_relation,
 )
 from prodgeo.pipeline import analyze_instance
@@ -149,7 +149,7 @@ def test_analysis_residuals(dim):
         residual = a.weyl_invariance_residual
     assert difference > 1.0 and abs(residual - difference) <= bound
     full = max_abs(cov_deriv_components(a.D.gamma, a.t_sharp, (CO, CO, CONTRA)))
-    assert abs(a.parallel.dt_defect - full) <= 64 * EPS * full
+    assert abs(a.parallel["dt"] - full) <= 64 * EPS * full
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -217,10 +217,10 @@ class TestNanInABlock:
         gamma = a.D.gamma.copy()
         gamma[k, 0, 0] = np.nan
         d = NaturalConnection(gamma=gamma, Q=a.D.Q, T=a.D.T)
-        parallel = has_parallel_torsion(a.inst, d, a.t_sharp, a.lee, a.grad_theta, a.dtheta)
-        assert np.isnan(parallel.dt_defect)
-        flat = flat_D_report(a.inst, d, a.R, a.ricci, a.Rprime, True, a.W, a.lee.norm_sq, a.parallel)
-        assert np.isnan(flat.parallel_curvature_defect)
+        parallel = parallel_torsion_defects(a.inst, d, a.t_sharp, a.lee, a.grad_theta, a.dtheta)
+        assert np.isnan(parallel["dt"])
+        flat = flat_D_report(a.inst, d, a.R, a.ricci, a.Rprime, a.W, a.lee.norm_sq, True, a.flags["torsion_parallel"])
+        assert np.isnan(flat["parallel_curvature_defect"])
 
 
 def test_conformal_checks_hold_one_rank4_buffer_at_a_time():

@@ -477,6 +477,30 @@ class TestCheckOrder:
         with pytest.raises(DegeneratePlane):
             sectional_curvature(analyze_instance(inst).R, inst.g, 0, 1)
 
+    @pytest.mark.parametrize("command", ["analyze", "conformal"])
+    @pytest.mark.parametrize(
+        "metric, expected",
+        [
+            (9e307 * np.eye(4), 1),
+            (1e308 * np.eye(4), 1),
+            (1.7e308 * np.eye(4), 1),
+            (np.array([[1.5e308, 1e308, 0, 0], [1e308, 1.5e308, 0, 0], [0, 0, 1.5e308, 0], [0, 0, 0, 1.5e308]]), 1),
+            (1e308 * np.diag([1.0, 1.0, 1.0, -1.0]), 3),
+        ],
+        ids=["9e307", "1e308", "1.7e308", "1.5e308-g12-1e308", "1e308-indefinite"],
+    )
+    def test_huge_metric_writes_a_report_that_states_its_exit_code(self, capsys, tmp_path, command, metric, expected):
+        # g + g^T overflows here: the positive-definiteness defect halves g before it adds,
+        # so a finite metric gets a report, not a traceback
+        payload = {"dim": 4, "brackets": [{"i": 1, "j": 2, "coeffs": [0, 0, 1, 0]}], "metric": metric.tolist(),
+                   "P": np.diag([1.0, 1.0, -1.0, -1.0]).tolist()}
+        argv = [command, "--file", write_json(tmp_path / "huge.json", payload), "--json"]
+        code = main(argv + (["--alpha=0,0,0,0"] if command == "conformal" else []))
+        data = strict_loads(capsys.readouterr().out)
+        assert data["exit_status"] == report_from_dict(data).exit_status == code == expected
+        if expected == 3:
+            assert [c["name"] for c in data["checks"] if not c["pass"]] == ["metric_positive_definite", "instance_buildable"]
+
     def test_slightly_asymmetric_metric_is_an_invalid_instance_at_a_loose_tolerance(self, capsys, tmp_path):
         # metric_symmetry passes at 1e-3, but the metric is inverted only when symmetric to 1e-9
         metric = np.eye(4)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prodgeo import cli, errors
+from prodgeo import errors
 from prodgeo.conformal import (
     closedness_defect,
     conformal_checks,
@@ -278,7 +278,7 @@ class TestNontrivialCurvedDeformation:
 
     def test_base_point_is_structure_parallel_with_curvature(self):
         a = analyze_instance(self.heisenberg_product())
-        flags = cli._flags_dict(a)
+        flags = a.flags
         assert flags["is_w0"] and flags["is_w1"] and a.inst.nijenhuis_defect <= 1e-9
         assert max_abs(a.R) == pytest.approx(0.75)
         assert max_abs(a.W) > 0.5  # not conformally flat
@@ -310,7 +310,8 @@ class TestNontrivialCurvedDeformation:
             assert difference <= 1e-9 and abs(geo.weyl_invariance_residual - difference) <= bound
             assert geo.class_residual <= 1e-9
             crit = p_curvature_criterion(inst, geo.grad_theta, geo.dtheta, geo.Rprime)
-            assert crit.equivalence_holds and crit.closedness_agrees
+            assert geo.agree(crit["dtheta_symmetry"], crit["bianchi_rprime"])
+            assert geo.agree(crit["closedness"], crit["dtheta_symmetry"])
 
     def test_natural_curvature_invariant_but_levi_civita_curvature_not(self):
         inst = self.heisenberg_product()

@@ -28,11 +28,11 @@ class TestBuildExample:
     def test_generic_point_is_valid(self, inst_1234):
         assert validate_structure(inst_1234).ok
         assert abelian_structure_defect(inst_1234) <= 1e-9
-        flags = cli._flags_dict(analyze_instance(inst_1234))
+        flags = analyze_instance(inst_1234).flags
         assert flags["is_w1"] and inst_1234.nijenhuis_defect <= 1e-9 and not flags["is_w0"]
 
     def test_degenerate_point_flags(self, inst_zero):
-        flags = cli._flags_dict(analyze_instance(inst_zero))
+        flags = analyze_instance(inst_zero).flags
         assert flags["is_w0"] and flags["is_w1"] and inst_zero.nijenhuis_defect <= 1e-9
 
     def test_cross_bracket(self, inst_1000):
@@ -79,6 +79,16 @@ class TestVerifyAgainstTables:
         assert code == 0 and data["flags"]["torsion_parallel"] is True
         assert ExampleParams((0, 0, 0, 0)).degenerate
         assert analyze_instance(build_example(ExampleParams((0, 0, 0, 0)))).ricci.tau == 0.0
+
+    @pytest.mark.parametrize("lam", [(1, 1, 1e200, 1), (1e200, 1, 1, 1)], ids=str)
+    def test_a_null_basis_curvature_fails_its_golden_check(self, capsys, lam):
+        # lambda^2 overflows, so some basis planes are degenerate and their curvatures null;
+        # builtin max would keep or drop such a NaN by its position among the planes
+        code, data = verify_paper(capsys, lam)
+        checks = {c["name"]: c for c in data["checks"]}
+        for name in ("table_k_inv", "table_k_anti"):
+            assert checks[name]["defect"] is None and not checks[name]["pass"], name
+        assert code == data["exit_status"] == 3
 
     def test_random_sweep(self, capsys):
         for lam in random_lambdas(241, 200):

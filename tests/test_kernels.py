@@ -331,7 +331,7 @@ def test_parallel_torsion_defect_is_that_of_the_whole_derivative(inst):
     # over the slabs is bitwise the max of the whole derivative
     a = analyze_instance(inst)
     full = cov_deriv_components(a.D.gamma, a.t_sharp, (CO, CO, CONTRA))
-    assert a.parallel.dt_defect == max_abs(full) > 1e-3
+    assert a.parallel["dt"] == max_abs(full) > 1e-3
 
 
 @pytest.mark.parametrize("seed", [0, 1])

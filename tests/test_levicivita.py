@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prodgeo import cli, errors
+from prodgeo import errors
 from prodgeo.example import ExampleParams, build_example
 from prodgeo.levicivita import (
     conformal_class_rhs,
@@ -25,7 +25,7 @@ E = np.eye(4)
 
 
 def flags_of(inst):
-    return cli._flags_dict(analyze_instance(inst))
+    return analyze_instance(inst).flags
 
 
 def abelian_orthonormal():

@@ -18,9 +18,9 @@ from prodgeo.natural import (
     curvature_Rprime,
     direct_potential,
     flat_D_report,
-    has_parallel_torsion,
     naturality_defects,
     p_curvature_criterion,
+    parallel_torsion_defects,
     recomputed_torsion,
     ricci_scalar_relation,
     s_tensor,
@@ -370,17 +370,18 @@ class TestCriterionAndParallelTorsion:
         a = analyze_instance(inst_1234)
         rp = curvature_Rprime(a.D, inst_1234.c, inst_1234.g)
         crit = p_curvature_criterion(inst_1234, a.grad_theta, a.dtheta, rp)
-        assert crit.dtheta_symmetry_defect <= 1e-9
-        assert crit.bianchi_defect_rprime <= 1e-9
-        assert crit.equivalence_holds and crit.closedness_agrees
+        assert crit["dtheta_symmetry"] <= 1e-9
+        assert crit["bianchi_rprime"] <= 1e-9
+        assert a.agree(crit["dtheta_symmetry"], crit["bianchi_rprime"])
+        assert a.agree(crit["closedness"], crit["dtheta_symmetry"])
 
     def test_degenerate_case(self, inst_zero):
         a = analyze_instance(inst_zero)
         rp = curvature_Rprime(a.D, inst_zero.c, inst_zero.g)
         crit = p_curvature_criterion(inst_zero, a.grad_theta, a.dtheta, rp)
-        assert crit.dtheta_symmetry_defect == 0.0
-        assert crit.bianchi_defect_rprime == 0.0
-        assert crit.equivalence_holds
+        assert crit["dtheta_symmetry"] == 0.0
+        assert crit["bianchi_rprime"] == 0.0
+        assert a.agree(crit["dtheta_symmetry"], crit["bianchi_rprime"])
 
     def test_deformed_sweep(self):
         rng = np.random.default_rng(113)
@@ -389,7 +390,8 @@ class TestCriterionAndParallelTorsion:
             alpha = random_closed_form(inst.alg, rng)
             geo = deformed_geometry(inst, alpha)
             crit = p_curvature_criterion(inst, geo.grad_theta, geo.dtheta, geo.Rprime)
-            assert crit.equivalence_holds and crit.closedness_agrees
+            assert geo.agree(crit["dtheta_symmetry"], crit["bianchi_rprime"])
+            assert geo.agree(crit["closedness"], crit["dtheta_symmetry"])
 
     def test_perturbed_connection_fails_both_sides(self, inst_1234):
         # breaking naturality must break the symmetry and the cyclic identity
@@ -401,9 +403,9 @@ class TestCriterionAndParallelTorsion:
         rp = curvature_Rprime(bent, inst_1234.c, inst_1234.g)
         dtheta = cov_deriv_components(bent.gamma, a.lee.theta, (CO,))
         crit = p_curvature_criterion(inst_1234, a.grad_theta, dtheta, rp)
-        assert crit.dtheta_symmetry_defect > 1e-3
-        assert crit.bianchi_defect_rprime > 1e-3
-        assert crit.equivalence_holds
+        assert crit["dtheta_symmetry"] > 1e-3
+        assert crit["bianchi_rprime"] > 1e-3
+        assert a.agree(crit["dtheta_symmetry"], crit["bianchi_rprime"])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_moved_frame_criterion_holds_with_non_identity_metric(self, seed):
@@ -414,10 +416,11 @@ class TestCriterionAndParallelTorsion:
         a = analyze_instance(inst)
         crit = a.p_criterion
         assert max_abs(a.dtheta) > 10 and not np.allclose(inst.g, np.eye(4))
-        assert crit.dtheta_symmetry_defect <= 1e-12
-        assert crit.bianchi_defect_rprime <= 1e-12
-        assert crit.closedness_defect <= 1e-12
-        assert crit.equivalence_holds and crit.closedness_agrees
+        assert crit["dtheta_symmetry"] <= 1e-12
+        assert crit["bianchi_rprime"] <= 1e-12
+        assert crit["closedness"] <= 1e-12
+        assert a.theorem_checks["curvature_type_criterion_agreement"]
+        assert a.theorem_checks["curvature_type_closedness_agreement"]
 
     @pytest.mark.parametrize("dim", [6, 8])
     def test_hyperbolic_torsion_is_parallel_where_n_squared_is_not_2n(self, dim):
@@ -428,60 +431,62 @@ class TestCriterionAndParallelTorsion:
         a = analyze_instance(inst)
         report = a.parallel
         assert max_abs(a.lee.theta) > 1
-        assert report.dt_defect <= 1e-10
-        assert report.dtheta_defect <= 1e-10
-        assert report.gradient_identity_defect <= 1e-10
-        assert report.verdict and report.equivalence_holds
+        assert report["dt"] <= 1e-10
+        assert report["dtheta"] <= 1e-10
+        assert report["gradient_identity"] <= 1e-10
+        assert a.flags["torsion_parallel"] and a.theorem_checks["parallel_torsion_equivalence"]
 
     def test_parallel_torsion_only_in_degenerate_case(self):
         for lam in random_lambdas(131, 50):
             a = analyze_instance(build_example(ExampleParams(lam)))
-            report = has_parallel_torsion(a.inst, a.D, a.t_sharp, a.lee, a.grad_theta, a.dtheta)
-            assert report.verdict == all(abs(v) < 1e-12 for v in lam)
+            report = parallel_torsion_defects(a.inst, a.D, a.t_sharp, a.lee, a.grad_theta, a.dtheta)
+            assert a.vanishes(report["dt"]) == all(abs(v) < 1e-12 for v in lam)
             verdicts = {
-                report.dt_defect <= 1e-9,
-                report.dtheta_defect <= 1e-9,
-                report.gradient_identity_defect <= 1e-9,
+                report["dt"] <= 1e-9,
+                report["dtheta"] <= 1e-9,
+                report["gradient_identity"] <= 1e-9,
             }
             assert len(verdicts) == 1  # triple equivalence
 
     def test_equivalence_is_judged_against_the_given_tolerance(self, inst_1234):
         a = analyze_instance(inst_1234)
-        args = (a.inst, a.D, a.t_sharp, a.lee, a.grad_theta, a.dtheta)
-        low, high = sorted([a.parallel.dt_defect, a.parallel.dtheta_defect, a.parallel.gradient_identity_defect])[::2]
+        low, high = sorted(a.parallel.values())[::2]
         assert 1.0 < low < high
-        assert a.parallel.equivalence_holds
-        assert not has_parallel_torsion(*args, eps=(low + high) / 2).equivalence_holds
-        assert has_parallel_torsion(*args, eps=2 * high).equivalence_holds
+        assert a.theorem_checks["parallel_torsion_equivalence"]
+        assert not analyze_instance(inst_1234, (low + high) / 2).theorem_checks["parallel_torsion_equivalence"]
+        assert analyze_instance(inst_1234, 2 * high).theorem_checks["parallel_torsion_equivalence"]
 
     def test_generic_point_all_defects_positive(self, inst_1234):
-        report = analyze_instance(inst_1234).parallel
-        assert report.dt_defect > 1.0
-        assert report.dtheta_defect > 1.0
-        assert report.gradient_identity_defect > 1.0
-        assert not report.verdict
+        a = analyze_instance(inst_1234)
+        report = a.parallel
+        assert report["dt"] > 1.0
+        assert report["dtheta"] > 1.0
+        assert report["gradient_identity"] > 1.0
+        assert not a.flags["torsion_parallel"]
 
 
 class TestFlatReport:
     def test_generic_family_point(self, inst_1234):
         a = analyze_instance(inst_1234)
         report = a.flat
-        assert report.is_flat
-        assert report.weyl_max <= 1e-9
-        assert not report.torsion_parallel
-        assert report.space_form_residual is None
-        assert report.ricci_residual is None
-        assert report.parallel_curvature_defect is None
+        assert a.flags["flat_natural_connection"]
+        assert report["weyl_max"] <= 1e-9
+        assert not a.flags["torsion_parallel"]
+        assert "space_form_residual" not in report
+        assert "ricci_residual" not in report
+        assert "parallel_curvature_defect" not in report
 
     def test_degenerate_point(self, inst_zero):
-        report = analyze_instance(inst_zero).flat
-        assert report.is_flat and report.torsion_parallel
-        assert report.space_form_residual == 0.0
-        assert report.ricci_residual == 0.0
-        assert report.scalar_residual == 0.0
-        assert report.parallel_curvature_defect == 0.0
-        assert report.parallel_relation_residual == 0.0
-        assert report.tau == 0.0 and report.tau_negative is None
+        a = analyze_instance(inst_zero)
+        report = a.flat
+        assert a.flags["flat_natural_connection"] and a.flags["torsion_parallel"]
+        assert report["space_form_residual"] == 0.0
+        assert report["ricci_residual"] == 0.0
+        assert report["scalar_residual"] == 0.0
+        assert report["parallel_curvature_defect"] == 0.0
+        assert report["parallel_relation_residual"] == 0.0
+        # the sign of tau says nothing where the Lee form vanishes
+        assert a.ricci.tau == 0.0 and a.vanishes(a.lee.norm_sq)
 
     def test_flat_connection_forces_conformal_flatness(self):
         # zero natural curvature, then zero natural Weyl tensor, then by
@@ -510,16 +515,16 @@ class TestFlatReport:
         )
         ricci = ricci_and_scalar(r, inst_1234.g_inv)
         w = weyl_tensor(r, ricci.rho, ricci.tau, inst_1234.g)
-        parallel = has_parallel_torsion(
+        parallel = parallel_torsion_defects(
             inst_1234, degenerate_d, degenerate_d.T, a.lee, a.grad_theta, np.zeros((4, 4))
         )
-        report = flat_D_report(inst_1234, degenerate_d, r, ricci, zero, True, w, theta_omega, parallel)
-        assert report.is_flat and report.torsion_parallel
-        assert report.space_form_residual <= 1e-9
-        assert report.ricci_residual <= 1e-9
-        assert report.scalar_residual <= 1e-9
-        assert report.parallel_curvature_defect <= 1e-9
-        assert report.tau_negative is True
+        assert a.vanishes(parallel["dt"])
+        report = flat_D_report(inst_1234, degenerate_d, r, ricci, zero, w, theta_omega, True, True)
+        assert report["space_form_residual"] <= 1e-9
+        assert report["ricci_residual"] <= 1e-9
+        assert report["scalar_residual"] <= 1e-9
+        assert report["parallel_curvature_defect"] <= 1e-9
+        assert ricci.tau < 0.0 and not a.vanishes(theta_omega)
 
     def test_hyperbolic_instance_reaches_the_flat_parallel_branch(self, hyperbolic_dim8):
         # a real instance, not a fabricated curvature, in a non-orthonormal frame
@@ -527,18 +532,18 @@ class TestFlatReport:
         a = analyze_instance(inst)
         report = a.flat
         assert a.class_residual <= DEFAULT_EPS
-        assert report.is_flat is a.is_flat is True and report.torsion_parallel
+        assert a.flags["flat_natural_connection"] is True and a.flags["torsion_parallel"]
         dim = inst.dim
-        assert report.tau == pytest.approx(-dim * (dim - 1) * a_coeff**2, rel=1e-12)
-        assert report.tau_negative is True
-        assert report.space_form_residual <= 1e-9
-        assert report.ricci_residual <= 1e-9
-        assert report.scalar_residual <= 1e-9
-        assert report.parallel_curvature_defect <= 1e-9
-        assert report.parallel_relation_residual <= 1e-9
+        assert a.ricci.tau == pytest.approx(-dim * (dim - 1) * a_coeff**2, rel=1e-12)
+        assert a.ricci.tau < 0.0 and not a.vanishes(a.lee.norm_sq)
+        assert report["space_form_residual"] <= 1e-9
+        assert report["ricci_residual"] <= 1e-9
+        assert report["scalar_residual"] <= 1e-9
+        assert report["parallel_curvature_defect"] <= 1e-9
+        assert report["parallel_relation_residual"] <= 1e-9
         # the per-direction maximum is the maximum of the whole derivative
         full = cov_deriv_components(a.D.gamma, a.R, (CO,) * 4)
-        assert report.parallel_curvature_defect == max_abs(full)
+        assert report["parallel_curvature_defect"] == max_abs(full)
 
 
 class TestWeylInvariance:

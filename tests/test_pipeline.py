@@ -176,7 +176,7 @@ class TestNothingIsBuiltTwice:
         analyze_instance(inst_1234, EPS).class_residual  # the class residual does not read it
         assert not calls["structure.nijenhuis_tensor"]
         for _ in range(2):  # two analyses of one instance, read as a report reads them
-            assert cli._flags_dict(analyze_instance(inst_1234, EPS))["is_product"]
+            assert analyze_instance(inst_1234, EPS).flags["is_product"]
         assert len(calls["structure.nijenhuis_tensor"]) == 1
 
     @pytest.mark.parametrize(
@@ -203,7 +203,7 @@ class TestNothingIsBuiltTwice:
         for a in (base, rescaled):
             # everything a report reads of an analysis
             Report(instance={}, epsilon=EPS).add(a.theorem_checks)
-            cli._flags_dict(a)
+            a.flags
             cli._tables_dict(a)
             one_forms = [args[0] for args, _ in calls["levicivita.cov_deriv_components"] if args[1].ndim == 1]
             assert len(one_forms) == 2
@@ -237,10 +237,11 @@ class TestRescaledAnalysisUsesItsOwnConnection:
         inst = build_example(ExampleParams(lam))
         alpha = random_closed_form(inst.alg, np.random.default_rng(7))
         geo = deformed_geometry(inst, alpha, EPS)
-        assert geo.p_criterion.equivalence_holds
-        assert geo.p_criterion.closedness_agrees
+        crit = geo.p_criterion
+        assert geo.agree(crit["dtheta_symmetry"], crit["bianchi_rprime"])
+        assert geo.agree(crit["closedness"], crit["dtheta_symmetry"])
         p = geo.parallel
-        assert (p.dt_defect <= EPS) == (p.dtheta_defect <= EPS) == (p.gradient_identity_defect <= EPS)
+        assert (p["dt"] <= EPS) == (p["dtheta"] <= EPS) == (p["gradient_identity"] <= EPS)
 
 
 class TestParser:
